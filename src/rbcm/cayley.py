@@ -16,7 +16,14 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DegenerateOmega, NotAdmissible, TooLarge, TypeMismatch
+from .errors import (
+    DegenerateOmega,
+    InvariantViolation,
+    NotAdmissible,
+    TooLarge,
+    TypeMismatch,
+    require,
+)
 from .factorlift import base_factor
 from .ideals import (
     IdealPresentation,
@@ -72,22 +79,24 @@ class CayleyMapRecord:
         return (self.map_type, self.group.invariants, min(rotations))
 
     def validate(self) -> None:
+        """Raise InvariantViolation unless the cycle defines a balanced Cayley map."""
         g = self.group
         zero = g.zero()
-        assert zero not in self.cycle, "identity in generating set"
-        assert len(set(self.cycle)) == self.valence, "repeated generator"
+        require(zero not in self.cycle, "identity in generating set")
+        require(len(set(self.cycle)) == self.valence, "repeated generator")
         if self.map_type == "I":
             n = self.valence // 2
-            assert self.valence == 2 * n and n >= 2
+            require(self.valence == 2 * n and n >= 2, "type I valence must be even and >= 4")
             for i in range(self.valence):
-                assert self.cycle[(i + n) % self.valence] == g.neg(self.cycle[i]), (
-                    "cycle is not sign-paired"
+                require(
+                    self.cycle[(i + n) % self.valence] == g.neg(self.cycle[i]),
+                    "cycle is not sign-paired",
                 )
         else:
-            assert self.map_type == "II"
+            require(self.map_type == "II", f"unknown map type {self.map_type!r}")
             for w in self.cycle:
-                assert g.element_order(w) == 2, "type II generator of order != 2"
-        assert g.generates(self.cycle), "generators do not span the group"
+                require(g.element_order(w) == 2, "type II generator of order != 2")
+        require(g.generates(self.cycle), "generators do not span the group")
 
     def __repr__(self):
         return f"<{self.map_type} map on {self.group}, valence {self.valence}>"
@@ -109,8 +118,8 @@ def _hom_extend_idx(src: AbelianGroupTable, dst: AbelianGroupTable, pair_idx):
     conflict means no homomorphism exists.  Checking every (element, i) edge
     certifies path-independence, hence additivity.
     """
-    els_s, idx_s, add_s, _, _ = src.tables()
-    _, idx_d, add_d, _, _ = dst.tables()
+    els_s, idx_s, add_s = src.tables()
+    _, idx_d, add_d = dst.tables()
     table = [-1] * len(els_s)
     z_s = idx_s[src.zero()]
     table[z_s] = idx_d[dst.zero()]
@@ -131,17 +140,6 @@ def _hom_extend_idx(src: AbelianGroupTable, dst: AbelianGroupTable, pair_idx):
     return table
 
 
-def hom_extend(src: AbelianGroupTable, dst: AbelianGroupTable, pairs):
-    """Total map extending g_i -> h_i to a homomorphism (as a dict), or None."""
-    els_s, idx_s, _, _, _ = src.tables()
-    els_d, idx_d, _, _, _ = dst.tables()
-    pair_idx = [(idx_s[tuple(g)], idx_d[tuple(h)]) for g, h in pairs]
-    table = _hom_extend_idx(src, dst, pair_idx)
-    if table is None:
-        return None
-    return {els_s[i]: els_d[v] for i, v in enumerate(table) if v >= 0}
-
-
 def _is_total_bijection(table, order: int) -> bool:
     if any(v < 0 for v in table):
         return False
@@ -151,7 +149,7 @@ def _is_total_bijection(table, order: int) -> bool:
 def is_rbcm(record: CayleyMapRecord):
     """(flag, witness): does the rotation extend to a group automorphism?"""
     g = record.group
-    els, idx, _, _, _ = g.tables()
+    els, idx, _ = g.tables()
     L = record.valence
     cyc = [idx[w] for w in record.cycle]
     pair_idx = [(cyc[i], cyc[(i + 1) % L]) for i in range(L)]
@@ -168,8 +166,8 @@ def maps_isomorphic(m1: CayleyMapRecord, m2: CayleyMapRecord) -> bool:
         raise TypeMismatch(f"{m1.map_type} vs {m2.map_type}")
     if m1.group.invariants != m2.group.invariants or m1.valence != m2.valence:
         return False
-    _, idx1, _, _, _ = m1.group.tables()
-    _, idx2, _, _, _ = m2.group.tables()
+    _, idx1, _ = m1.group.tables()
+    _, idx2, _ = m2.group.tables()
     L = m1.valence
     c1 = [idx1[w] for w in m1.cycle]
     c2 = [idx2[w] for w in m2.cycle]
@@ -187,7 +185,7 @@ def trace_faces(record: CayleyMapRecord) -> MapStats:
     g = record.group
     L = record.valence
     n = L // 2 if record.map_type == "I" else L
-    els, idx, add_rows, _, _ = g.tables()
+    els, idx, add_rows = g.tables()
     V = len(els)
     cyc = [idx[w] for w in record.cycle]
     nxt_pos = [((i + n) % L + 1) % L if record.map_type == "I" else (i + 1) % L for i in range(L)]
@@ -226,7 +224,7 @@ def arc_transitive(record: CayleyMapRecord) -> bool:
     if not ok:
         return False
     g = record.group
-    els, idx, add_rows, _, _ = g.tables()
+    els, idx, add_rows = g.tables()
     sigma = [idx[record._witness[e]] for e in els]
     L = record.valence
     cyc = [idx[w] for w in record.cycle]
@@ -351,7 +349,7 @@ def automorphism_matrices(invariants: tuple[int, ...]) -> tuple[tuple[tuple[int,
             if _rank_mod_p(rows, p) != group.rank:
                 continue
         else:
-            if len(group.closure(rows)) != group.order:
+            if not group.generates(rows):
                 continue
         auts.append(tuple(rows))
     return tuple(auts)
@@ -384,16 +382,12 @@ def _mat_pow(rows, e, invariants):
     return acc
 
 
-def _det_mod_p(rows, p) -> int:
-    return 0 if _rank_mod_p(rows, p) < len(rows) else 1
-
-
 def _sigma_mode(group: AbelianGroupTable, n: int, map_type: str):
     invariants = group.invariants
     auts = automorphism_matrices(invariants)
     p = _same_prime(invariants)
-    elements = [g for g in group.elements() if g != group.zero()]
-    exponent = group.exponent
+    seed_order = group.exponent if map_type == "I" else 2
+    seeds = [w for w in group.elements() if group.element_order(w) == seed_order]
     records = {}
     for rows in auts:
         power = _mat_pow(rows, n, invariants)
@@ -407,13 +401,9 @@ def _sigma_mode(group: AbelianGroupTable, n: int, map_type: str):
                 tuple((x - (1 if i == j else 0)) % d for j, (x, d) in enumerate(zip(r, invariants)))
                 for i, r in enumerate(power)
             )
-        if p is not None and _det_mod_p(cond, p):
+        if p is not None and _rank_mod_p(cond, p) == len(cond):
             continue  # sigma^n -+ 1 injective: no seeds
-        for w in elements:
-            if map_type == "I" and group.element_order(w) != exponent:
-                continue
-            if map_type == "II" and group.element_order(w) != 2:
-                continue
+        for w in seeds:
             if any(_mat_apply(cond, w, invariants)):
                 continue
             orbit = [w]
@@ -508,7 +498,7 @@ def _lattice_mode(group: AbelianGroupTable, n: int, map_type: str):
             continue
         try:
             rec.validate()
-        except AssertionError:
+        except InvariantViolation:
             continue
         ok, _ = is_rbcm(rec)
         if not ok:
@@ -542,11 +532,7 @@ def brute_force_rbcms(group_spec, valence: int):
     Returns type I classes (even valence 2n, n >= 2) and type II classes
     (valence n >= 2; only elementary 2-groups can carry them).
     """
-    group = (
-        group_spec
-        if isinstance(group_spec, AbelianGroupTable)
-        else AbelianGroupTable(tuple(group_spec))
-    )
+    group = AbelianGroupTable.from_spec(group_spec)
     budget = oracle_budget()
     if group.order > budget:
         raise TooLarge(f"group order {group.order} exceeds oracle budget {budget}")

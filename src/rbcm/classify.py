@@ -508,14 +508,16 @@ class InstanceReport:
         }
 
 
-def _applicable_families(group: AbelianGroupTable, valence: int) -> dict:
+def _applicable_families(group: AbelianGroupTable, valence: int) -> tuple[dict, list | None]:
     """Family name -> map list restricted to this group, for every family
-    whose hypotheses cover the instance."""
+    whose hypotheses cover the instance; and the 2-group family's maps on
+    every group of order <= |group| (None when that family does not apply)."""
     facs = factorize(group.exponent)
     p, k = facs[0]
     inv = group.invariants
     elementary2 = all(d == 2 for d in inv)
     fams = {}
+    two_group_all = None
     if valence % 2 == 0 and valence >= 4:
         n = valence // 2
         cap = group.order
@@ -528,9 +530,8 @@ def _applicable_families(group: AbelianGroupTable, valence: int) -> dict:
                 if m.invariants == inv
             ]
         if p == 2 and not elementary2:
-            fams["two_group"] = [
-                m for m in classify_2group(k, n, max_order=cap) if m.invariants == inv
-            ]
+            two_group_all = classify_2group(k, n, max_order=cap)
+            fams["two_group"] = [m for m in two_group_all if m.invariants == inv]
         if p != 2 and n % p != 0:
             fams["coprime"] = [
                 m for m in classify_coprime(p, k, n, max_order=cap) if m.invariants == inv
@@ -549,19 +550,15 @@ def _applicable_families(group: AbelianGroupTable, valence: int) -> dict:
             for m in classify_elementary(2, len(inv), valence, "II", max_order=group.order)
             if m.invariants == inv
         ]
-    return fams
+    return fams, two_group_all
 
 
 def cross_check(group_spec, valence: int) -> InstanceReport:
     """Reconcile the oracle, the standard ideal list, and every applicable family."""
-    group = (
-        group_spec
-        if isinstance(group_spec, AbelianGroupTable)
-        else AbelianGroupTable(tuple(group_spec))
-    )
+    group = AbelianGroupTable.from_spec(group_spec)
     oracle = brute_force_rbcms(group, valence)
     standard = standard_form_maps(group, valence)
-    fams = _applicable_families(group, valence)
+    fams, two_group_all = _applicable_families(group, valence)
     matching = _match_classes(standard, oracle)
     ok = len(standard) == len(oracle) and matching is not None
     family_counts = {}
@@ -569,7 +566,7 @@ def cross_check(group_spec, valence: int) -> InstanceReport:
         family_counts[name] = len(maps)
         if len(maps) != len(oracle) or _match_classes(maps, oracle) is None:
             ok = False
-    diagnostics = _instance_diagnostics(group, valence, fams, oracle)
+    diagnostics = _instance_diagnostics(group, valence, fams, oracle, two_group_all)
     summaries = []
     for rec in oracle:
         st = map_stats(rec)
@@ -595,7 +592,7 @@ def cross_check(group_spec, valence: int) -> InstanceReport:
     )
 
 
-def _instance_diagnostics(group, valence, fams, oracle) -> dict:
+def _instance_diagnostics(group, valence, fams, oracle, two_group_all) -> dict:
     facs = factorize(group.exponent)
     p, k = facs[0]
     inv = group.invariants
@@ -623,7 +620,7 @@ def _instance_diagnostics(group, valence, fams, oracle) -> dict:
         n = valence // 2
         diag["two_group_filter"] = {
             "unfiltered_pair_count": two_group_unfiltered_pairs(k, n),
-            "admissible_count_bounded": len(classify_2group(k, n, max_order=group.order)),
+            "admissible_count_bounded": len(two_group_all),
         }
     if "rank2" in fams:
         diag["rank2_shift_family"] = rank2_shift_family_outcome(fams["rank2"])

@@ -29,7 +29,8 @@ from .factorlift import (
     lift_radical_factor,
 )
 from .ideals import enumerate_ideals_containing
-from .zring import is_prime
+from .structure import AbelianGroupTable
+from .zring import factorize, is_prime
 
 
 def factor_to_json(lf) -> dict:
@@ -63,7 +64,7 @@ def map_to_json(record) -> dict:
 def rotation_system(record) -> str:
     """Plain-text export: header 'V E F genus', then arc targets per vertex."""
     st = map_stats(record)
-    els, idx, add_rows, _, _ = record.group.tables()
+    els, idx, add_rows = record.group.tables()
     cyc = [idx[w] for w in record.cycle]
     lines = [f"{st.vertices} {st.edges} {st.faces} {st.genus}"]
     for v in range(len(els)):
@@ -95,18 +96,18 @@ def _emit(args, payload, table_rows=None, table_header=None):
         sys.stdout.write(text)
 
 
-def _parse_group(spec: str) -> tuple[int, ...]:
-    try:
-        inv = tuple(int(t) for t in spec.split(","))
-    except ValueError:
-        raise SystemExit(2)
-    return inv
-
-
 def _check(cond: bool, message: str) -> None:
     if not cond:
         print(f"usage error: {message}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _parse_group(spec: str) -> AbelianGroupTable:
+    """--group as comma-separated cyclic orders, in any order."""
+    try:
+        return AbelianGroupTable.from_spec([int(t) for t in spec.split(",")])
+    except ValueError as exc:
+        _check(False, f"--group {spec}: {exc}")
 
 
 def cmd_factor(args) -> None:
@@ -217,7 +218,9 @@ def cmd_crosscheck(args) -> None:
         ]
     else:
         _check(args.group is not None, "--group required without --sweep")
-        r = cross_check(_parse_group(args.group), args.valence)
+        group = _parse_group(args.group)
+        _check(len(factorize(group.exponent)) == 1, f"--group {args.group} is not a p-group")
+        r = cross_check(group, args.valence)
         payload = r.to_json()
         rows = [
             (

@@ -63,3 +63,13 @@ class DegenerateOmega(DomainError):
 
 class TypeMismatch(DomainError):
     """Comparison of maps of different types."""
+
+
+class InvariantViolation(DomainError):
+    """A certificate of a definitional property failed."""
+
+
+def require(cond: bool, message: str) -> None:
+    """Raise InvariantViolation unless cond holds; unlike assert, not stripped by -O."""
+    if not cond:
+        raise InvariantViolation(message)

@@ -104,6 +104,17 @@ def howell_form(rows, N: int, width: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in basis)
 
 
+def x_step(row, context_monic: Poly, N: int) -> tuple[int, ...]:
+    """x * row mod the monic context, on a coefficient row (highest degree first).
+
+    The row shifts one column down; the top coefficient t leaves as t*x^D,
+    which the context turns into -t times its lower coefficients.
+    """
+    top = row[0]
+    lower = context_monic.coeffs[-2::-1]
+    return tuple((a - top * c) % N for a, c in zip((*row[1:], 0), lower))
+
+
 @dataclass(frozen=True)
 class IdealPresentation:
     """Canonical presentation of an ideal of Z_N[x] containing context_monic."""
@@ -162,19 +173,21 @@ class IdealPresentation:
         """Membership of a polynomial (reduced against the context first)."""
         return self.contains_row(self.poly_to_row(f))
 
-    def quotient_size(self) -> int:
-        N = self.modulus.N
+    def residue_bounds(self) -> list[int]:
+        """Per column, the range of canonical coset digits: pivot scalar or N."""
         piv = self.pivots()
-        size = 1
-        for c in range(self.width):
-            size *= piv[c][0] if c in piv else N
-        return size
+        return [piv[c][0] if c in piv else self.modulus.N for c in range(self.width)]
+
+    def residues(self):
+        """Canonical representatives of the quotient by this ideal."""
+        return itertools.product(*[range(b) for b in self.residue_bounds()])
+
+    def quotient_size(self) -> int:
+        return math.prod(self.residue_bounds())
 
     def constant_divisor(self) -> int:
         """d such that the constants contained in the ideal are exactly (d)."""
-        piv = self.pivots()
-        c = self.width - 1
-        return piv[c][0] if c in piv else self.modulus.N
+        return self.residue_bounds()[-1]
 
     def __repr__(self):
         gens = ", ".join(str(p) for p in self.row_polys()) or "0"
@@ -195,13 +208,15 @@ def canonical_form(
     if not context_monic.is_monic() or context_monic.degree < 1:
         raise ValueError("context must be monic of degree >= 1")
     D = context_monic.degree
+    N = modulus.N
     rows = [list(r) for r in base_rows]
     for g in generators:
         g = poly_mod(g.reduce_mod(modulus), context_monic)
-        for j in range(D):
-            shifted = poly_mod(g.shift(j), context_monic)
-            rows.append([shifted[D - 1 - i] for i in range(D)])
-    hf = howell_form(rows, modulus.N, D)
+        row = tuple(g[D - 1 - i] for i in range(D))
+        for _ in range(D):
+            rows.append(row)
+            row = x_step(row, context_monic, N)
+    hf = howell_form(rows, N, D)
     pres = IdealPresentation(modulus, context_monic, hf, tuple(generators))
     _assert_shift_closed(pres)
     return pres
@@ -209,8 +224,8 @@ def canonical_form(
 
 def _assert_shift_closed(pres: IdealPresentation) -> None:
     for r in pres.rows:
-        shifted = poly_mod(pres.row_to_poly(r).shift(1), pres.context_monic)
-        assert pres.contains(shifted), "presentation not closed under x"
+        shifted = x_step(r, pres.context_monic, pres.modulus.N)
+        assert pres.contains_row(shifted), "presentation not closed under x"
 
 
 def zero_ideal(context_monic: Poly, modulus: Modulus) -> IdealPresentation:
@@ -345,19 +360,6 @@ def combine_components(split: CrtSplit, parts) -> IdealPresentation:
 # exhaustive enumeration of shift-closed submodules
 
 
-def _residue_digits(pres: IdealPresentation) -> list[int]:
-    """Digit bound per column for canonical coset representatives."""
-    N = pres.modulus.N
-    piv = pres.pivots()
-    return [piv[c][0] if c in piv else N for c in range(pres.width)]
-
-
-def iter_residues(pres: IdealPresentation):
-    """Canonical representatives of the quotient by the presented ideal."""
-    for combo in itertools.product(*[range(b) for b in _residue_digits(pres)]):
-        yield combo
-
-
 def enumerate_ideals_between(
     context: Poly,
     modulus: Modulus,
@@ -382,21 +384,20 @@ def enumerate_ideals_between(
     x_invertible = math.gcd(context[0], N) == 1
     seen: set[tuple[int, ...]] = set()
     principals: dict[tuple, IdealPresentation] = {}
-    for combo in iter_residues(base):
+    for combo in base.residues():
         if combo in seen or not any(combo):
             continue
-        gen = base.row_to_poly(combo)
-        pres = canonical_form([gen], context, modulus, base_rows=base.rows)
+        pres = canonical_form([base.row_to_poly(combo)], context, modulus, base_rows=base.rows)
         principals.setdefault(pres.rows, pres)
         # unit multiples (and x-shifts, when allowed) generate the same ideal
-        cur = gen
+        cur = combo
         for _ in range(4 * D):
             for u in units:
-                seen.add(base.reduce_row(base.poly_to_row(cur.scale(u))))
+                seen.add(base.reduce_row([u * v for v in cur]))
             if not x_invertible:
                 break
-            cur = poly_mod(cur.shift(1), context)
-            if base.reduce_row(base.poly_to_row(cur)) == combo:
+            cur = x_step(cur, context, N)
+            if base.reduce_row(cur) == combo:
                 break
     found: dict[tuple, IdealPresentation] = {base.rows: base}
     for pres in principals.values():
@@ -458,12 +459,11 @@ def bounded_ideals_local_tree(
     p = modulus.p
     q = p**residue_degree
     full = canonical_form([Poly.one(modulus)], context, modulus)
-    ring_size = modulus.N ** context.degree
     out = {full.rows: full}
     frontier = [full]
     while frontier:
         ideal = frontier.pop()
-        index = ring_size // _ideal_size(ideal, ring_size)
+        index = ideal.quotient_size()
         if index * q > bound:
             continue
         gens = list(ideal.row_polys()) + [context]
@@ -483,10 +483,6 @@ def bounded_ideals_local_tree(
         (v for v in out.values() if v.quotient_size() <= bound),
         key=lambda x: x.rows,
     )
-
-
-def _ideal_size(pres: IdealPresentation, ring_size: int) -> int:
-    return ring_size // pres.quotient_size()
 
 
 def closed_form_ideals(

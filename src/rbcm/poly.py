@@ -136,9 +136,6 @@ class Poly:
         """Push coefficients into a smaller ring (canonical reps)."""
         return Poly(self.coeffs, modulus)
 
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:], self.modulus)
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

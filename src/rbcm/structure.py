@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import TooLarge
-from .ideals import IdealPresentation
-from .poly import Poly, poly_mod
+from .ideals import IdealPresentation, x_step
+from .poly import Poly
 
 RESIDUE_BUDGET = 1 << 16
 
@@ -153,13 +153,9 @@ class QuotientRing:
         self.order = Q.quotient_size()
         if self.order > budget:
             raise TooLarge(f"quotient has {self.order} residues (budget {budget})")
-        self._digits = None
 
     def residues(self) -> list[tuple[int, ...]]:
-        N = self.modulus.N
-        piv = self.ideal.pivots()
-        bounds = [piv[c][0] if c in piv else N for c in range(self.ideal.width)]
-        return list(itertools.product(*[range(b) for b in bounds]))
+        return list(self.ideal.residues())
 
     def reduce_poly(self, f: Poly) -> tuple[int, ...]:
         return self.ideal.reduce_row(self.ideal.poly_to_row(f))
@@ -174,7 +170,7 @@ class QuotientRing:
         return self.ideal.reduce_row([-x for x in a])
 
     def mul_x(self, a) -> tuple[int, ...]:
-        return self.reduce_poly(self.to_poly(a).shift(1))
+        return self.ideal.reduce_row(x_step(a, self.context, self.modulus.N))
 
     def mul(self, a, b) -> tuple[int, ...]:
         return self.reduce_poly(self.to_poly(a) * self.to_poly(b))
@@ -182,11 +178,11 @@ class QuotientRing:
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.ideal.width
 
-    def one(self) -> tuple[int, ...]:
-        return self.reduce_poly(Poly.one(self.modulus))
-
     def x_power_image(self, i: int) -> tuple[int, ...]:
-        return self.reduce_poly(poly_mod(Poly.x(self.modulus) ** i, self.context))
+        row = (0,) * (self.ideal.width - 1) + (1,)
+        for _ in range(i):
+            row = x_step(row, self.context, self.modulus.N)
+        return self.ideal.reduce_row(row)
 
 
 def enumerate_residues(Q: IdealPresentation) -> list[tuple[int, ...]]:
@@ -202,7 +198,7 @@ def _group_elements(invariants: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 class AbelianGroupTable:
     """Finite abelian group in invariant-factor coordinates.
 
-    Index-based addition/negation tables are built lazily so the closure,
+    Index-based addition tables are built lazily so the closure,
     homomorphism and face-tracing loops run on small integers.
     """
 
@@ -212,22 +208,33 @@ class AbelianGroupTable:
         self.rank = len(self.invariants)
         self._idx = None
         self._add_rows = None
-        self._neg_row = None
-        self._order_row = None
+
+    @classmethod
+    def from_spec(cls, spec) -> "AbelianGroupTable":
+        """The group Z_{o_1} x ... x Z_{o_r} for any list of cyclic orders o_i > 1.
+
+        The orders are brought to invariant factors, so equivalent specs such
+        as (4, 2) and (2, 4) give the same table.  A table passes through.
+        """
+        if isinstance(spec, cls):
+            return spec
+        orders = list(spec)
+        if not orders or any(o <= 1 for o in orders):
+            raise ValueError(f"cyclic orders must be > 1, got {orders}")
+        relations = [
+            [o if i == j else 0 for j in range(len(orders))] for i, o in enumerate(orders)
+        ]
+        diag, _ = smith_normal_form(relations, len(orders))
+        return cls(tuple(d for d in diag if d > 1))
 
     def tables(self):
-        """(elements, index-of, add rows, negation row, order row)."""
+        """(elements, index-of, add rows)."""
         if self._idx is None:
             els = _group_elements(self.invariants)
             idx = {e: i for i, e in enumerate(els)}
-            add_rows = [
-                [idx[self.add(a, b)] for b in els] for a in els
-            ]
-            self._neg_row = [idx[self.neg(a)] for a in els]
-            self._order_row = [self.element_order(a) for a in els]
+            self._add_rows = [[idx[self.add(a, b)] for b in els] for a in els]
             self._idx = idx
-            self._add_rows = add_rows
-        return _group_elements(self.invariants), self._idx, self._add_rows, self._neg_row, self._order_row
+        return _group_elements(self.invariants), self._idx, self._add_rows
 
     @property
     def order(self) -> int:
@@ -252,9 +259,6 @@ class AbelianGroupTable:
     def neg(self, a) -> tuple[int, ...]:
         return tuple((-x) % d for x, d in zip(a, self.invariants))
 
-    def scale(self, c: int, a) -> tuple[int, ...]:
-        return tuple((c * x) % d for x, d in zip(a, self.invariants))
-
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
@@ -265,28 +269,8 @@ class AbelianGroupTable:
             n = n * o // math.gcd(n, o)
         return n
 
-    def closure(self, gens) -> set[tuple[int, ...]]:
-        """Subgroup generated by gens (additive closure)."""
-        els, idx, add_rows, _, _ = self.tables()
-        gidx = [idx[tuple(g)] for g in gens]
-        zero = idx[self.zero()]
-        seen = bytearray(len(els))
-        seen[zero] = 1
-        frontier = [zero]
-        count = 1
-        while frontier:
-            a = frontier.pop()
-            row = add_rows[a]
-            for g in gidx:
-                b = row[g]
-                if not seen[b]:
-                    seen[b] = 1
-                    count += 1
-                    frontier.append(b)
-        return {els[i] for i in range(len(els)) if seen[i]}
-
     def generates(self, gens) -> bool:
-        els, idx, add_rows, _, _ = self.tables()
+        els, idx, add_rows = self.tables()
         gidx = [idx[tuple(g)] for g in gens]
         seen = bytearray(len(els))
         seen[idx[self.zero()]] = 1
@@ -302,9 +286,6 @@ class AbelianGroupTable:
                     count += 1
                     frontier.append(b)
         return count == self.order
-
-    def type(self) -> AbelianType:
-        return AbelianType(self.invariants)
 
     def __repr__(self):
         return " x ".join(f"Z_{d}" for d in self.invariants)

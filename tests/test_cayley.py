@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rbcm
 from rbcm.cayley import (
     CayleyMapRecord,
     arc_transitive,
@@ -69,6 +74,26 @@ def test_is_rbcm_and_witness():
     bad = CayleyMapRecord(AbelianGroupTable((5,)), [(1,), (2,), (3,), (4,)], "I")
     ok, _ = is_rbcm(bad)
     assert not ok
+
+
+def test_validate_survives_optimize():
+    """validate() rejects a repeated generator also under python -O, which strips asserts."""
+    child = (
+        "from rbcm.cayley import CayleyMapRecord\n"
+        "from rbcm.errors import InvariantViolation\n"
+        "from rbcm.structure import AbelianGroupTable\n"
+        "rec = CayleyMapRecord(AbelianGroupTable((5,)), [(1,), (1,), (4,), (4,)], 'I')\n"
+        "try:\n"
+        "    rec.validate()\n"
+        "except InvariantViolation as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(rbcm.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False repeated generator\n"
 
 
 def test_type2_swap_is_rbcm():

@@ -5,6 +5,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 import rbcm
 from rbcm import cli
@@ -112,6 +113,34 @@ def test_export_map(tmp_path, capsys):
     for ln in lines[1:]:
         v, targets = ln.split(":")
         assert len(targets.split()) == 4
+
+
+@pytest.mark.parametrize("spec, invariant_spec", [("4,2", "2,4"), ("9,3", "3,9")])
+def test_equivalent_group_specs(spec, invariant_spec, capsys):
+    for command in ("crosscheck", "oracle"):
+        got = run_cli([command, "--group", spec, "--valence", "4"], capsys)
+        want = run_cli([command, "--group", invariant_spec, "--valence", "4"], capsys)
+        assert got == want
+        assert got[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crosscheck", "--group", "1,4"],
+        ["oracle", "--group", "1,4"],
+        ["crosscheck", "--group", "2,3"],
+    ],
+)
+def test_bad_group_spec_usage_error(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "rbcm.cli", *argv, "--valence", "4"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage error: --group")
+    assert "Traceback" not in proc.stderr
 
 
 def test_domain_error_exit_code(capsys):

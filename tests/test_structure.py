@@ -95,21 +95,33 @@ def test_exponent_matches_admissibility_clause():
 
 
 def test_quotient_ring_ops():
-    Q = canonical_form([P([2, 2], Z4)], ctx(2, Z4), Z4)
-    ring = QuotientRing(Q)
-    res = ring.residues()
-    assert len(res) == 8
-    zero = ring.zero()
-    for a in res:
-        assert ring.add(a, zero) == a
-        assert ring.add(a, ring.neg(a)) == zero
-        assert ring.mul_x(a) == ring.mul(ring.reduce_poly(Poly.x(Z4)), a)
-    # closure of addition and x-multiplication on representatives
-    rset = set(res)
-    for a in res[:5]:
-        for b in res:
-            assert ring.add(a, b) in rset
-        assert ring.mul_x(a) in rset
+    cases = [
+        (canonical_form([P([2, 2], Z4)], ctx(2, Z4), Z4), 8),
+        # constant term 2 is divisible by p: x is not a unit
+        (zero_ideal(P([2, 2, 1], Z4), Z4), 16),
+        # degree-1 context
+        (zero_ideal(P([3, 1], Z5), Z5), 5),
+        (canonical_form([P([3, 3], Z9)], ctx(3, Z9), Z9), 81),
+    ]
+    for Q, size in cases:
+        mod = Q.modulus
+        ring = QuotientRing(Q)
+        res = ring.residues()
+        assert len(res) == size
+        zero = ring.zero()
+        x = ring.reduce_poly(Poly.x(mod))
+        for a in res:
+            assert ring.add(a, zero) == a
+            assert ring.add(a, ring.neg(a)) == zero
+            assert ring.mul_x(a) == ring.mul(x, a)
+        for i in range(2 * Q.width + 1):
+            assert ring.x_power_image(i) == ring.reduce_poly(Poly.x(mod) ** i)
+        # closure of addition and x-multiplication on representatives
+        rset = set(res)
+        for a in res[:5]:
+            for b in res:
+                assert ring.add(a, b) in rset
+            assert ring.mul_x(a) in rset
 
 
 def test_quotient_isomorphism_is_group_iso():
@@ -138,5 +150,11 @@ def test_abelian_group_table():
     assert g.element_order((0, 1)) == 4
     assert g.generates([(1, 0), (0, 1)])
     assert not g.generates([(0, 2), (1, 0)])
+    assert AbelianGroupTable.from_spec([4, 2]).invariants == (2, 4)
+    assert AbelianGroupTable.from_spec([9, 3]).invariants == (3, 9)
+    assert AbelianGroupTable.from_spec([2, 3]).invariants == (6,)
+    assert AbelianGroupTable.from_spec(g) is g
+    with pytest.raises(ValueError):
+        AbelianGroupTable.from_spec([1, 4])
     with pytest.raises(AssertionError):
         AbelianType((4, 2))
