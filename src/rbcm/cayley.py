@@ -26,9 +26,9 @@ from .errors import (
 )
 from .factorlift import base_factor
 from .ideals import (
+    ENUM_BUDGET,
     IdealPresentation,
     bounded_ideals_local_tree,
-    canonical_form,
     combine_components,
     crt_split,
     enumerate_ideals_between,
@@ -40,6 +40,7 @@ from .structure import (
     AbelianGroupTable,
     QuotientRing,
     quotient_isomorphism,
+    reachable,
 )
 from .zring import Modulus, factorize
 
@@ -202,13 +203,13 @@ def trace_faces(record: CayleyMapRecord) -> MapStats:
             length += 1
             v, i = divmod(cur, L)
             cur = add_rows[v][cyc[i]] * L + nxt_pos[i]
-        assert cur == start, "face trace failed to close"
+        require(cur == start, "face trace failed to close")
         lengths.append(length)
     F = len(lengths)
     euler = V - E + F
-    assert euler % 2 == 0, "odd Euler characteristic"
+    require(euler % 2 == 0, "odd Euler characteristic")
     genus = (2 - euler) // 2
-    assert genus >= 0, f"negative genus {genus}"
+    require(genus >= 0, f"negative genus {genus}")
     return MapStats(V, E, F, genus, tuple(sorted(lengths)))
 
 
@@ -228,22 +229,10 @@ def arc_transitive(record: CayleyMapRecord) -> bool:
     sigma = [idx[record._witness[e]] for e in els]
     L = record.valence
     cyc = [idx[w] for w in record.cycle]
-    base = idx[g.zero()] * L
-    seen = bytearray(len(els) * L)
-    seen[base] = 1
-    frontier = [base]
-    count = 1
-    while frontier:
-        arc = frontier.pop()
-        v, i = divmod(arc, L)
-        nxts = [add_rows[v][t] * L + i for t in cyc]
-        nxts.append(sigma[v] * L + (i + 1) % L)
-        for nxt in nxts:
-            if not seen[nxt]:
-                seen[nxt] = 1
-                count += 1
-                frontier.append(nxt)
-    return count == g.order * L
+    arcs = range(len(els) * L)  # arc v*L + i leaves vertex v along cycle[i]
+    steps = [[add_rows[a // L][t] * L + a % L for a in arcs] for t in cyc]
+    steps.append([sigma[a // L] * L + (a + 1) % L for a in arcs])
+    return reachable(idx[g.zero()] * L, steps, len(arcs)) == len(arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +272,7 @@ def build_map(Q: IdealPresentation, N: int, n: int, map_type: str = "I") -> Cayl
     record = realize_record(Q, n, map_type)
     record.validate()
     ok, _ = is_rbcm(record)
-    assert ok, "constructed map is not balanced-regular"
+    require(ok, "constructed map is not balanced-regular")
     return record
 
 
@@ -446,11 +435,11 @@ def bounded_admissible_candidates(
         size = (p**k) ** ctx.degree
         o = base_factor(p, d, ell).degree
         gen = base_factor(p, d, ell).reduce_mod(mod)
-        if size <= 1 << 16:
+        if size <= ENUM_BUDGET:
             ideals = enumerate_ideals_between(ctx, mod)
         else:
             floor = radical_floor(ctx, mod, bound, o, gen)
-            if floor.quotient_size() <= 1 << 16:
+            if floor.quotient_size() <= ENUM_BUDGET:
                 ideals = enumerate_ideals_between(ctx, mod, base=floor)
             else:
                 ideals = bounded_ideals_local_tree(ctx, mod, bound, gen, o)
@@ -458,21 +447,13 @@ def bounded_admissible_candidates(
         ideals.sort(key=lambda q: q.rows)
         per_component.append(ideals)
     out = []
-    if len(per_component) == 1:
-        for q in per_component[0]:
-            out.append(
-                canonical_form(
-                    list(q.row_polys()) + [split.contexts[0]], split.ambient, mod
-                )
-            )
-    else:
-        for combo in itertools.product(*per_component):
-            index = 1
-            for q in combo:
-                index *= q.quotient_size()
-            if index > bound:
-                continue
-            out.append(combine_components(split, [q.row_polys() for q in combo]))
+    for combo in itertools.product(*per_component):
+        index = 1
+        for q in combo:
+            index *= q.quotient_size()
+        if index > bound:
+            continue
+        out.append(combine_components(split, [q.row_polys() for q in combo]))
     dedup = {}
     for q in out:
         dedup.setdefault(q.rows, q)
@@ -481,9 +462,9 @@ def bounded_admissible_candidates(
 
 def _lattice_mode(group: AbelianGroupTable, n: int, map_type: str):
     """Oracle via exhaustive relation-lattice enumeration and definitional checks."""
-    N = group.exponent
-    facs = factorize(N)
-    assert len(facs) == 1, "lattice mode needs a p-group"
+    facs = factorize(group.exponent)
+    if len(facs) != 1:
+        raise ValueError("lattice mode needs a p-group")
     p, k = facs[0]
     candidates = bounded_admissible_candidates(p, k, n, group.order)
     records = {}
@@ -526,33 +507,32 @@ def _dedup_classes(records):
     return classes
 
 
-def brute_force_rbcms(group_spec, valence: int):
-    """One representative per isomorphism class of balanced regular maps.
+def map_cases(group: AbelianGroupTable, valence: int) -> list[tuple[int, str]]:
+    """(n, map type) of each map kind a group can carry at this valence.
 
-    Returns type I classes (even valence 2n, n >= 2) and type II classes
-    (valence n >= 2; only elementary 2-groups can carry them).
+    Type II (valence n >= 2) lives only on elementary 2-groups, where every
+    signed pair collides, so those carry no type I maps; every other group
+    gets type I at even valence 2n with n >= 2.
     """
+    if all(d == 2 for d in group.invariants):
+        return [(valence, "II")] if valence >= 2 else []
+    return [(valence // 2, "I")] if valence % 2 == 0 and valence >= 4 else []
+
+
+def brute_force_rbcms(group_spec, valence: int):
+    """One representative per isomorphism class of balanced regular maps,
+    over every case of map_cases."""
     group = AbelianGroupTable.from_spec(group_spec)
     budget = oracle_budget()
     if group.order > budget:
         raise TooLarge(f"group order {group.order} exceeds oracle budget {budget}")
     if valence > 2 * group.order:
         raise ValueError("valence exceeds twice the group order")
+    if aut_candidate_count(group.invariants) <= AUT_CANDIDATE_LIMIT:
+        mode = _sigma_mode
+    else:
+        mode = _lattice_mode
     out = []
-    elementary2 = all(d == 2 for d in group.invariants)
-    # type I at valence 2n
-    if valence % 2 == 0 and valence >= 4:
-        n = valence // 2
-        if elementary2:
-            pass  # signed pairs always collide: no type I maps
-        elif aut_candidate_count(group.invariants) <= AUT_CANDIDATE_LIMIT:
-            out.extend(_sigma_mode(group, n, "I"))
-        else:
-            out.extend(_lattice_mode(group, n, "I"))
-    # type II at valence n
-    if elementary2 and valence >= 2:
-        if aut_candidate_count(group.invariants) <= AUT_CANDIDATE_LIMIT:
-            out.extend(_sigma_mode(group, valence, "II"))
-        else:
-            out.extend(_lattice_mode(group, valence, "II"))
+    for n, map_type in map_cases(group, valence):
+        out.extend(mode(group, n, map_type))
     return _dedup_classes(out)

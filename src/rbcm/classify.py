@@ -17,18 +17,17 @@ from .cayley import (
     bounded_admissible_candidates,
     brute_force_rbcms,
     build_map,
+    map_cases,
     map_stats,
     maps_isomorphic,
 )
-from .errors import DegenerateOmega, NotAdmissible, TooLarge
+from .errors import DegenerateOmega, InvariantViolation, NotAdmissible, TooLarge, require
 from .factorlift import base_factor, lambda_index, lift_level0_factor, split_p_part
 from .ideals import (
     IdealPresentation,
     canonical_form,
     combine_components,
     crt_split,
-    is_admissible,
-    is_admissible_type2,
 )
 from .poly import Poly, poly_mod
 from .structure import AbelianGroupTable, QuotientRing, quotient_group_type
@@ -96,10 +95,26 @@ def _try_build(Q: IdealPresentation, N: int, n: int, map_type: str, max_order=No
 
 def _assert_pairwise_distinct(maps: list[FamilyMap]) -> None:
     for a, b in itertools.combinations(maps, 2):
-        if a.invariants == b.invariants:
-            assert not maps_isomorphic(a.record, b.record), (
-                f"family members {a.params} and {b.params} are isomorphic"
-            )
+        if a.invariants == b.invariants and maps_isomorphic(a.record, b.record):
+            raise InvariantViolation(f"family members {a.params} and {b.params} are isomorphic")
+
+
+def _family_maps(cases, N: int, n: int, map_type: str, max_order) -> list[FamilyMap]:
+    """The maps of the (params, ideal) cases whose ideal builds one.
+
+    An ideal reached again under later params is skipped: the first params win.
+    """
+    out = []
+    seen = set()
+    for params, Q in cases:
+        if Q.rows in seen:
+            continue
+        seen.add(Q.rows)
+        rec = _try_build(Q, N, n, map_type, max_order)
+        if rec is not None:
+            out.append(FamilyMap(params, Q, rec))
+    _assert_pairwise_distinct(out)
+    return out
 
 
 def classify_cyclic(p: int, k: int, n: int, max_order=None) -> list[FamilyMap]:
@@ -108,14 +123,11 @@ def classify_cyclic(p: int, k: int, n: int, max_order=None) -> list[FamilyMap]:
         raise ValueError("n must exceed 1")
     mod = Modulus(p, k)
     context = Poly.x_pow_plus_const(n, 1, mod)
-    out = []
-    for mu in solve_unit_roots(p, k, n):
-        Q = canonical_form([Poly([-mu, 1], mod)], context, mod)
-        rec = _try_build(Q, p**k, n, "I", max_order)
-        if rec is not None:
-            out.append(FamilyMap(_params("cyclic", mu=mu), Q, rec))
-    _assert_pairwise_distinct(out)
-    return out
+    cases = (
+        (_params("cyclic", mu=mu), canonical_form([Poly([-mu, 1], mod)], context, mod))
+        for mu in solve_unit_roots(p, k, n)
+    )
+    return _family_maps(cases, p**k, n, "I", max_order)
 
 
 def classify_elementary(p: int, m: int, n: int, map_type: str = "I", max_order=None) -> list[FamilyMap]:
@@ -133,21 +145,18 @@ def classify_elementary(p: int, m: int, n: int, map_type: str = "I", max_order=N
     labels = lambda_index(p, n_prime)
     mod = Modulus(p)
     context = Poly.x_pow_plus_const(n, 1, mod)
-    out = []
-    for exps in itertools.product(range(p**r + 1), repeat=len(labels)):
-        if sum(e * lab.degree for e, lab in zip(exps, labels)) != m:
-            continue
-        f = Poly.one(mod)
-        for e, lab in zip(exps, labels):
-            f = f * base_factor(p, lab.d, lab.l) ** e
-        Q = canonical_form([f], context, mod)
-        rec = _try_build(Q, p, n, map_type, max_order)
-        if rec is None:
-            continue
-        K = tuple(((lab.d, lab.l), e) for lab, e in zip(labels, exps))
-        out.append(FamilyMap(_params("elementary" + map_type, K=K), Q, rec))
-    _assert_pairwise_distinct(out)
-    return out
+
+    def cases():
+        for exps in itertools.product(range(p**r + 1), repeat=len(labels)):
+            if sum(e * lab.degree for e, lab in zip(exps, labels)) != m:
+                continue
+            f = Poly.one(mod)
+            for e, lab in zip(exps, labels):
+                f = f * base_factor(p, lab.d, lab.l) ** e
+            K = tuple(((lab.d, lab.l), e) for lab, e in zip(labels, exps))
+            yield _params("elementary" + map_type, K=K), canonical_form([f], context, mod)
+
+    return _family_maps(cases(), p, n, map_type, max_order)
 
 
 def family_elementary_narrow_count(p: int, m: int, n: int) -> int:
@@ -181,29 +190,22 @@ def classify_2group(k: int, n: int, max_order=None) -> list[FamilyMap]:
     tilde = {
         lab: lift_level0_factor(lab[0], lab[1], 2, k).poly for lab in labels
     }
-    out = []
-    seen_rows = {}
-    for J in itertools.product(range(k), repeat=len(labels)):
-        for K in itertools.product(range(2**r + 1), repeat=len(labels)):
-            parts = []
-            for lab, j, kk in zip(labels, J, K):
-                parts.append(
-                    [
-                        Poly.constant(2**j, mod) * tilde[lab] ** kk,
-                        Poly.constant(2 ** (j + 1), mod),
-                    ]
-                )
-            Q = combine_components(split, parts)
-            if Q.rows in seen_rows:
-                continue
-            seen_rows[Q.rows] = (J, K)
-            rec = _try_build(Q, 2**k, n, "I", max_order)
-            if rec is None:
-                continue
-            jk = tuple((lab, j, kk) for lab, j, kk in zip(labels, J, K))
-            out.append(FamilyMap(_params("two_group", JK=jk), Q, rec))
-    _assert_pairwise_distinct(out)
-    return out
+
+    def cases():
+        for J in itertools.product(range(k), repeat=len(labels)):
+            for K in itertools.product(range(2**r + 1), repeat=len(labels)):
+                parts = []
+                for lab, j, kk in zip(labels, J, K):
+                    parts.append(
+                        [
+                            Poly.constant(2**j, mod) * tilde[lab] ** kk,
+                            Poly.constant(2 ** (j + 1), mod),
+                        ]
+                    )
+                jk = tuple((lab, j, kk) for lab, j, kk in zip(labels, J, K))
+                yield _params("two_group", JK=jk), combine_components(split, parts)
+
+    return _family_maps(cases(), 2**k, n, "I", max_order)
 
 
 def two_group_unfiltered_pairs(k: int, n: int) -> int:
@@ -225,21 +227,14 @@ def classify_coprime(p: int, k: int, n: int, max_order=None) -> list[FamilyMap]:
     split = crt_split(p, k, n)
     labels = split.labels
     mod = Modulus(p, k)
-    out = []
-    seen_rows = {}
-    for J in itertools.product(range(k + 1), repeat=len(labels)):
-        parts = [[Poly.constant(p**j, mod)] for j in J]
-        Q = combine_components(split, parts)
-        if Q.rows in seen_rows:
-            continue
-        seen_rows[Q.rows] = J
-        rec = _try_build(Q, p**k, n, "I", max_order)
-        if rec is None:
-            continue
-        jmap = tuple((lab, j) for lab, j in zip(labels, J))
-        out.append(FamilyMap(_params("coprime", J=jmap), Q, rec))
-    _assert_pairwise_distinct(out)
-    return out
+    cases = (
+        (
+            _params("coprime", J=tuple(zip(labels, J))),
+            combine_components(split, [[Poly.constant(p**j, mod)] for j in J]),
+        )
+        for J in itertools.product(range(k + 1), repeat=len(labels))
+    )
+    return _family_maps(cases, p**k, n, "I", max_order)
 
 
 def _binom2(i: int) -> int:
@@ -263,15 +258,15 @@ def _rank2_generator_check(
     def phi(row) -> tuple[int, int]:
         poly = Q.row_to_poly(row)
         c0, c1 = poly[0], poly[1]
-        assert all(poly[i] == 0 for i in range(2, Q.width)), "unreduced residue"
+        require(all(poly[i] == 0 for i in range(2, Q.width)), "unreduced residue")
         return (c1 % p, (c0 + c1 * (mu + p * nu)) % N)
 
     residues = ring.residues()
     images = {phi(res) for res in residues}
-    assert len(images) == ring.order == target.order, "generator map is not bijective"
+    require(len(images) == ring.order == target.order, "generator map is not bijective")
     for a in residues:
         for b in residues:
-            assert phi(ring.add(a, b)) == target.add(phi(a), phi(b)), "not additive"
+            require(phi(ring.add(a, b)) == target.add(phi(a), phi(b)), "not additive")
     for i in range(1, n + 1):
         omega = ring.x_power_image(i - 1)
         first = (
@@ -279,7 +274,8 @@ def _rank2_generator_check(
             + _binom2(i - 1) * (p * alpha - p * p * nu * nu) * (pow(mu, i - 3, N) if i >= 3 else 0)
         ) % N
         second = ((i - 1) * (pow(mu, i - 2, N) if i >= 2 else 0)) % p
-        assert phi(omega) == (second, first), f"generator {i} mismatch"
+        if phi(omega) != (second, first):
+            raise InvariantViolation(f"generator {i} mismatch")
 
 
 def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[FamilyMap]:
@@ -303,9 +299,8 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
         if rec.group.invariants != target:
             return
         if Q.rows in seen:
-            assert seen[Q.rows] == case, (
-                f"ideal produced by case {seen[Q.rows]} and case {case}"
-            )
+            if seen[Q.rows] != case:
+                raise InvariantViolation(f"ideal produced by case {seen[Q.rows]} and case {case}")
             return
         seen[Q.rows] = case
         out.append(FamilyMap(_params("rank2", case=case, **rec_params), Q, rec))
@@ -354,7 +349,7 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
             elif not roots:
                 (dl, qlift) = lifts[red.coeffs]
                 diff = qlift - f
-                assert all(c % p == 0 for c in diff.coeffs)
+                require(all(c % p == 0 for c in diff.coeffs), "inert lift differs off p")
                 shift = (diff[1] // p, diff[0] // p)
                 push(
                     canonical_form([f], context, mod),
@@ -402,8 +397,8 @@ def _rank2_eval_check(Q, n, p, k, k2, mu1, mu2):
     N1, N2 = p**k, p**k2
     for i in range(1, n + 1):
         f = Q.row_to_poly(ring.x_power_image(i - 1))
-        assert f.evaluate(mu1) % N1 == pow(mu1, i - 1, N1)
-        assert f.evaluate(mu2 % N2) % N2 == pow(mu2, i - 1, N2)
+        require(f.evaluate(mu1) % N1 == pow(mu1, i - 1, N1), "not the evaluation at mu1")
+        require(f.evaluate(mu2 % N2) % N2 == pow(mu2, i - 1, N2), "not the evaluation at mu2")
 
 
 def rank2_shift_family_outcome(maps: list[FamilyMap]) -> dict:
@@ -424,39 +419,24 @@ def rank2_shift_family_outcome(maps: list[FamilyMap]) -> dict:
 def standard_form_maps(group: AbelianGroupTable, valence: int) -> list[FamilyMap]:
     """Maps of the given group and valence read off admissible ideals directly.
 
-    Type I ideals live over the exponent ring at n = valence/2; the
-    involution variant contributes over Z_2 at n = valence when the group is
-    an elementary 2-group.
+    Ideals live over the exponent ring Z_{p^k}, at the n of each case of
+    map_cases; type II cases have an elementary 2-group, so (p, k) = (2, 1).
+    build_map checks admissibility before it builds.
     """
-    out = []
     facs = factorize(group.exponent)
-    assert len(facs) == 1, "standard forms need a p-group"
+    if len(facs) != 1:
+        raise ValueError("standard forms need a p-group")
     p, k = facs[0]
-    elementary2 = all(d == 2 for d in group.invariants)
-    if valence % 2 == 0 and valence >= 4 and not elementary2:
-        n = valence // 2
+    out = []
+    for n, map_type in map_cases(group, valence):
         for Q in bounded_admissible_candidates(p, k, n, group.order):
             if Q.quotient_size() != group.order:
                 continue
-            if not is_admissible(Q, p**k, n):
-                continue
             if quotient_group_type(Q).invariant_factors != group.invariants:
                 continue
-            rec = _try_build(Q, p**k, n, "I")
+            rec = _try_build(Q, p**k, n, map_type)
             if rec is not None:
-                out.append(FamilyMap(_params("standard_I", rows=Q.rows), Q, rec))
-    if elementary2 and valence >= 2:
-        n = valence
-        for Q in bounded_admissible_candidates(2, 1, n, group.order):
-            if Q.quotient_size() != group.order:
-                continue
-            if not is_admissible_type2(Q, n):
-                continue
-            if quotient_group_type(Q).invariant_factors != group.invariants:
-                continue
-            rec = _try_build(Q, 2, n, "II")
-            if rec is not None:
-                out.append(FamilyMap(_params("standard_II", rows=Q.rows), Q, rec))
+                out.append(FamilyMap(_params("standard_" + map_type, rows=Q.rows), Q, rec))
     return out
 
 
@@ -512,24 +492,23 @@ def _applicable_families(group: AbelianGroupTable, valence: int) -> tuple[dict, 
     """Family name -> map list restricted to this group, for every family
     whose hypotheses cover the instance; and the 2-group family's maps on
     every group of order <= |group| (None when that family does not apply)."""
-    facs = factorize(group.exponent)
-    p, k = facs[0]
+    p, k = factorize(group.exponent)[0]
     inv = group.invariants
-    elementary2 = all(d == 2 for d in inv)
+    cap = group.order
     fams = {}
     two_group_all = None
-    if valence % 2 == 0 and valence >= 4:
-        n = valence // 2
-        cap = group.order
-        if len(inv) == 1 and not elementary2:
-            fams["cyclic"] = list(classify_cyclic(p, k, n, max_order=cap))
-        if k == 1 and not elementary2:
-            fams["elementaryI"] = [
+    for n, map_type in map_cases(group, valence):
+        if k == 1:
+            fams["elementary" + map_type] = [
                 m
-                for m in classify_elementary(p, len(inv), n, "I", max_order=cap)
+                for m in classify_elementary(p, len(inv), n, map_type, max_order=cap)
                 if m.invariants == inv
             ]
-        if p == 2 and not elementary2:
+        if map_type == "II":
+            continue  # the other families are type I only
+        if len(inv) == 1:
+            fams["cyclic"] = classify_cyclic(p, k, n, max_order=cap)
+        if p == 2:
             two_group_all = classify_2group(k, n, max_order=cap)
             fams["two_group"] = [m for m in two_group_all if m.invariants == inv]
         if p != 2 and n % p != 0:
@@ -544,12 +523,6 @@ def _applicable_families(group: AbelianGroupTable, valence: int) -> tuple[dict, 
                 for m in classify_rank2(p, kbig, k2, n, max_order=cap)
                 if m.invariants == inv
             ]
-    if elementary2 and valence >= 2:
-        fams["elementaryII"] = [
-            m
-            for m in classify_elementary(2, len(inv), valence, "II", max_order=group.order)
-            if m.invariants == inv
-        ]
     return fams, two_group_all
 
 

@@ -1,7 +1,8 @@
 """Command-line frontend: factorization, lattices, classification, reports.
 
 Exit status 0 on success, 1 on domain errors (the error class name is
-printed), 2 on usage errors.  All output is deterministic.
+printed), 2 on usage errors, which include every ValueError raised for a bad
+value.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -98,8 +99,7 @@ def _emit(args, payload, table_rows=None, table_header=None):
 
 def _check(cond: bool, message: str) -> None:
     if not cond:
-        print(f"usage error: {message}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(message)
 
 
 def _parse_group(spec: str) -> AbelianGroupTable:
@@ -107,7 +107,7 @@ def _parse_group(spec: str) -> AbelianGroupTable:
     try:
         return AbelianGroupTable.from_spec([int(t) for t in spec.split(",")])
     except ValueError as exc:
-        _check(False, f"--group {spec}: {exc}")
+        raise ValueError(f"--group {spec}: {exc}") from None
 
 
 def cmd_factor(args) -> None:
@@ -125,13 +125,17 @@ def cmd_factor(args) -> None:
     _emit(args, payload, rows, ("d", "l", "level", "factor"))
 
 
-def cmd_lift(args) -> None:
+def _lifted_factor(args):
+    """The labeled factor named by --p --k --d --l --level."""
     _check(is_prime(args.p), "--p must be prime")
     _check(args.k >= 1 and args.d >= 1 and args.l >= 1, "bad label")
     if args.level == 0:
-        lf = lift_level0_factor(args.d, args.l, args.p, args.k)
-    else:
-        lf = lift_radical_factor(args.d, args.l, args.level, args.p, args.k)
+        return lift_level0_factor(args.d, args.l, args.p, args.k)
+    return lift_radical_factor(args.d, args.l, args.level, args.p, args.k)
+
+
+def cmd_lift(args) -> None:
+    lf = _lifted_factor(args)
     _emit(
         args,
         factor_to_json(lf),
@@ -141,11 +145,7 @@ def cmd_lift(args) -> None:
 
 
 def cmd_ideals(args) -> None:
-    _check(is_prime(args.p), "--p must be prime")
-    if args.level == 0:
-        lf = lift_level0_factor(args.d, args.l, args.p, args.k)
-    else:
-        lf = lift_radical_factor(args.d, args.l, args.level, args.p, args.k)
+    lf = _lifted_factor(args)
     ideals = enumerate_ideals_containing(lf.poly, args.p, args.k, label=lf.label)
     payload = [ideal_to_json(q) for q in ideals]
     rows = [
@@ -205,32 +205,23 @@ def cmd_crosscheck(args) -> None:
     if args.sweep:
         primes = tuple(int(t) for t in args.primes.split(","))
         report = sweep(primes=primes, max_order=args.max_order, max_n=args.max_n)
-        payload = report.to_json()
-        rows = [
-            (
-                "x".join(str(d) for d in r.invariants),
-                r.valence,
-                r.oracle_count,
-                r.standard_count,
-                "ok" if r.ok else "MISMATCH",
-            )
-            for r in report.instances
-        ]
+        payload, instances = report.to_json(), report.instances
     else:
         _check(args.group is not None, "--group required without --sweep")
         group = _parse_group(args.group)
         _check(len(factorize(group.exponent)) == 1, f"--group {args.group} is not a p-group")
         r = cross_check(group, args.valence)
-        payload = r.to_json()
-        rows = [
-            (
-                "x".join(str(d) for d in r.invariants),
-                r.valence,
-                r.oracle_count,
-                r.standard_count,
-                "ok" if r.ok else "MISMATCH",
-            )
-        ]
+        payload, instances = r.to_json(), [r]
+    rows = [
+        (
+            "x".join(str(d) for d in r.invariants),
+            r.valence,
+            r.oracle_count,
+            r.standard_count,
+            "ok" if r.ok else "MISMATCH",
+        )
+        for r in instances
+    ]
     _emit(args, payload, rows, ("group", "valence", "oracle", "standard", "status"))
 
 
@@ -321,8 +312,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:
-        raise
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

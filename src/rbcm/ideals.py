@@ -123,6 +123,11 @@ class IdealPresentation:
     context_monic: Poly
     rows: tuple[tuple[int, ...], ...]
     provenance: tuple[Poly, ...] = field(compare=False, default=())
+    _pivots: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # built once: every reduction against this ideal reads it
+        object.__setattr__(self, "_pivots", {_leading(r): (r[_leading(r)], r) for r in self.rows})
 
     @property
     def width(self) -> int:
@@ -151,13 +156,13 @@ class IdealPresentation:
 
     def pivots(self) -> dict[int, tuple[int, tuple[int, ...]]]:
         """column -> (pivot scalar, row)."""
-        return {_leading(r): (r[_leading(r)], r) for r in self.rows}
+        return self._pivots
 
     def reduce_row(self, vec) -> tuple[int, ...]:
         """Canonical coset representative of a coefficient vector."""
         N = self.modulus.N
         v = [x % N for x in vec]
-        piv = self.pivots()
+        piv = self._pivots
         for c in range(self.width):
             if c in piv and v[c]:
                 d, row = piv[c]
@@ -175,7 +180,7 @@ class IdealPresentation:
 
     def residue_bounds(self) -> list[int]:
         """Per column, the range of canonical coset digits: pivot scalar or N."""
-        piv = self.pivots()
+        piv = self._pivots
         return [piv[c][0] if c in piv else self.modulus.N for c in range(self.width)]
 
     def residues(self):
@@ -364,7 +369,6 @@ def enumerate_ideals_between(
     context: Poly,
     modulus: Modulus,
     base: IdealPresentation | None = None,
-    budget: int = ENUM_BUDGET,
 ) -> list[IdealPresentation]:
     """All ideals of Z_N[x]/(context) containing the base ideal.
 
@@ -375,8 +379,8 @@ def enumerate_ideals_between(
     if base is None:
         base = zero_ideal(context, modulus)
     size = base.quotient_size()
-    if size > budget:
-        raise TooLarge(f"quotient has {size} elements (budget {budget})")
+    if size > ENUM_BUDGET:
+        raise TooLarge(f"quotient has {size} elements (budget {ENUM_BUDGET})")
     N = modulus.N
     D = context.degree
     units = [u for u in range(1, N) if math.gcd(u, N) == 1]

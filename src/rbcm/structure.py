@@ -146,13 +146,13 @@ def quotient_isomorphism(Q: IdealPresentation):
 class QuotientRing:
     """Residue table of Z_N[x]/Q with addition and x-multiplication."""
 
-    def __init__(self, Q: IdealPresentation, budget: int = RESIDUE_BUDGET):
+    def __init__(self, Q: IdealPresentation):
         self.ideal = Q
         self.modulus = Q.modulus
         self.context = Q.context_monic
         self.order = Q.quotient_size()
-        if self.order > budget:
-            raise TooLarge(f"quotient has {self.order} residues (budget {budget})")
+        if self.order > RESIDUE_BUDGET:
+            raise TooLarge(f"quotient has {self.order} residues (budget {RESIDUE_BUDGET})")
 
     def residues(self) -> list[tuple[int, ...]]:
         return list(self.ideal.residues())
@@ -188,6 +188,26 @@ class QuotientRing:
 def enumerate_residues(Q: IdealPresentation) -> list[tuple[int, ...]]:
     """Every residue of Z_N[x]/Q exactly once, as canonical reduced rows."""
     return QuotientRing(Q).residues()
+
+
+def reachable(start: int, steps, size: int) -> int:
+    """Number of nodes in range(size) reachable from start.
+
+    Each step is a successor table: node a has the successors step[a].
+    """
+    seen = bytearray(size)
+    seen[start] = 1
+    frontier = [start]
+    count = 1
+    while frontier:
+        a = frontier.pop()
+        for step in steps:
+            b = step[a]
+            if not seen[b]:
+                seen[b] = 1
+                count += 1
+                frontier.append(b)
+    return count
 
 
 @lru_cache(maxsize=None)
@@ -270,22 +290,10 @@ class AbelianGroupTable:
         return n
 
     def generates(self, gens) -> bool:
-        els, idx, add_rows = self.tables()
-        gidx = [idx[tuple(g)] for g in gens]
-        seen = bytearray(len(els))
-        seen[idx[self.zero()]] = 1
-        frontier = [idx[self.zero()]]
-        count = 1
-        while frontier:
-            a = frontier.pop()
-            row = add_rows[a]
-            for g in gidx:
-                b = row[g]
-                if not seen[b]:
-                    seen[b] = 1
-                    count += 1
-                    frontier.append(b)
-        return count == self.order
+        _, idx, add_rows = self.tables()
+        # the table is symmetric, so row g maps a to a + g
+        steps = [add_rows[idx[tuple(g)]] for g in gens]
+        return reachable(idx[self.zero()], steps, self.order) == self.order
 
     def __repr__(self):
         return " x ".join(f"Z_{d}" for d in self.invariants)

@@ -12,6 +12,7 @@ from rbcm.cayley import (
     build_map,
     bounded_admissible_candidates,
     is_rbcm,
+    map_cases,
     map_stats,
     maps_isomorphic,
     realize_record,
@@ -176,6 +177,21 @@ def test_oracle_type2_elementary():
     assert len(classes3) == 1
     # Z_2^2 has no type I maps at all
     assert brute_force_rbcms((2, 2), 4) == []
+
+
+def test_map_cases():
+    for invariants, valence, cases in [
+        ((2, 2), 1, []),
+        ((2, 2), 2, [(2, "II")]),
+        ((2, 2), 3, [(3, "II")]),
+        ((2, 2), 4, [(4, "II")]),
+        ((4,), 3, []),
+        ((4,), 4, [(2, "I")]),
+        ((3, 3), 6, [(3, "I")]),
+    ]:
+        assert map_cases(AbelianGroupTable(invariants), valence) == cases
+        if not cases:
+            assert brute_force_rbcms(invariants, valence) == []
 
 
 def test_oracle_budget():

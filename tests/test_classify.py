@@ -1,5 +1,11 @@
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rbcm
 from rbcm.cayley import map_stats, maps_isomorphic
 from rbcm.classify import (
     abelian_p_groups,
@@ -158,3 +164,31 @@ def test_genus_reported():
     ms = classify_cyclic(5, 1, 2)
     st = map_stats(ms[0].record)
     assert (st.vertices, st.edges, st.faces, st.genus) == (5, 10, 5, 1)
+
+
+def test_pairwise_distinct_survives_optimize():
+    """A repeated family member is rejected also under python -O, which strips asserts."""
+    child = (
+        "from rbcm.classify import _assert_pairwise_distinct, classify_cyclic\n"
+        "from rbcm.errors import InvariantViolation\n"
+        "m = classify_cyclic(5, 1, 2)[0]\n"
+        "try:\n"
+        "    _assert_pairwise_distinct([m, m])\n"
+        "except InvariantViolation as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(rbcm.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False family members cyclic(mu=2) and cyclic(mu=2) are isomorphic\n"
+
+
+@pytest.mark.parametrize("module", ["cayley", "classify"])
+def test_certificates_use_no_assert(module):
+    """Certificates raise InvariantViolation; a bare assert would vanish under -O."""
+    path = Path(rbcm.__file__).resolve().parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"assert statements at {module}.py lines {lines}"

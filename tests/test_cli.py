@@ -158,13 +158,26 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
-def test_not_prime_usage_error():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factor", "--p", "4", "--n", "2"],
+        ["crosscheck", "--group", "2", "--valence", "8"],
+        ["classify", "cyclic", "--p", "4", "--n", "2"],
+        ["classify", "rank2", "--p", "3", "--k", "1", "--k2", "2", "--n", "3"],
+        ["factor", "--p", "3", "--k", "40", "--n", "2"],
+    ],
+)
+def test_not_prime_usage_error(argv):
+    """Bad values, including those only the library rejects, exit 2 without a traceback."""
     proc = subprocess.run(
-        [sys.executable, "-m", "rbcm.cli", "factor", "--p", "4", "--n", "2"],
+        [sys.executable, "-m", "rbcm.cli", *argv],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 2
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage error:")
+    assert "Traceback" not in proc.stderr
 
 
 def _run_cli_child(argv, seed):
