@@ -425,39 +425,26 @@ def bounded_admissible_candidates(
 ) -> tuple[IdealPresentation, ...]:
     """All ideals of Z_{p^k}[x] containing x^n+1 with quotient order <= bound.
 
-    Enumerates each CRT component up to the bound (behind a radical-power
-    floor when the component ring is large) and combines the choices.
+    Every such ideal contains the component's radical floor, so each CRT
+    component is enumerated above that floor and the choices are combined.
     """
     split = crt_split(p, k, n)
     mod = Modulus(p, k)
     per_component = []
     for (d, ell), ctx in zip(split.labels, split.contexts):
-        size = (p**k) ** ctx.degree
-        o = base_factor(p, d, ell).degree
-        gen = base_factor(p, d, ell).reduce_mod(mod)
-        if size <= ENUM_BUDGET:
-            ideals = enumerate_ideals_between(ctx, mod)
+        q = base_factor(p, d, ell).reduce_mod(mod)
+        floor = radical_floor(ctx, mod, bound, q.degree, q)
+        if floor.quotient_size() <= ENUM_BUDGET:
+            ideals = enumerate_ideals_between(ctx, mod, base=floor)
         else:
-            floor = radical_floor(ctx, mod, bound, o, gen)
-            if floor.quotient_size() <= ENUM_BUDGET:
-                ideals = enumerate_ideals_between(ctx, mod, base=floor)
-            else:
-                ideals = bounded_ideals_local_tree(ctx, mod, bound, gen, o)
-        ideals = [q for q in ideals if q.quotient_size() <= bound]
-        ideals.sort(key=lambda q: q.rows)
-        per_component.append(ideals)
-    out = []
+            ideals = bounded_ideals_local_tree(ctx, mod, bound, q, q.degree)
+        per_component.append([ideal for ideal in ideals if ideal.quotient_size() <= bound])
+    found = {}
     for combo in itertools.product(*per_component):
-        index = 1
-        for q in combo:
-            index *= q.quotient_size()
-        if index > bound:
-            continue
-        out.append(combine_components(split, [q.row_polys() for q in combo]))
-    dedup = {}
-    for q in out:
-        dedup.setdefault(q.rows, q)
-    return tuple(sorted(dedup.values(), key=lambda q: q.rows))
+        if math.prod(q.quotient_size() for q in combo) <= bound:
+            Q = combine_components(split, [q.row_polys() for q in combo])
+            found.setdefault(Q.rows, Q)
+    return tuple(sorted(found.values(), key=lambda q: q.rows))
 
 
 def _lattice_mode(group: AbelianGroupTable, n: int, map_type: str):
@@ -526,6 +513,8 @@ def brute_force_rbcms(group_spec, valence: int):
     budget = oracle_budget()
     if group.order > budget:
         raise TooLarge(f"group order {group.order} exceeds oracle budget {budget}")
+    if valence < 1:
+        raise ValueError("valence must be >= 1")
     if valence > 2 * group.order:
         raise ValueError("valence exceeds twice the group order")
     if aut_candidate_count(group.invariants) <= AUT_CANDIDATE_LIMIT:

@@ -31,7 +31,7 @@ from .ideals import (
 )
 from .poly import Poly, poly_mod
 from .structure import AbelianGroupTable, QuotientRing, quotient_group_type
-from .zring import Modulus, divisors, factorize
+from .zring import Modulus, divisors, factorize, is_prime
 
 
 @dataclass(frozen=True)
@@ -623,6 +623,8 @@ def _instance_diagnostics(group, valence, fams, oracle, two_group_all) -> dict:
 
 def abelian_p_groups(p: int, max_order: int) -> list[tuple[int, ...]]:
     """Invariant-factor tuples of all abelian p-groups of order <= max_order."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     out = []
     e = 1
     while p**e <= max_order:
@@ -664,11 +666,12 @@ class ReconciliationReport:
 def sweep(primes=(2, 3, 5), max_order: int = 81, max_n: int = 8) -> ReconciliationReport:
     """Cross-check every abelian p-group up to max_order at every valence 2n."""
     report = ReconciliationReport()
-    for p in primes:
-        for inv in abelian_p_groups(p, max_order):
-            group = AbelianGroupTable(inv)
-            for n in range(2, max_n + 1):
-                if 2 * n > 2 * group.order:
-                    continue  # no generating set that large exists
-                report.instances.append(cross_check(inv, 2 * n))
+    # every prime is checked before the first instance runs
+    groups = [inv for p in primes for inv in abelian_p_groups(p, max_order)]
+    for inv in groups:
+        group = AbelianGroupTable(inv)
+        for n in range(2, max_n + 1):
+            if 2 * n > 2 * group.order:
+                continue  # no generating set that large exists
+            report.instances.append(cross_check(inv, 2 * n))
     return report

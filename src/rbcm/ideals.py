@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import ComponentNotAdmissible, DuplicatePrime, TooLarge
+from .errors import ComponentNotAdmissible, DuplicatePrime, InvariantViolation, TooLarge, require
 from .factorlift import (
     FactorLabel,
     base_factor,
@@ -230,7 +230,8 @@ def canonical_form(
 def _assert_shift_closed(pres: IdealPresentation) -> None:
     for r in pres.rows:
         shifted = x_step(r, pres.context_monic, pres.modulus.N)
-        assert pres.contains_row(shifted), "presentation not closed under x"
+        if not pres.contains_row(shifted):
+            raise InvariantViolation("presentation not closed under x")
 
 
 def zero_ideal(context_monic: Poly, modulus: Modulus) -> IdealPresentation:
@@ -321,28 +322,23 @@ def crt_split(p: int, k: int, n: int) -> CrtSplit:
     labels = tuple(sorted(by_lambda))
     contexts = tuple(by_lambda[key] for key in labels)
     ambient = Poly.x_pow_plus_const(n, 1, mod)
-    if len(labels) == 1:
-        idems = (one,)
-    else:
-        idems = []
-        for i, ctx in enumerate(contexts):
-            rest = one
-            for j, other in enumerate(contexts):
-                if j != i:
-                    rest = rest * other
-            _, v = bezout_certificate(ctx, rest)
-            idems.append(poly_mod(v * rest, ambient))
-        idems = tuple(idems)
+    idems = []
+    for i, ctx in enumerate(contexts):
+        rest = math.prod((c for j, c in enumerate(contexts) if j != i), start=one)
+        _, v = bezout_certificate(ctx, rest)
+        idems.append(poly_mod(v * rest, ambient))
+    idems = tuple(idems)
     split = CrtSplit(p, k, n, labels, contexts, idems)
     # ring-decomposition sanity: orthogonal idempotents summing to 1
     total = Poly.zero(mod)
     for i, e in enumerate(idems):
         total = total + e
-        assert poly_mod(e, contexts[i]) == poly_mod(one, contexts[i])
+        if poly_mod(e, contexts[i]) != poly_mod(one, contexts[i]):
+            raise InvariantViolation(f"idempotent {i} is not 1 on its component")
         for j, ctx in enumerate(contexts):
-            if j != i:
-                assert poly_mod(e, ctx).is_zero()
-    assert poly_mod(total, ambient) == poly_mod(one, ambient)
+            if j != i and not poly_mod(e, ctx).is_zero():
+                raise InvariantViolation(f"idempotent {i} is not 0 on component {j}")
+    require(poly_mod(total, ambient) == poly_mod(one, ambient), "idempotents do not sum to 1")
     return split
 
 
@@ -443,7 +439,7 @@ def radical_floor(
         gens = list({poly_mod(g, context).coeffs: poly_mod(g, context) for g in gens}.values())
     power = canonical_form(gens, context, modulus)
     if s >= 1:
-        assert all(m.contains_row(r) for r in power.rows)
+        require(all(m.contains_row(r) for r in power.rows), "radical power escapes m")
     return power
 
 
@@ -512,20 +508,17 @@ def closed_form_ideals(
     elif p == 2:
         e = 2 ** (label.level - 1)
         tilde = lift_level0_factor(label.d, label.l, p, k).poly
-        seen = {}
+        out = []
         for u in range(k):
             for v in range(e + 1):
                 gens = [Poly.constant(2**u, mod) * tilde**v, Poly.constant(2 ** (u + 1), mod)]
-                pres = canonical_form(gens, ctx, mod)
-                seen.setdefault(pres.rows, pres)
-        out = list(seen.values())
+                out.append(canonical_form(gens, ctx, mod))
     else:
         return None
     dedup = {}
     for pres in out:
         dedup.setdefault(pres.rows, pres)
-    out = sorted(dedup.values(), key=lambda q: q.rows)
-    return out
+    return sorted(dedup.values(), key=lambda q: q.rows)
 
 
 def enumerate_ideals_containing(
@@ -543,8 +536,9 @@ def enumerate_ideals_containing(
     if size <= ENUM_BUDGET:
         out = enumerate_ideals_between(f, mod)
         if closed is not None:
-            assert [q.rows for q in closed] == [q.rows for q in out], (
-                "closed-form ideal list disagrees with exhaustive enumeration"
+            require(
+                [q.rows for q in closed] == [q.rows for q in out],
+                "closed-form ideal list disagrees with exhaustive enumeration",
             )
         return out
     if closed is not None:

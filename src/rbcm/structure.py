@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import TooLarge
+from .errors import InvariantViolation, TooLarge, require
 from .ideals import IdealPresentation, x_step
 from .poly import Poly
 
@@ -27,8 +27,9 @@ class AbelianType:
 
     def __post_init__(self):
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
-            assert b % a == 0, "invariant factors must form a divisibility chain"
-        assert all(d > 1 for d in self.invariant_factors)
+            if b % a:
+                raise InvariantViolation("invariant factors must form a divisibility chain")
+        require(all(d > 1 for d in self.invariant_factors), "invariant factors must exceed 1")
 
     @property
     def order(self) -> int:
@@ -111,7 +112,8 @@ def smith_normal_form(rows: list[list[int]], width: int) -> tuple[list[int], lis
         diag.append(A[t][t])
         t += 1
     for a, b in zip(diag, diag[1:]):
-        assert a == 0 or b % a == 0, f"divisibility chain broken: {diag}"
+        if a and b % a:
+            raise InvariantViolation(f"divisibility chain broken: {diag}")
     return diag, V
 
 
@@ -223,7 +225,8 @@ class AbelianGroupTable:
     """
 
     def __init__(self, invariants: tuple[int, ...]):
-        assert all(d > 1 for d in invariants)
+        if not all(d > 1 for d in invariants):
+            raise ValueError(f"invariant factors must exceed 1, got {tuple(invariants)}")
         self.invariants = tuple(invariants)
         self.rank = len(self.invariants)
         self._idx = None

@@ -1,3 +1,5 @@
+import itertools
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +21,13 @@ from rbcm.cayley import (
     trace_faces,
 )
 from rbcm.errors import NotAdmissible, TooLarge, TypeMismatch
-from rbcm.ideals import canonical_form, zero_ideal
+from rbcm.ideals import (
+    canonical_form,
+    combine_components,
+    crt_split,
+    enumerate_ideals_between,
+    zero_ideal,
+)
 from rbcm.poly import Poly
 from rbcm.structure import AbelianGroupTable
 from rbcm.zring import Modulus
@@ -91,7 +99,7 @@ def test_validate_survives_optimize():
     )
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(rbcm.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env
+        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False repeated generator\n"
@@ -243,6 +251,31 @@ def test_bounded_candidates_contain_admissible():
     assert sizes == [1, 9]
     for q in cands:
         assert q.contains(ctx(2, Z3))
+
+
+@pytest.mark.parametrize(
+    "p,k,n,bound",
+    [(2, 1, 8, 16), (2, 1, 16, 16), (2, 2, 4, 16), (3, 1, 6, 27), (3, 2, 3, 81), (5, 1, 4, 25)],
+)
+def test_bounded_candidates_match_full_ring(p, k, n, bound):
+    """Enumerating above each component's radical floor loses no ideal of bounded index.
+
+    The reference enumerates every component ring whole, keeps the ideals of
+    index <= bound and combines them across components.
+    """
+    split = crt_split(p, k, n)
+    mod = Modulus(p, k)
+    per_component = [
+        [q for q in enumerate_ideals_between(c, mod) if q.quotient_size() <= bound]
+        for c in split.contexts
+    ]
+    expected = {}
+    for combo in itertools.product(*per_component):
+        if math.prod(q.quotient_size() for q in combo) <= bound:
+            Q = combine_components(split, [q.row_polys() for q in combo])
+            expected.setdefault(Q.rows, Q)
+    got = [Q.rows for Q in bounded_admissible_candidates(p, k, n, bound)]
+    assert got == sorted(expected)
 
 
 def test_realize_record_collision():

@@ -179,13 +179,13 @@ def test_pairwise_distinct_survives_optimize():
     )
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(rbcm.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env
+        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False family members cyclic(mu=2) and cyclic(mu=2) are isomorphic\n"
 
 
-@pytest.mark.parametrize("module", ["cayley", "classify"])
+@pytest.mark.parametrize("module", ["cayley", "classify", "ideals", "structure"])
 def test_certificates_use_no_assert(module):
     """Certificates raise InvariantViolation; a bare assert would vanish under -O."""
     path = Path(rbcm.__file__).resolve().parent / f"{module}.py"

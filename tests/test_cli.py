@@ -137,6 +137,7 @@ def test_bad_group_spec_usage_error(argv):
         [sys.executable, "-m", "rbcm.cli", *argv, "--valence", "4"],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("usage error: --group")
@@ -154,6 +155,7 @@ def test_usage_error_exit_code():
         [sys.executable, "-m", "rbcm.cli", "classify", "--bogus"],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     assert proc.returncode == 2
 
@@ -166,6 +168,10 @@ def test_usage_error_exit_code():
         ["classify", "cyclic", "--p", "4", "--n", "2"],
         ["classify", "rank2", "--p", "3", "--k", "1", "--k2", "2", "--n", "3"],
         ["factor", "--p", "3", "--k", "40", "--n", "2"],
+        ["crosscheck", "--sweep", "--primes", "1", "--max-order", "8", "--max-n", "2"],
+        ["crosscheck", "--sweep", "--primes", "4", "--max-order", "8", "--max-n", "2"],
+        ["crosscheck", "--group", "4", "--valence", "-2"],
+        ["oracle", "--group", "2", "--valence", "0"],
     ],
 )
 def test_not_prime_usage_error(argv):
@@ -174,6 +180,7 @@ def test_not_prime_usage_error(argv):
         [sys.executable, "-m", "rbcm.cli", *argv],
         capture_output=True,
         text=True,
+        timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("usage error:")
@@ -197,6 +204,7 @@ def _run_cli_child(argv, seed):
         capture_output=True,
         text=True,
         env=env,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from rbcm.errors import ComponentNotAdmissible, DuplicatePrime, TooLarge
-from rbcm.factorlift import factor_xn_plus1
+from rbcm.factorlift import base_factor, factor_xn_plus1
 from rbcm.ideals import (
+    bounded_ideals_local_tree,
     canonical_form,
     closed_form_ideals,
     compose_across_primes,
@@ -14,6 +15,7 @@ from rbcm.ideals import (
     howell_form,
     is_admissible,
     is_admissible_type2,
+    radical_floor,
     zero_ideal,
 )
 from rbcm.poly import Poly, poly_mod
@@ -138,6 +140,7 @@ def test_crt_split_examples():
 
     split31 = crt_split(3, 1, 2)
     assert len(split31.contexts) == 1
+    assert split31.idempotents == (Poly.one(Modulus(3)),)
     x3 = Poly.x(Modulus(3))
     assert split31.forward(x3) == [x3]
 
@@ -204,6 +207,20 @@ def test_closed_form_matches_exhaustive_sweep():
                 assert [q.rows for q in closed] == [q.rows for q in exhaustive]
             for q in exhaustive:
                 assert q.contains(lf.poly)
+
+
+@pytest.mark.parametrize("p,k,n,bound", [(2, 1, 8, 16), (2, 2, 4, 16), (3, 2, 3, 81)])
+def test_local_tree_matches_floor(p, k, n, bound):
+    """The local-tree fallback lists the same bounded ideals as enumeration above the floor."""
+    split = crt_split(p, k, n)
+    mod = Modulus(p, k)
+    for (d, ell), ctx in zip(split.labels, split.contexts):
+        q = base_factor(p, d, ell).reduce_mod(mod)
+        floor = radical_floor(ctx, mod, bound, q.degree, q)
+        above = enumerate_ideals_between(ctx, mod, base=floor)
+        expected = [i.rows for i in above if i.quotient_size() <= bound]
+        tree = bounded_ideals_local_tree(ctx, mod, bound, q, q.degree)
+        assert [i.rows for i in tree] == expected
 
 
 def test_enumerate_too_large():

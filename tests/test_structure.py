@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rbcm.errors import TooLarge
+from rbcm.errors import InvariantViolation, TooLarge
 from rbcm.ideals import canonical_form, is_admissible, zero_ideal
 from rbcm.poly import Poly
 from rbcm.structure import (
@@ -156,5 +156,7 @@ def test_abelian_group_table():
     assert AbelianGroupTable.from_spec(g) is g
     with pytest.raises(ValueError):
         AbelianGroupTable.from_spec([1, 4])
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolation):
         AbelianType((4, 2))
+    with pytest.raises(ValueError):
+        AbelianGroupTable((1, 4))
