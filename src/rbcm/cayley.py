@@ -2,10 +2,12 @@
 
 Records store the rotation as an explicit cycle of group elements in
 invariant-factor coordinates, so maps built from ideals and maps found by the
-oracle live in one representation.  The oracle enumerates (automorphism,
-seed) pairs when the automorphism search space is small, and falls back to
-exhaustive shift-closed relation-lattice enumeration (realized and validated
-definitionally, deduplicated by explicit isomorphism search) when it is not.
+oracle live in one representation.  When the automorphism search space is
+small, the oracle walks every automorphism, as a permutation of element
+indices, from one seed per Aut(G)-orbit and keys each class by its minimal
+image under Aut(G).  Otherwise it falls back to exhaustive shift-closed
+relation-lattice enumeration (realized and validated definitionally,
+deduplicated by explicit isomorphism search).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -323,9 +326,11 @@ def _rank_mod_p(rows, p) -> int:
     return rank
 
 
-@lru_cache(maxsize=None)
 def automorphism_matrices(invariants: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All automorphisms as rows-of-generator-images, for modest groups."""
+    """All automorphisms as rows-of-generator-images, for modest groups.
+
+    Not cached: the oracle reads them once, through automorphism_permutations.
+    """
     group = AbelianGroupTable(invariants)
     count = aut_candidate_count(invariants)
     if count > AUT_CANDIDATE_LIMIT:
@@ -344,75 +349,89 @@ def automorphism_matrices(invariants: tuple[int, ...]) -> tuple[tuple[tuple[int,
     return tuple(auts)
 
 
-def _mat_apply(rows, g, invariants):
-    acc = [0] * len(invariants)
-    for coef, img in zip(g, rows):
-        if coef:
-            for j, x in enumerate(img):
-                acc[j] += coef * x
-    return tuple(a % d for a, d in zip(acc, invariants))
+@lru_cache(maxsize=None)
+def automorphism_permutations(invariants: tuple[int, ...]) -> tuple[bytes | array, ...]:
+    """Each automorphism of automorphism_matrices as an image-index table.
+
+    Entry i is the index of the image of element i in the element order of
+    AbelianGroupTable.tables().  A table is bytes when |G| <= 256, else a
+    16-bit array: |G| is at most aut_candidate_count, which sigma mode keeps
+    within AUT_CANDIDATE_LIMIT.
+    """
+    _, idx, add_rows = AbelianGroupTable(invariants).tables()
+    perms = []
+    for rows in automorphism_matrices(invariants):
+        # product order: the first coordinate is the most significant digit
+        images = [0]
+        for img, d in zip(rows, invariants):
+            step = add_rows[idx[img]]
+            multiples = [0]
+            for _ in range(d - 1):
+                multiples.append(step[multiples[-1]])
+            images = [add_rows[a][b] for a in images for b in multiples]
+        perms.append(bytes(images) if len(images) <= 256 else array("H", images))
+    return tuple(perms)
 
 
-def _mat_mul(a, b, invariants):
-    return tuple(_mat_apply(b, row, invariants) for row in a)
+def _minimal_image(cycle, stabilizer) -> tuple[int, ...]:
+    """Least a(cycle) over the automorphisms a that fix cycle[0].
 
-
-def _mat_pow(rows, e, invariants):
-    n = len(invariants)
-    acc = tuple(
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-    )
-    base = rows
-    while e:
-        if e & 1:
-            acc = _mat_mul(acc, base, invariants)
-        base = _mat_mul(base, base, invariants)
-        e >>= 1
-    return acc
+    The tuple is fixed one position at a time, keeping only the
+    automorphisms that reach the least value so far.
+    """
+    key = [cycle[0]]
+    for i in range(1, len(cycle)):
+        if len(stabilizer) == 1:
+            key.extend(stabilizer[0][c] for c in cycle[i:])
+            break
+        values = [alpha[cycle[i]] for alpha in stabilizer]
+        best = min(values)
+        stabilizer = [alpha for alpha, v in zip(stabilizer, values) if v == best]
+        key.append(best)
+    return tuple(key)
 
 
 def _sigma_mode(group: AbelianGroupTable, n: int, map_type: str):
-    invariants = group.invariants
-    auts = automorphism_matrices(invariants)
-    p = _same_prime(invariants)
+    """One record per isomorphism class, from (automorphism, seed) pairs.
+
+    If (sigma, w) gives a map, (a sigma a^-1, a w) gives an isomorphic one,
+    so one seed per Aut(G)-orbit suffices.  The seeds form a single orbit:
+    an element of order exp(G) spans a cyclic direct summand, and any two
+    such summands have isomorphic complements; type II seeds are the nonzero
+    vectors of an elementary 2-group.  So the smallest seed m is the only one.
+    A class is keyed by its minimal image, the least index tuple a(cycle)
+    over automorphisms a and rotations; index order is coordinate order, so
+    that is the smallest canonical_key in the class.  Every cycle element
+    lies in m's orbit, so the minimum starts at m.  Rotating the cycle by r
+    is applying sigma^r, itself an automorphism, so the minimum is over the
+    a with a(m) = m applied to the cycle as walked from m.
+    """
+    perms = automorphism_permutations(group.invariants)
+    els, idx, _ = group.tables()
+    zero = idx[group.zero()]
+    neg = [idx[group.neg(e)] for e in els]
     seed_order = group.exponent if map_type == "I" else 2
-    seeds = [w for w in group.elements() if group.element_order(w) == seed_order]
+    seeds = [i for i, e in enumerate(els) if group.element_order(e) == seed_order]
+    m = seeds[0]
+    require(len({perm[m] for perm in perms}) == len(seeds), "seeds form more than one Aut(G)-orbit")
+    stabilizer = [perm for perm in perms if perm[m] == m]
+    target = neg[m] if map_type == "I" else m
     records = {}
-    for rows in auts:
-        power = _mat_pow(rows, n, invariants)
-        if map_type == "I":
-            cond = tuple(
-                tuple((x + (1 if i == j else 0)) % d for j, (x, d) in enumerate(zip(r, invariants)))
-                for i, r in enumerate(power)
-            )
-        else:
-            cond = tuple(
-                tuple((x - (1 if i == j else 0)) % d for j, (x, d) in enumerate(zip(r, invariants)))
-                for i, r in enumerate(power)
-            )
-        if p is not None and _rank_mod_p(cond, p) == len(cond):
-            continue  # sigma^n -+ 1 injective: no seeds
-        for w in seeds:
-            if any(_mat_apply(cond, w, invariants)):
-                continue
-            orbit = [w]
-            for _ in range(n - 1):
-                orbit.append(_mat_apply(rows, orbit[-1], invariants))
-            if map_type == "I":
-                cycle = orbit + [group.neg(o) for o in orbit]
-            else:
-                cycle = orbit
-            if len(set(cycle)) != len(cycle) or group.zero() in cycle:
-                continue
-            rec = CayleyMapRecord(group, cycle, map_type)
-            key = rec.canonical_key()
-            if key in records:
-                continue
-            if not group.generates(cycle):
-                records[key] = None
-                continue
-            records[key] = rec
-    return [r for r in records.values() if r is not None]
+    for sigma in perms:
+        orbit = [m]
+        for _ in range(n - 1):
+            orbit.append(sigma[orbit[-1]])
+        if sigma[orbit[-1]] != target:
+            continue
+        cycle = orbit + [neg[c] for c in orbit] if map_type == "I" else orbit
+        if len(set(cycle)) != len(cycle) or zero in cycle:
+            continue
+        key = _minimal_image(cycle, stabilizer)
+        if key in records:
+            continue
+        gens = [els[i] for i in key]
+        records[key] = CayleyMapRecord(group, gens, map_type) if group.generates(gens) else None
+    return [records[key] for key in sorted(records) if records[key] is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotCoprime, NotSimpleFactor
+from .errors import InvariantViolation, NotCoprime, NotSimpleFactor, require
 from .poly import (
     Poly,
     build_splitting_field,
@@ -108,12 +108,13 @@ def factor_mod_p(n: int, p: int) -> list[LabeledFactor]:
             q = base_factor(p, d, ell)
             out.append(LabeledFactor(FactorLabel(d, ell, 0, deg), q))
             prod = prod * q
-        assert prod == cyc, f"cyclotomic factor product failed for d={d}"
+        if prod != cyc:
+            raise InvariantViolation(f"cyclotomic factor product failed for d={d}")
     out.sort(key=lambda f: f.label.as_tuple())
     total = Poly.one(mod)
     for f in out:
         total = total * f.poly
-    assert total == Poly.x_pow_plus_const(n, -1, mod)
+    require(total == Poly.x_pow_plus_const(n, -1, mod), "factor product is not x^n - 1")
     return out
 
 
@@ -148,13 +149,13 @@ def _lift_coprime_block(gbar: Poly, target: Poly, p: int, k: int) -> Poly:
         _, delta = divmod_monic(t * e, g)
         g = g + delta
         h, r = divmod_monic(target, g)
-        assert all(c % cap == 0 for c in r.coeffs)
+        require(all(c % cap == 0 for c in r.coeffs), "Hensel step: factor does not divide target")
         b = s * g + t * h - one
         _, t = divmod_monic(t - t * b, g)
         s, r3 = divmod_monic(one - t * h, g)
-        assert all(c % cap == 0 for c in r3.coeffs)
+        require(all(c % cap == 0 for c in r3.coeffs), "Hensel step: Bezout pair not updated")
     quot, rem = divmod_monic(target, g)
-    assert rem.is_zero(), "lift failed the exact-division certificate"
+    require(rem.is_zero(), "lift failed the exact-division certificate")
     return g
 
 
@@ -183,7 +184,8 @@ def radical_sum(p: int, k: int, base_exp: int) -> Poly:
 
 def lift_radical_factor(d: int, ell: int, level: int, p: int, k: int) -> LabeledFactor:
     """Factor at radical level >= 1: reduction is base_factor^(p^(level-1)(p-1))."""
-    assert level >= 1
+    if level < 1:
+        raise ValueError(f"radical level must be >= 1, got {level}")
     o = multiplicative_order(p, d)
     scale = p ** (level - 1) * (p - 1)
     block = base_factor(p, d, ell) ** scale
@@ -192,7 +194,7 @@ def lift_radical_factor(d: int, ell: int, level: int, p: int, k: int) -> Labeled
         return LabeledFactor(label, block)
     target = radical_sum(p, k, d * p ** (level - 1))
     lifted = _lift_coprime_block(block, target, p, k)
-    assert lifted.degree == o * scale
+    require(lifted.degree == o * scale, "lifted radical factor has the wrong degree")
     return LabeledFactor(label, lifted)
 
 
@@ -270,7 +272,8 @@ def _assert_product(factors: list[LabeledFactor], expected: Poly) -> None:
     prod = Poly.one(expected.modulus)
     for f in factors:
         prod = prod * f.poly
-    assert prod == expected, f"factor product {prod} != {expected}"
+    if prod != expected:
+        raise InvariantViolation(f"factor product {prod} != {expected}")
 
 
 def bezout_certificate(f1: Poly, f2: Poly) -> tuple[Poly, Poly]:
@@ -292,5 +295,5 @@ def bezout_certificate(f1: Poly, f2: Poly) -> tuple[Poly, Poly]:
         acc = acc * pg
         h = h + acc
     u, v = h * u, h * v
-    assert u * f1 + v * f2 == one
+    require(u * f1 + v * f2 == one, "Bezout certificate failed")
     return u, v

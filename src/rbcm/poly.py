@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NonUnitLeading, NotCoprime, NotInBaseField
+from .errors import NonUnitLeading, NotCoprime, NotInBaseField, require
 from .zring import Modulus, divisors, factorize, inverse_mod, multiplicative_order
 
 
@@ -339,7 +339,7 @@ def build_splitting_field(p: int, d: int) -> tuple[FieldElement, Poly]:
     if d == 1:
         return field_one(h), h
     q = p**m
-    assert (q - 1) % d == 0
+    require((q - 1) % d == 0, "root order does not divide the field's unit group order")
     cofactor = (q - 1) // d
     # find one element of order d by powering candidates in lex order
     mod = Modulus(p)
@@ -380,7 +380,7 @@ def minimal_polynomial(eta_power: FieldElement, p: int, d: int, ell: int) -> Pol
             nxt[i] = nxt[i] - c * conj
         coeffs = nxt
         conj = conj**p
-    assert conj.lex_key() == eta_power.lex_key()
+    require(conj.lex_key() == eta_power.lex_key(), "Frobenius conjugates did not close up")
     out = []
     for c in coeffs:
         if c.rep.degree > 0:
@@ -418,11 +418,12 @@ def int_poly_mul(a: list[int], b: list[int]) -> list[int]:
 
 def int_poly_divmod_exact(a: list[int], b: list[int]) -> list[int]:
     """Exact division of integer polynomials with monic divisor b."""
-    assert b and b[-1] == 1
+    if not b or b[-1] != 1:
+        raise ValueError("divisor must be monic")
     rem = list(a)
     db = len(b) - 1
     if len(rem) - 1 < db:
-        assert all(c == 0 for c in rem)
+        require(all(c == 0 for c in rem), "division was not exact")
         return []
     quot = [0] * (len(rem) - db)
     for i in range(len(rem) - 1 - db, -1, -1):
@@ -431,7 +432,7 @@ def int_poly_divmod_exact(a: list[int], b: list[int]) -> list[int]:
         if c:
             for j, y in enumerate(b):
                 rem[i + j] -= c * y
-    assert all(c == 0 for c in rem), "division was not exact"
+    require(all(c == 0 for c in rem), "division was not exact")
     return quot
 
 

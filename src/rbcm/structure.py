@@ -213,15 +213,26 @@ def reachable(start: int, steps, size: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _group_elements(invariants: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.product(*[range(d) for d in invariants]))
+def _group_tables(invariants: tuple[int, ...]):
+    """(elements, index-of, add rows) of the group, built once per invariants tuple.
+
+    Elements come in itertools.product order, so index order is coordinate
+    (lexicographic) order.  The rows are tuples because every caller shares them.
+    """
+    els = tuple(itertools.product(*[range(d) for d in invariants]))
+    idx = {e: i for i, e in enumerate(els)}
+    add_rows = tuple(
+        tuple(idx[tuple((x + y) % d for x, y, d in zip(a, b, invariants))] for b in els)
+        for a in els
+    )
+    return els, idx, add_rows
 
 
 class AbelianGroupTable:
     """Finite abelian group in invariant-factor coordinates.
 
-    Index-based addition tables are built lazily so the closure,
-    homomorphism and face-tracing loops run on small integers.
+    Index-based addition tables are built lazily, once per invariants tuple,
+    so the closure, homomorphism and face-tracing loops run on small integers.
     """
 
     def __init__(self, invariants: tuple[int, ...]):
@@ -229,8 +240,6 @@ class AbelianGroupTable:
             raise ValueError(f"invariant factors must exceed 1, got {tuple(invariants)}")
         self.invariants = tuple(invariants)
         self.rank = len(self.invariants)
-        self._idx = None
-        self._add_rows = None
 
     @classmethod
     def from_spec(cls, spec) -> "AbelianGroupTable":
@@ -251,13 +260,8 @@ class AbelianGroupTable:
         return cls(tuple(d for d in diag if d > 1))
 
     def tables(self):
-        """(elements, index-of, add rows)."""
-        if self._idx is None:
-            els = _group_elements(self.invariants)
-            idx = {e: i for i, e in enumerate(els)}
-            self._add_rows = [[idx[self.add(a, b)] for b in els] for a in els]
-            self._idx = idx
-        return _group_elements(self.invariants), self._idx, self._add_rows
+        """(elements, index-of, add rows), shared by every table of these invariants."""
+        return _group_tables(self.invariants)
 
     @property
     def order(self) -> int:
@@ -274,7 +278,7 @@ class AbelianGroupTable:
         return n
 
     def elements(self) -> tuple[tuple[int, ...], ...]:
-        return _group_elements(self.invariants)
+        return _group_tables(self.invariants)[0]
 
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.invariants))

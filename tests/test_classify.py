@@ -185,7 +185,9 @@ def test_pairwise_distinct_survives_optimize():
     assert proc.stdout == "False family members cyclic(mu=2) and cyclic(mu=2) are isomorphic\n"
 
 
-@pytest.mark.parametrize("module", ["cayley", "classify", "ideals", "structure"])
+@pytest.mark.parametrize(
+    "module", ["cayley", "classify", "ideals", "structure", "factorlift", "poly"]
+)
 def test_certificates_use_no_assert(module):
     """Certificates raise InvariantViolation; a bare assert would vanish under -O."""
     path = Path(rbcm.__file__).resolve().parent / f"{module}.py"

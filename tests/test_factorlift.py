@@ -95,6 +95,8 @@ def test_lift_radical_factor_examples():
     assert f.label == FactorLabel(1, 1, 1, 2)
     assert lift_radical_factor(1, 1, 1, 2, 2).poly == P([1, 1], 2, 2)
     assert lift_radical_factor(1, 1, 2, 2, 2).poly == P([1, 0, 1], 2, 2)
+    with pytest.raises(ValueError):
+        lift_radical_factor(1, 1, 0, 3, 2)
 
 
 def test_factor_xn_plus1_examples():

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from rbcm.errors import NonUnitLeading
+from rbcm.errors import InvariantViolation, NonUnitLeading
 from rbcm.poly import (
     Poly,
     all_monic,
     build_splitting_field,
     cyclotomic,
     divmod_monic,
+    int_poly_divmod_exact,
     is_irreducible_mod_p,
     least_irreducible,
     minimal_polynomial,
@@ -156,3 +157,13 @@ def test_cyclotomic_examples():
             prod = int_poly_mul(prod, list(cyclotomic(d)))
         expected = [-1] + [0] * (n - 1) + [1]
         assert prod == expected
+
+
+def test_int_poly_divmod_exact_checks():
+    assert int_poly_divmod_exact([-1, 0, 1], [1, 1]) == [-1, 1]
+    with pytest.raises(ValueError):
+        int_poly_divmod_exact([2, 2], [1, 2])
+    with pytest.raises(InvariantViolation):
+        int_poly_divmod_exact([1, 0, 1], [1, 1])
+    with pytest.raises(InvariantViolation):
+        int_poly_divmod_exact([1], [1, 1])
