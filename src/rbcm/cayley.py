@@ -31,8 +31,8 @@ from .factorlift import base_factor
 from .ideals import (
     ENUM_BUDGET,
     IdealPresentation,
+    bounded_combinations,
     bounded_ideals_local_tree,
-    combine_components,
     crt_split,
     enumerate_ideals_between,
     is_admissible,
@@ -458,12 +458,9 @@ def bounded_admissible_candidates(
         else:
             ideals = bounded_ideals_local_tree(ctx, mod, bound, q, q.degree)
         per_component.append([ideal for ideal in ideals if ideal.quotient_size() <= bound])
-    found = {}
-    for combo in itertools.product(*per_component):
-        if math.prod(q.quotient_size() for q in combo) <= bound:
-            Q = combine_components(split, [q.row_polys() for q in combo])
-            found.setdefault(Q.rows, Q)
-    return tuple(sorted(found.values(), key=lambda q: q.rows))
+    cases = ((None, combo) for combo in itertools.product(*per_component))
+    found = [Q for _, Q in bounded_combinations(split, cases, bound)]
+    return tuple(sorted(found, key=lambda q: q.rows))
 
 
 def _lattice_mode(group: AbelianGroupTable, n: int, map_type: str):

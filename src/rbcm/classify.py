@@ -25,8 +25,9 @@ from .errors import DegenerateOmega, InvariantViolation, NotAdmissible, TooLarge
 from .factorlift import base_factor, lambda_index, lift_level0_factor, split_p_part
 from .ideals import (
     IdealPresentation,
+    bounded_combinations,
     canonical_form,
-    combine_components,
+    constant_ideal,
     crt_split,
 )
 from .poly import Poly, poly_mod
@@ -102,14 +103,12 @@ def _assert_pairwise_distinct(maps: list[FamilyMap]) -> None:
 def _family_maps(cases, N: int, n: int, map_type: str, max_order) -> list[FamilyMap]:
     """The maps of the (params, ideal) cases whose ideal builds one.
 
-    An ideal reached again under later params is skipped: the first params win.
+    Each family yields every ideal once, so no map is built twice.  Families
+    built from bounded_combinations pass max_order=None: their cases are
+    already within the bound.
     """
     out = []
-    seen = set()
     for params, Q in cases:
-        if Q.rows in seen:
-            continue
-        seen.add(Q.rows)
         rec = _try_build(Q, N, n, map_type, max_order)
         if rec is not None:
             out.append(FamilyMap(params, Q, rec))
@@ -141,6 +140,10 @@ def classify_elementary(p: int, m: int, n: int, map_type: str = "I", max_order=N
         raise ValueError(map_type)
     if map_type == "II" and p != 2:
         raise ValueError("type II requires p = 2")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
     r, n_prime = split_p_part(n, p)
     labels = lambda_index(p, n_prime)
     mod = Modulus(p)
@@ -183,29 +186,27 @@ def classify_2group(k: int, n: int, max_order=None) -> list[FamilyMap]:
     """Maps on abelian 2-groups of exponent 2^k via level/multiplicity functions."""
     if n < 2:
         raise ValueError("n must exceed 1")
-    r, n_prime = split_p_part(n, 2)
+    r, _ = split_p_part(n, 2)
     split = crt_split(2, k, n)
     labels = split.labels
     mod = Modulus(2, k)
-    tilde = {
-        lab: lift_level0_factor(lab[0], lab[1], 2, k).poly for lab in labels
-    }
+    comps = []
+    for (d, ell), ctx in zip(labels, split.contexts):
+        tilde = lift_level0_factor(d, ell, 2, k).poly
+        gens = {
+            (j, kk): [Poly.constant(2**j, mod) * tilde**kk, Poly.constant(2 ** (j + 1), mod)]
+            for j in range(k)
+            for kk in range(2**r + 1)
+        }
+        comps.append({jk: canonical_form(g, ctx, mod) for jk, g in gens.items()})
 
     def cases():
         for J in itertools.product(range(k), repeat=len(labels)):
             for K in itertools.product(range(2**r + 1), repeat=len(labels)):
-                parts = []
-                for lab, j, kk in zip(labels, J, K):
-                    parts.append(
-                        [
-                            Poly.constant(2**j, mod) * tilde[lab] ** kk,
-                            Poly.constant(2 ** (j + 1), mod),
-                        ]
-                    )
-                jk = tuple((lab, j, kk) for lab, j, kk in zip(labels, J, K))
-                yield _params("two_group", JK=jk), combine_components(split, parts)
+                jk = tuple(zip(labels, J, K))
+                yield _params("two_group", JK=jk), [c[j, kk] for c, j, kk in zip(comps, J, K)]
 
-    return _family_maps(cases(), 2**k, n, "I", max_order)
+    return _family_maps(bounded_combinations(split, cases(), max_order), 2**k, n, "I", None)
 
 
 def two_group_unfiltered_pairs(k: int, n: int) -> int:
@@ -227,14 +228,12 @@ def classify_coprime(p: int, k: int, n: int, max_order=None) -> list[FamilyMap]:
     split = crt_split(p, k, n)
     labels = split.labels
     mod = Modulus(p, k)
+    levels = [[constant_ideal(p**j, ctx, mod) for j in range(k + 1)] for ctx in split.contexts]
     cases = (
-        (
-            _params("coprime", J=tuple(zip(labels, J))),
-            combine_components(split, [[Poly.constant(p**j, mod)] for j in J]),
-        )
+        (_params("coprime", J=tuple(zip(labels, J))), [lev[j] for lev, j in zip(levels, J)])
         for J in itertools.product(range(k + 1), repeat=len(labels))
     )
-    return _family_maps(cases, p**k, n, "I", max_order)
+    return _family_maps(bounded_combinations(split, cases, max_order), p**k, n, "I", None)
 
 
 def _binom2(i: int) -> int:

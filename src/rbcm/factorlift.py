@@ -211,6 +211,8 @@ def lift_level0_factor(d: int, ell: int, p: int, k: int) -> LabeledFactor:
 
 def split_p_part(n: int, p: int) -> tuple[int, int]:
     """n = p^r * n' with n' coprime to p; returns (r, n')."""
+    if n < 1 or p < 2:
+        raise ValueError(f"split_p_part needs n >= 1 and p >= 2, got n={n}, p={p}")
     r = 0
     while n % p == 0:
         n //= p

@@ -238,6 +238,21 @@ def zero_ideal(context_monic: Poly, modulus: Modulus) -> IdealPresentation:
     return canonical_form([], context_monic, modulus)
 
 
+def constant_ideal(d: int, context_monic: Poly, modulus: Modulus) -> IdealPresentation:
+    """The ideal (d) for a divisor d of N, read off without a Howell reduction.
+
+    Its Howell form is d times the identity: d is a divisor pivot, nothing
+    sits above it, and the annihilator multiple (N/d)*d is zero.  d = N gives
+    the zero ideal.
+    """
+    N = modulus.N
+    if N % d:
+        raise ValueError(f"{d} does not divide {N}")
+    D = context_monic.degree
+    rows = tuple(tuple(d if c == r else 0 for c in range(D)) for r in range(D)) if d < N else ()
+    return IdealPresentation(modulus, context_monic, rows)
+
+
 @dataclass(frozen=True)
 class Admissibility:
     ok: bool
@@ -355,6 +370,26 @@ def combine_components(split: CrtSplit, parts) -> IdealPresentation:
         for g in part:
             gens.append(e * g)
     return canonical_form(gens, split.ambient, mod)
+
+
+def bounded_combinations(split: CrtSplit, cases, bound=None):
+    """(tag, ideal) for each distinct tuple of component ideals within the bound.
+
+    cases: iterable of (tag, component ideals), one canonical ideal per label
+    of split, each in its component context.  By CRT, ideals are equal exactly
+    when their component rows are, and the quotient size is the product of
+    the component quotient sizes; so a repeated tuple is skipped (the first
+    tag wins) and only tuples within the bound are combined.
+    """
+    seen = set()
+    for tag, parts in cases:
+        key = tuple(q.rows for q in parts)
+        if key in seen:
+            continue
+        seen.add(key)
+        if bound is not None and math.prod(q.quotient_size() for q in parts) > bound:
+            continue
+        yield tag, combine_components(split, [q.row_polys() for q in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -502,9 +537,7 @@ def closed_form_ideals(
         e = factor_poly.degree // q.degree
         out = [canonical_form([q**a], ctx, mod) for a in range(e + 1)]
     elif label.level == 0:
-        out = [
-            canonical_form([Poly.constant(p**u, mod)], ctx, mod) for u in range(k + 1)
-        ]
+        out = [constant_ideal(p**u, ctx, mod) for u in range(k + 1)]
     elif p == 2:
         e = 2 ** (label.level - 1)
         tilde = lift_level0_factor(label.d, label.l, p, k).poly

@@ -389,33 +389,6 @@ def minimal_polynomial(eta_power: FieldElement, p: int, d: int, ell: int) -> Pol
     return Poly(out, Modulus(p))
 
 
-def all_monic(modulus: Modulus, degree: int):
-    """All monic polynomials of exact degree over Z_N (test/search helper)."""
-    for lower in itertools.product(range(modulus.N), repeat=degree):
-        yield Poly(list(lower) + [1], modulus)
-
-
-def monic_divisors_exhaustive(f: Poly) -> list[Poly]:
-    """All monic divisors of f with 0 < deg < deg f, found by trial division."""
-    out = []
-    for deg in range(1, f.degree):
-        for g in all_monic(f.modulus, deg):
-            if poly_mod(f, g).is_zero():
-                out.append(g)
-    return out
-
-
-def int_poly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def int_poly_divmod_exact(a: list[int], b: list[int]) -> list[int]:
     """Exact division of integer polynomials with monic divisor b."""
     if not b or b[-1] != 1:

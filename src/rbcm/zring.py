@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import ModulusMismatch, NotAUnit, NotCoprime
 
@@ -180,10 +179,6 @@ def multiplicative_order(p: int, d: int) -> int:
         acc = (acc * p) % d
         t += 1
     return t
-
-
-def euler_phi(n: int) -> int:
-    return reduce(lambda acc, pe: acc // pe[0] * (pe[0] - 1), factorize(n), n) if n > 1 else 1
 
 
 def divisors(n: int) -> list[int]:

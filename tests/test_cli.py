@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rbcm
 from rbcm import cli
@@ -172,6 +174,15 @@ def test_usage_error_exit_code():
         ["crosscheck", "--sweep", "--primes", "4", "--max-order", "8", "--max-n", "2"],
         ["crosscheck", "--group", "4", "--valence", "-2"],
         ["oracle", "--group", "2", "--valence", "0"],
+        ["classify", "elementary", "--p", "0", "--n", "2"],
+        ["classify", "elementary", "--p", "1", "--n", "2"],
+        ["classify", "elementary", "--p", "-1", "--n", "2"],
+        ["classify", "elementary", "--p", "4", "--n", "2"],
+        ["classify", "elementary", "--p", "2", "--n", "0"],
+        ["classify", "elementary", "--p", "3", "--n", "-3"],
+        ["classify", "elementary", "--p", "3", "--m", "0", "--n", "2"],
+        ["export-map", "elementary", "--p", "1", "--n", "2"],
+        ["export-map", "elementary", "--p", "2", "--n", "0"],
     ],
 )
 def test_not_prime_usage_error(argv):
@@ -219,3 +230,69 @@ def test_cross_process_determinism():
     outs = [_run_cli_child(factor, seed) for seed in ("7", "424242")]
     assert outs[0] == outs[1]
     assert json.loads(outs[0])
+
+
+_SMALL = st.integers(-1, 5)
+_VALENCE = st.integers(-2, 8)
+_GROUP = st.lists(st.sampled_from([-1, 0, 1, 2, 3, 4, 9]), min_size=1, max_size=3).map(
+    lambda orders: ",".join(map(str, orders))
+)
+
+
+def _opt(name, values):
+    return values.map(lambda v: [name, str(v)])
+
+
+def _argv(*parts):
+    """Concatenation of token lists, each drawn from one strategy or fixed."""
+    drawn = [part if isinstance(part, st.SearchStrategy) else st.just(part) for part in parts]
+    return st.tuples(*drawn).map(lambda lists: [t for tokens in lists for t in tokens])
+
+
+def _family_argv(command, *extra):
+    return _argv(
+        [command],
+        st.sampled_from([["cyclic"], ["elementary"], ["twogroup"], ["coprime"], ["rank2"]]),
+        _opt("--p", _SMALL),
+        _opt("--k", _SMALL),
+        _opt("--m", _SMALL),
+        _opt("--n", _VALENCE),
+        _opt("--map-type", st.sampled_from(["I", "II"])),
+        # at the default bound a family builds maps on groups of order 4096
+        _opt("--max-order", st.integers(-1, 81)),
+        *extra,
+    )
+
+
+_CLI_ARGV = st.one_of(
+    _argv(
+        ["factor"],
+        _opt("--p", _SMALL),
+        _opt("--k", _SMALL),
+        _opt("--n", _VALENCE),
+        _opt("--target", st.sampled_from(["plus", "minus", "radical"])),
+    ),
+    _argv(["oracle"], _opt("--group", _GROUP), _opt("--valence", _VALENCE)),
+    _argv(["crosscheck"], _opt("--group", _GROUP), _opt("--valence", _VALENCE)),
+    _family_argv("classify"),
+    _family_argv("export-map", _opt("--index", st.integers(-1, 3))),
+    # radical levels above 2 are slow by design, so lift and ideals stay below
+    _argv(
+        st.sampled_from([["lift"], ["ideals"]]),
+        _opt("--p", _SMALL),
+        _opt("--k", _SMALL),
+        _opt("--d", st.integers(-1, 8)),
+        _opt("--level", st.integers(0, 2)),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CLI_ARGV)
+def test_cli_exit_status_property(argv):
+    """Any small argv ends in exit 0, 1 or 2; nothing is raised out of main."""
+    try:
+        code = cli.main(["-o", os.devnull, *argv])
+    except SystemExit as exc:  # argparse rejects the argv with exit 2
+        code = exc.code
+    assert code in (0, 1, 2), argv

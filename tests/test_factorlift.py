@@ -18,8 +18,10 @@ from rbcm.factorlift import (
     radical_sum,
     split_p_part,
 )
-from rbcm.poly import Poly, monic_divisors_exhaustive, poly_mod
+from rbcm.poly import Poly, poly_mod
 from rbcm.zring import Modulus
+
+from reference_helpers import monic_divisors_exhaustive
 
 
 def P(coeffs, p, k=1):
@@ -183,3 +185,6 @@ def test_split_p_part():
     assert split_p_part(12, 2) == (2, 3)
     assert split_p_part(7, 2) == (0, 7)
     assert split_p_part(8, 2) == (3, 1)
+    for n, p in [(0, 2), (-3, 2), (6, 1), (6, 0), (6, -1)]:
+        with pytest.raises(ValueError):
+            split_p_part(n, p)

@@ -1,0 +1,93 @@
+"""The CRT families against their per-case combine loops.
+
+The references below are classify_2group and classify_coprime as they were
+before the families went through ideals.bounded_combinations: every case is
+combined into a full ideal first, a repeated ideal keeps its first params, and
+the bound is left to _try_build.
+"""
+
+import itertools
+
+import pytest
+
+from rbcm.classify import (
+    FamilyMap,
+    _params,
+    _try_build,
+    classify_2group,
+    classify_coprime,
+)
+from rbcm.factorlift import lift_level0_factor, split_p_part
+from rbcm.ideals import combine_components, crt_split
+from rbcm.poly import Poly
+from rbcm.zring import Modulus
+
+
+def _reference_family_maps(cases, N, n, max_order):
+    out = []
+    seen = set()
+    for params, Q in cases:
+        if Q.rows in seen:
+            continue
+        seen.add(Q.rows)
+        rec = _try_build(Q, N, n, "I", max_order)
+        if rec is not None:
+            out.append(FamilyMap(params, Q, rec))
+    return out
+
+
+def reference_2group(k, n, max_order):
+    r, _ = split_p_part(n, 2)
+    split = crt_split(2, k, n)
+    labels = split.labels
+    mod = Modulus(2, k)
+    tilde = {lab: lift_level0_factor(lab[0], lab[1], 2, k).poly for lab in labels}
+
+    def cases():
+        for J in itertools.product(range(k), repeat=len(labels)):
+            for K in itertools.product(range(2**r + 1), repeat=len(labels)):
+                parts = [
+                    [Poly.constant(2**j, mod) * tilde[lab] ** kk, Poly.constant(2 ** (j + 1), mod)]
+                    for lab, j, kk in zip(labels, J, K)
+                ]
+                jk = tuple((lab, j, kk) for lab, j, kk in zip(labels, J, K))
+                yield _params("two_group", JK=jk), combine_components(split, parts)
+
+    return _reference_family_maps(cases(), 2**k, n, max_order)
+
+
+def reference_coprime(p, k, n, max_order):
+    split = crt_split(p, k, n)
+    labels = split.labels
+    mod = Modulus(p, k)
+    cases = (
+        (
+            _params("coprime", J=tuple(zip(labels, J))),
+            combine_components(split, [[Poly.constant(p**j, mod)] for j in J]),
+        )
+        for J in itertools.product(range(k + 1), repeat=len(labels))
+    )
+    return _reference_family_maps(cases, p**k, n, max_order)
+
+
+def _listing(maps):
+    return [(m.params, m.ideal.rows, m.record.cycle) for m in maps]
+
+
+@pytest.mark.parametrize("bound", [16, 64])
+def test_2group_matches_per_case_combine(bound):
+    for k in range(1, 4):
+        for n in range(2, 9):
+            want = _listing(reference_2group(k, n, bound))
+            assert _listing(classify_2group(k, n, max_order=bound)) == want, (k, n)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_coprime_matches_per_case_combine(p):
+    for k in (1, 2):
+        for bound in (p**2, p**4):
+            for n in range(2, 9):
+                if n % p == 0:
+                    continue
+                want = _listing(reference_coprime(p, k, n, bound))
+                assert _listing(classify_coprime(p, k, n, max_order=bound)) == want, (k, n, bound)

@@ -9,6 +9,7 @@ from rbcm.ideals import (
     canonical_form,
     closed_form_ideals,
     compose_across_primes,
+    constant_ideal,
     crt_split,
     enumerate_ideals_between,
     enumerate_ideals_containing,
@@ -49,6 +50,18 @@ def test_canonical_form_examples():
     assert Q3.row_polys() == [P([0, 2], Z4), P([2], Z4)]
     # empty generating set: zero ideal
     assert zero_ideal(ctx(2, Z5), Z5).rows == ()
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 2)])
+def test_constant_ideal_matches_canonical_form(p, k):
+    mod = Modulus(p, k)
+    contexts = [ctx(n, mod) for n in range(1, 5)] + list(crt_split(p, k, 4).contexts)
+    for c in contexts:
+        for u in range(k + 1):
+            Q = constant_ideal(p**u, c, mod)
+            assert Q.rows == canonical_form([Poly.constant(p**u, mod)], c, mod).rows
+    with pytest.raises(ValueError):
+        constant_ideal(p + 1, ctx(2, mod), mod)
 
 
 def test_canonical_form_idempotent_and_order_independent():
