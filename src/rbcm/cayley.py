@@ -5,9 +5,11 @@ invariant-factor coordinates, so maps built from ideals and maps found by the
 oracle live in one representation.  When the automorphism search space is
 small, the oracle walks every automorphism, as a permutation of element
 indices, from one seed per Aut(G)-orbit and keys each class by its minimal
-image under Aut(G).  Otherwise it falls back to exhaustive shift-closed
-relation-lattice enumeration (realized and validated definitionally,
-deduplicated by explicit isomorphism search).
+image under Aut(G).  Aut(G) is listed as the closure of the elementary
+automorphisms (unit scalings and transvections), certified complete by the
+closed-form |Aut(G)|.  Otherwise the oracle falls back to exhaustive
+shift-closed relation-lattice enumeration (realized and validated
+definitionally, deduplicated by explicit isomorphism search).
 """
 
 from __future__ import annotations
@@ -283,13 +285,6 @@ def build_map(Q: IdealPresentation, N: int, n: int, map_type: str = "I") -> Cayl
 # automorphism enumeration (sigma-mode oracle)
 
 
-def _same_prime(invariants) -> int | None:
-    primes = {factorize(d)[0][0] for d in invariants}
-    if len(primes) == 1 and all(len(factorize(d)) == 1 for d in invariants):
-        return primes.pop()
-    return None
-
-
 def aut_candidate_count(invariants) -> int:
     total = 1
     for di in invariants:
@@ -298,16 +293,29 @@ def aut_candidate_count(invariants) -> int:
     return total
 
 
-def _candidate_images(group: AbelianGroupTable, d: int):
-    """Elements killed by d, i.e. valid images of a generator of order d."""
-    ranges = []
-    for dj in group.invariants:
-        step = dj // math.gcd(dj, d)
-        ranges.append(range(0, dj, step))
-    return [tuple(v) for v in itertools.product(*ranges)]
+def aut_order(invariants) -> int:
+    """|Aut(G)|, multiplied over the Sylow parts of G.
+
+    For G = Z_{p^e_1} x ... x Z_{p^e_n} with e_1 <= ... <= e_n this is the
+    count of Hillar & Rhea, "Automorphisms of finite abelian groups",
+    Amer. Math. Monthly 114 (2007), Theorem 4.1.
+    """
+    order = 1
+    for p in sorted({p for d in invariants for p, _ in factorize(d)}):
+        e = sorted(k for d in invariants for q, k in factorize(d) if q == p)
+        n = len(e)
+        for k in range(n):
+            top = max(l for l in range(1, n + 1) if e[l - 1] == e[k])
+            bottom = min(l for l in range(1, n + 1) if e[l - 1] == e[k])
+            order *= p**top - p**k
+            order *= p ** (e[k] * (n - top))
+            order *= p ** ((e[k] - 1) * (n - bottom + 1))
+    return order
 
 
 def _rank_mod_p(rows, p) -> int:
+    """Rank of the rows over Z_p.  No production path calls it; the tests'
+    exhaustive automorphism search does."""
     m = [[x % p for x in r] for r in rows]
     rank = 0
     cols = len(m[0]) if m else 0
@@ -326,51 +334,112 @@ def _rank_mod_p(rows, p) -> int:
     return rank
 
 
-def automorphism_matrices(invariants: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All automorphisms as rows-of-generator-images, for modest groups.
+def _unit_generators(d: int) -> list[int]:
+    """A generating set of (Z/d)^*: each unit not yet in the span of those before it."""
+    gens, span = [], {1}
+    for u in range(2, d):
+        if u in span or math.gcd(u, d) != 1:
+            continue
+        gens.append(u)
+        powers = [u]
+        while powers[-1] != 1:
+            powers.append(powers[-1] * u % d)
+        span = {a * b % d for a in span for b in powers}
+    return gens
 
-    Not cached: the oracle reads them once, through automorphism_permutations.
+
+def _elementary_automorphisms(invariants):
+    """Generator images of the unit scalings and the elementary transvections.
+
+    A scaling sends e_i to u e_i, for u in a generating set of (Z/d_i)^*.  A
+    transvection sends e_j to e_j + (d_i / gcd(d_i, d_j)) e_i, for i != j:
+    the added term has order gcd(d_i, d_j), which divides d_j.
     """
-    group = AbelianGroupTable(invariants)
-    count = aut_candidate_count(invariants)
-    if count > AUT_CANDIDATE_LIMIT:
-        raise TooLarge(f"{count} automorphism candidates")
-    p = _same_prime(invariants)
-    pools = [_candidate_images(group, d) for d in invariants]
-    auts = []
-    for rows in itertools.product(*pools):
-        if p is not None:
-            if _rank_mod_p(rows, p) != group.rank:
-                continue
-        else:
-            if not group.generates(rows):
-                continue
-        auts.append(tuple(rows))
-    return tuple(auts)
+    r = len(invariants)
+    basis = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    for i, d in enumerate(invariants):
+        for u in _unit_generators(d):
+            yield basis[:i] + [tuple(u * x for x in basis[i])] + basis[i + 1 :]
+    for i, di in enumerate(invariants):
+        for j, dj in enumerate(invariants):
+            if i != j:
+                step = di // math.gcd(di, dj) % di
+                image = tuple(x + step * y for x, y in zip(basis[j], basis[i]))
+                yield basis[:j] + [image] + basis[j + 1 :]
+
+
+def _image_table(images, invariants, idx, add_rows) -> list[int]:
+    """Index table of the homomorphism sending basis vector i to images[i].
+
+    Product order: the first coordinate is the most significant digit.
+    """
+    table = [0]
+    for img, d in zip(images, invariants):
+        step = add_rows[idx[img]]
+        multiples = [0]
+        for _ in range(d - 1):
+            multiples.append(step[multiples[-1]])
+        table = [add_rows[a][b] for a in table for b in multiples]
+    return table
 
 
 @lru_cache(maxsize=None)
 def automorphism_permutations(invariants: tuple[int, ...]) -> tuple[bytes | array, ...]:
-    """Each automorphism of automorphism_matrices as an image-index table.
+    """Every automorphism of the group as an image-index table.
 
     Entry i is the index of the image of element i in the element order of
     AbelianGroupTable.tables().  A table is bytes when |G| <= 256, else a
     16-bit array: |G| is at most aut_candidate_count, which sigma mode keeps
     within AUT_CANDIDATE_LIMIT.
+
+    The tables are the breadth-first closure, under composition, of the
+    elementary automorphisms.  The closure lies inside Aut(G); the count
+    certificate against aut_order makes it all of Aut(G).
     """
-    _, idx, add_rows = AbelianGroupTable(invariants).tables()
-    perms = []
-    for rows in automorphism_matrices(invariants):
-        # product order: the first coordinate is the most significant digit
-        images = [0]
-        for img, d in zip(rows, invariants):
-            step = add_rows[idx[img]]
-            multiples = [0]
-            for _ in range(d - 1):
-                multiples.append(step[multiples[-1]])
-            images = [add_rows[a][b] for a in images for b in multiples]
-        perms.append(bytes(images) if len(images) <= 256 else array("H", images))
+    count = aut_candidate_count(invariants)
+    if count > AUT_CANDIDATE_LIMIT:
+        raise TooLarge(f"{count} automorphism candidates")
+    group = AbelianGroupTable(invariants)
+    _, idx, add_rows = group.tables()
+    order = group.order
+    gens = []
+    for images in _elementary_automorphisms(invariants):
+        require(
+            all(d % group.element_order(img) == 0 for img, d in zip(images, invariants)),
+            "elementary image order does not divide its generator's order",
+        )
+        table = _image_table(images, invariants, idx, add_rows)
+        require(len(set(table)) == order, "elementary automorphism is not a bijection")
+        gens.append(table)
+    narrow = order <= 256
+    if narrow:
+        # bytes.translate wants a 256-byte table; entries past |G| are never read
+        gens = [bytes(t) + bytes(256 - order) for t in gens]
+        identity = bytes(range(order))
+    else:
+        identity = array("H", range(order))
+    perms = [identity]
+    seen = {identity if narrow else identity.tobytes()}
+    for perm in perms:  # breadth first: perms grows while it is walked
+        for g in gens:
+            new = perm.translate(g) if narrow else array("H", map(g.__getitem__, perm))
+            key = new if narrow else new.tobytes()
+            if key not in seen:
+                seen.add(key)
+                perms.append(new)
+    require(len(perms) == aut_order(invariants), "elementary automorphisms do not generate Aut(G)")
     return tuple(perms)
+
+
+def automorphism_matrices(invariants: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every automorphism as rows of generator images, in the order of
+    automorphism_permutations: row i of an entry is the image of e_i."""
+    els, idx, _ = AbelianGroupTable(invariants).tables()
+    r = len(invariants)
+    basis = [idx[tuple(int(i == j) for j in range(r))] for i in range(r)]
+    return tuple(
+        tuple(els[perm[b]] for b in basis) for perm in automorphism_permutations(invariants)
+    )
 
 
 def _minimal_image(cycle, stabilizer) -> tuple[int, ...]:
@@ -417,16 +486,19 @@ def _sigma_mode(group: AbelianGroupTable, n: int, map_type: str):
     stabilizer = [perm for perm in perms if perm[m] == m]
     target = neg[m] if map_type == "I" else m
     records = {}
+    keys = {}  # walked cycle -> its minimal image; many sigma walk the same cycle
     for sigma in perms:
         orbit = [m]
         for _ in range(n - 1):
             orbit.append(sigma[orbit[-1]])
         if sigma[orbit[-1]] != target:
             continue
-        cycle = orbit + [neg[c] for c in orbit] if map_type == "I" else orbit
+        cycle = tuple(orbit + [neg[c] for c in orbit]) if map_type == "I" else tuple(orbit)
         if len(set(cycle)) != len(cycle) or zero in cycle:
             continue
-        key = _minimal_image(cycle, stabilizer)
+        key = keys.get(cycle)
+        if key is None:
+            key = keys[cycle] = _minimal_image(cycle, stabilizer)
         if key in records:
             continue
         gens = [els[i] for i in key]

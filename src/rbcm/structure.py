@@ -218,14 +218,22 @@ def _group_tables(invariants: tuple[int, ...]):
 
     Elements come in itertools.product order, so index order is coordinate
     (lexicographic) order.  The rows are tuples because every caller shares them.
+    Row a is row (a - e_k) followed by row e_k, for the last nonzero
+    coordinate k of a; a - e_k sits stride_k places earlier, so it is built.
     """
     els = tuple(itertools.product(*[range(d) for d in invariants]))
     idx = {e: i for i, e in enumerate(els)}
-    add_rows = tuple(
-        tuple(idx[tuple((x + y) % d for x, y, d in zip(a, b, invariants))] for b in els)
-        for a in els
-    )
-    return els, idx, add_rows
+    r = len(invariants)
+    strides = [math.prod(invariants[k + 1 :]) for k in range(r)]
+    basis_rows = []
+    for k, (d, s) in enumerate(zip(invariants, strides)):
+        # adding e_k steps coordinate k by one, wrapping d - 1 back to 0
+        basis_rows.append(tuple(i + s if b[k] < d - 1 else i - (d - 1) * s for i, b in enumerate(els)))
+    add_rows = [tuple(range(len(els)))]
+    for i, a in enumerate(els[1:], 1):
+        k = next(k for k in range(r - 1, -1, -1) if a[k])
+        add_rows.append(tuple(map(basis_rows[k].__getitem__, add_rows[i - strides[k]])))
+    return els, idx, tuple(add_rows)
 
 
 class AbelianGroupTable:

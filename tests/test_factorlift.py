@@ -188,3 +188,28 @@ def test_split_p_part():
     for n, p in [(0, 2), (-3, 2), (6, 1), (6, 0), (6, -1)]:
         with pytest.raises(ValueError):
             split_p_part(n, p)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factorizations_match_sympy(p):
+    """Factors over Z_p agree with sympy's, as multisets of monic polynomials:
+    x^n - 1 through factor_mod_p, and x^n + 1 (n coprime to p) through
+    factor_xn_plus1 at k = 1, where every factor is irreducible."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+
+    def sympy_factors(expr):
+        _, factors = sympy.factor_list(expr, modulus=p)
+        out = []
+        for f, mult in factors:
+            coeffs = [int(c) % p for c in reversed(sympy.Poly(f, x).all_coeffs())]
+            inv = pow(coeffs[-1], -1, p)
+            out += [tuple(c * inv % p for c in coeffs)] * mult
+        return sorted(out)
+
+    for n in range(1, 13):
+        if n % p == 0:
+            continue
+        assert sorted(f.poly.coeffs for f in factor_mod_p(n, p)) == sympy_factors(x**n - 1), n
+        assert sorted(f.poly.coeffs for f in factor_xn_plus1(p, 1, n)) == sympy_factors(x**n + 1), n

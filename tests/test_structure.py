@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from reference_helpers import definitional_group_tables
 
 from rbcm.errors import InvariantViolation, TooLarge
 from rbcm.ideals import canonical_form, is_admissible, zero_ideal
@@ -9,6 +10,7 @@ from rbcm.structure import (
     AbelianGroupTable,
     AbelianType,
     QuotientRing,
+    _group_tables,
     enumerate_residues,
     quotient_group_type,
     quotient_isomorphism,
@@ -160,3 +162,26 @@ def test_abelian_group_table():
         AbelianType((4, 2))
     with pytest.raises(ValueError):
         AbelianGroupTable((1, 4))
+
+
+@pytest.mark.parametrize(
+    "invariants", [(81,), (3, 27), (9, 9), (3, 3, 9), (2, 2, 2, 2), (2, 6), (2, 256)], ids=str
+)
+def test_group_tables_match_definition(invariants):
+    """Rows composed from basis rows equal the tables built from (a + b) mod d."""
+    assert _group_tables(invariants) == definitional_group_tables(invariants)
+
+
+def test_smith_invariants_match_sympy():
+    """Invariant factors agree with sympy's Smith form on seeded integer matrices."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_smith
+
+    rng = random.Random(8)
+    for _ in range(80):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[rng.randint(-12, 12) for _ in range(n)] for _ in range(m)]
+        diag, _ = smith_normal_form(rows, n)
+        S = sympy_smith(sympy.Matrix(rows), domain=sympy.ZZ)
+        want = [abs(int(S[i, i])) for i in range(min(m, n))]
+        assert diag + [0] * (min(m, n) - len(diag)) == want, rows
