@@ -78,6 +78,29 @@ def solve_unit_roots(p: int, k: int, n: int) -> tuple[int, ...]:
     return tuple(sorted(roots))
 
 
+def quadratic_divisors(p: int, k: int, n: int) -> list[tuple[int, int]]:
+    """(a, b) with x^2 + a*x + b dividing x^n + 1 over Z_{p^k}, sorted.
+
+    A monic divisor mod p^(j+1) stays one mod p^j, so the divisors mod p are
+    lifted level by level, as solve_unit_roots lifts roots (level 1 lifts
+    the one pair mod 1 to every pair mod p).
+    """
+    found = [(0, 0)]
+    step = 1
+    for j in range(1, k + 1):
+        mod = Modulus(p, j)
+        xn1 = Poly.x_pow_plus_const(n, 1, mod)
+        found = [
+            (a + s * step, b + t * step)
+            for a, b in found
+            for s in range(p)
+            for t in range(p)
+            if poly_mod(xn1, Poly([b + t * step, a + s * step, 1], mod)).is_zero()
+        ]
+        step *= p
+    return sorted(found)
+
+
 def theta_set(p: int, n: int) -> tuple[int, ...]:
     """Divisors d of 2n with d not dividing n and p = -1 mod d."""
     return tuple(
@@ -320,16 +343,10 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
                 push(Q, "a", dict(mu1=mu1, mu2=mu2))
 
     # equal precision: a free rank-2 quotient forces a principal ideal on a
-    # monic quadratic divisor, so scan them all; the residue of the divisor
+    # monic quadratic divisor, so take them all; the residue of the divisor
     # mod p decides the case tag (split / inert / double root)
     if k == k2:
-        xn1 = Poly.x_pow_plus_const(n, 1, mod)
-        quadratics = []
-        for a in range(N):
-            for b in range(N):
-                f = Poly([b, a, 1], mod)
-                if poly_mod(xn1, f).is_zero():
-                    quadratics.append(f)
+        quadratics = [Poly([b, a, 1], mod) for a, b in quadratic_divisors(p, k, n)]
         lifts = {}
         for lab in lambda_index(p, n_prime):
             if lab.degree == 2:

@@ -7,6 +7,13 @@ entries are divisor-of-N scalars, pivot columns strictly increase (columns
 ordered from the highest degree down), entries above pivots are reduced, and
 the row span contains every annihilator multiple.  Equal ideals have
 identical rows, so uniqueness questions reduce to tuple comparison.
+
+The hot loops stay on integer rows.  ideal_of_rows closes generator rows
+under x; canonical_form is its adapter for polynomial generators.  Ideals of
+Z_{p^k}[x]/(x^n+1) are combined from CRT component ideals through embedding
+rows: crt_split stores, per component, the ambient rows of e_i*x^j, and
+combine_components maps each component Howell row through them and takes one
+Howell form of at most n rows.
 """
 
 from __future__ import annotations
@@ -62,16 +69,24 @@ def _leading(row: list[int]) -> int:
 
 
 def howell_form(rows, N: int, width: int) -> tuple[tuple[int, ...], ...]:
-    """Howell normal form of the span of the given rows over Z_N."""
-    pool = []
+    """Howell normal form of the span of the given rows over Z_N.
+
+    Rows wait in buckets by leading column, found once as each row enters.
+    Every row made while clearing a column leads past it, so each bucket is
+    complete when its column comes up.
+    """
+    buckets: list[list[list[int]]] = [[] for _ in range(width)]
+
+    def push(row: list[int]) -> None:
+        c = _leading(row)
+        if c >= 0:
+            buckets[c].append(row)
+
     for r in rows:
-        rr = [v % N for v in r]
-        if any(rr):
-            pool.append(rr)
+        push([v % N for v in r])
     basis: list[list[int]] = []
     for col in range(width):
-        cur = [r for r in pool if _leading(r) == col]
-        pool = [r for r in pool if _leading(r) != col]
+        cur = buckets[col]
         if not cur:
             continue
         r = cur[0]
@@ -82,17 +97,14 @@ def howell_form(rows, N: int, width: int) -> tuple[tuple[int, ...], ...]:
             new_r = [(u * x + v * y) % N for x, y in zip(r, s)]
             new_s = [((b // g) * x - (a // g) * y) % N for x, y in zip(r, s)]
             r = new_r
-            if any(new_s):
-                pool.append(new_s)
+            push(new_s)
         u, d = _normalizing_unit(r[col], N)
         r = [(u * x) % N for x in r]
         if d == 0:
             continue
         basis.append(r)
         if d != 1:
-            ann = [((N // d) * x) % N for x in r]
-            if any(ann):
-                pool.append(ann)
+            push([((N // d) * x) % N for x in r])
     # reduce entries above each pivot
     for i, r in enumerate(basis):
         c = _leading(r)
@@ -122,7 +134,6 @@ class IdealPresentation:
     modulus: Modulus
     context_monic: Poly
     rows: tuple[tuple[int, ...], ...]
-    provenance: tuple[Poly, ...] = field(compare=False, default=())
     _pivots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -199,32 +210,46 @@ class IdealPresentation:
         return f"<({gens}) + ({self.context_monic}) over {self.modulus}>"
 
 
+def ideal_of_rows(
+    gen_rows,
+    context_monic: Poly,
+    modulus: Modulus,
+    base_rows: tuple[tuple[int, ...], ...] = (),
+) -> IdealPresentation:
+    """Smallest shift-closed row space containing the rows (and base_rows).
+
+    Each generator row is a coefficient row already reduced mod the context,
+    highest degree first.  The span of x^j*g mod f for 0 <= j < deg f is
+    already closed under x, because x*(x^(D-1) g) reduces to a combination of
+    lower shifts.
+    """
+    D = context_monic.degree
+    N = modulus.N
+    rows = list(base_rows)
+    for row in gen_rows:
+        for _ in range(D):
+            rows.append(row)
+            row = x_step(row, context_monic, N)
+    pres = IdealPresentation(modulus, context_monic, howell_form(rows, N, D))
+    _assert_shift_closed(pres)
+    return pres
+
+
 def canonical_form(
     generators,
     context_monic: Poly,
     modulus: Modulus,
     base_rows: tuple[tuple[int, ...], ...] = (),
 ) -> IdealPresentation:
-    """Smallest shift-closed row space containing the generators (and base_rows).
-
-    The span of x^j*g mod f for 0 <= j < deg f is already closed under x,
-    because x*(x^(D-1) g) reduces to a combination of lower shifts.
-    """
+    """ideal_of_rows on polynomial generators, each reduced mod the context."""
     if not context_monic.is_monic() or context_monic.degree < 1:
         raise ValueError("context must be monic of degree >= 1")
     D = context_monic.degree
-    N = modulus.N
-    rows = [list(r) for r in base_rows]
+    gen_rows = []
     for g in generators:
         g = poly_mod(g.reduce_mod(modulus), context_monic)
-        row = tuple(g[D - 1 - i] for i in range(D))
-        for _ in range(D):
-            rows.append(row)
-            row = x_step(row, context_monic, N)
-    hf = howell_form(rows, N, D)
-    pres = IdealPresentation(modulus, context_monic, hf, tuple(generators))
-    _assert_shift_closed(pres)
-    return pres
+        gen_rows.append(tuple(g[D - 1 - i] for i in range(D)))
+    return ideal_of_rows(gen_rows, context_monic, modulus, base_rows)
 
 
 def _assert_shift_closed(pres: IdealPresentation) -> None:
@@ -301,7 +326,12 @@ def is_admissible_type2(Q: IdealPresentation, n: int) -> Admissibility:
 
 @dataclass(frozen=True)
 class CrtSplit:
-    """Ring decomposition of Z_{p^k}[x]/(x^n+1) into label components."""
+    """Ring decomposition of Z_{p^k}[x]/(x^n+1) into label components.
+
+    embeddings[i][c] is the ambient row of e_i*x^(D_i-1-c) mod x^n+1, for
+    the idempotent e_i and each column c of component i (D_i = deg ctx_i):
+    a component row r maps to the ambient row of e_i*r as sum_c r[c]*emb[c].
+    """
 
     p: int
     k: int
@@ -309,17 +339,14 @@ class CrtSplit:
     labels: tuple[tuple[int, int], ...]
     contexts: tuple[Poly, ...]
     idempotents: tuple[Poly, ...]
-
-    @property
-    def ambient(self) -> Poly:
-        return Poly.x_pow_plus_const(self.n, 1, Modulus(self.p, self.k))
+    ambient: Poly
+    embeddings: tuple[tuple[tuple[int, ...], ...], ...]
 
     def forward(self, f: Poly) -> list[Poly]:
         return [poly_mod(f, ctx) for ctx in self.contexts]
 
     def backward(self, parts) -> Poly:
-        mod = Modulus(self.p, self.k)
-        acc = Poly.zero(mod)
+        acc = Poly.zero(self.ambient.modulus)
         for g, e in zip(parts, self.idempotents):
             acc = acc + g * e
         return poly_mod(acc, self.ambient)
@@ -337,39 +364,75 @@ def crt_split(p: int, k: int, n: int) -> CrtSplit:
     labels = tuple(sorted(by_lambda))
     contexts = tuple(by_lambda[key] for key in labels)
     ambient = Poly.x_pow_plus_const(n, 1, mod)
+    require(math.prod(contexts, start=one) == ambient, "contexts do not multiply to x^n+1")
     idems = []
+    embeddings = []
     for i, ctx in enumerate(contexts):
         rest = math.prod((c for j, c in enumerate(contexts) if j != i), start=one)
         _, v = bezout_certificate(ctx, rest)
-        idems.append(poly_mod(v * rest, ambient))
-    idems = tuple(idems)
-    split = CrtSplit(p, k, n, labels, contexts, idems)
-    # ring-decomposition sanity: orthogonal idempotents summing to 1
-    total = Poly.zero(mod)
-    for i, e in enumerate(idems):
-        total = total + e
-        if poly_mod(e, contexts[i]) != poly_mod(one, contexts[i]):
-            raise InvariantViolation(f"idempotent {i} is not 1 on its component")
-        for j, ctx in enumerate(contexts):
-            if j != i and not poly_mod(e, ctx).is_zero():
-                raise InvariantViolation(f"idempotent {i} is not 0 on component {j}")
-    require(poly_mod(total, ambient) == poly_mod(one, ambient), "idempotents do not sum to 1")
+        e = poly_mod(v * rest, ambient)
+        idems.append(e)
+        row = tuple(e[n - 1 - c] for c in range(n))
+        shifts = []
+        for _ in range(ctx.degree):
+            shifts.append(row)
+            row = x_step(row, ambient, mod.N)
+        embeddings.append(tuple(reversed(shifts)))
+    split = CrtSplit(p, k, n, labels, contexts, tuple(idems), ambient, tuple(embeddings))
+    _certify_embeddings(split)
+    require(poly_mod(sum(idems[1:], idems[0]), ambient) == one, "idempotents do not sum to 1")
     return split
+
+
+def _certify_embeddings(split: CrtSplit) -> None:
+    """Each embedding row is its unit column on its own component and 0 on the others.
+
+    Row D_i-1 of component i is e_i itself, so this also certifies that the
+    idempotents are orthogonal and 1 on their own components.
+    """
+    mod = split.ambient.modulus
+    for i, emb in enumerate(split.embeddings):
+        require(len(emb) == split.contexts[i].degree, f"component {i}: wrong embedding row count")
+        for c, row in enumerate(emb):
+            f = Poly(row[::-1], mod)
+            for j, ctx in enumerate(split.contexts):
+                D = ctx.degree
+                got = poly_mod(f, ctx)
+                want = [int(i == j and col == c) for col in range(D)]
+                require(
+                    [got[D - 1 - col] for col in range(D)] == want,
+                    f"embedding row {c} of component {i} is wrong on component {j}",
+                )
 
 
 def combine_components(split: CrtSplit, parts) -> IdealPresentation:
     """Ideal of Z_{p^k}[x]/(x^n+1) whose component ideals are the given parts.
 
-    Each part is a list of generator polynomials for the ideal inside its
-    component quotient (the component context is always included).
+    parts: one canonical ideal per label of split, in its component context.
+    Each row r of part i goes to the ambient row of e_i*r through the
+    embedding rows.  Those images span e_i*Q_i, which is already closed under
+    x, and e_i*ctx_i is 0 mod x^n+1; so one Howell form over at most n rows
+    gives the ideal.
     """
-    mod = Modulus(split.p, split.k)
-    gens = []
-    for e, ctx, part in zip(split.idempotents, split.contexts, parts):
-        gens.append(e * ctx)
-        for g in part:
-            gens.append(e * g)
-    return canonical_form(gens, split.ambient, mod)
+    if [q.context_monic for q in parts] != list(split.contexts):
+        raise ValueError("parts must be ideals in the split's component contexts, in order")
+    ambient = split.ambient
+    n = split.n
+    rows = []
+    for emb, q in zip(split.embeddings, parts):
+        for r in q.rows:
+            acc = [0] * n
+            for coef, erow in zip(r, emb):
+                if coef:
+                    acc = [a + coef * x for a, x in zip(acc, erow)]
+            rows.append(acc)
+    pres = IdealPresentation(ambient.modulus, ambient, howell_form(rows, ambient.modulus.N, n))
+    _assert_shift_closed(pres)
+    require(
+        pres.quotient_size() == math.prod(q.quotient_size() for q in parts),
+        "combined quotient size is not the product of the component sizes",
+    )
+    return pres
 
 
 def bounded_combinations(split: CrtSplit, cases, bound=None):
@@ -389,7 +452,7 @@ def bounded_combinations(split: CrtSplit, cases, bound=None):
         seen.add(key)
         if bound is not None and math.prod(q.quotient_size() for q in parts) > bound:
             continue
-        yield tag, combine_components(split, [q.row_polys() for q in parts])
+        yield tag, combine_components(split, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +485,7 @@ def enumerate_ideals_between(
     for combo in base.residues():
         if combo in seen or not any(combo):
             continue
-        pres = canonical_form([base.row_to_poly(combo)], context, modulus, base_rows=base.rows)
+        pres = ideal_of_rows([combo], context, modulus, base.rows)
         principals.setdefault(pres.rows, pres)
         # unit multiples (and x-shifts, when allowed) generate the same ideal
         cur = combo
@@ -467,12 +530,10 @@ def radical_floor(
     s = 0
     while q ** (s + 1) <= quotient_bound:
         s += 1
-    m = canonical_form([Poly.constant(p, modulus), radical_gen], context, modulus)
-    gens = [Poly.one(modulus)]
-    for _ in range(s):
-        gens = [a * b for a in gens for b in [Poly.constant(p, modulus), radical_gen]]
-        gens = list({poly_mod(g, context).coeffs: poly_mod(g, context) for g in gens}.values())
-    power = canonical_form(gens, context, modulus)
+    pc = Poly.constant(p, modulus)
+    m = canonical_form([pc, radical_gen], context, modulus)
+    # m^s is generated by the products of s generators of m: p^a * g^(s-a)
+    power = canonical_form([pc**a * radical_gen ** (s - a) for a in range(s + 1)], context, modulus)
     if s >= 1:
         require(all(m.contains_row(r) for r in power.rows), "radical power escapes m")
     return power

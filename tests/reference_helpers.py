@@ -5,6 +5,7 @@ import math
 from functools import lru_cache, reduce
 
 from rbcm.cayley import _rank_mod_p
+from rbcm.ideals import _ext_gcd, _leading, _normalizing_unit, canonical_form
 from rbcm.poly import Poly, poly_mod
 from rbcm.structure import AbelianGroupTable
 from rbcm.zring import Modulus, factorize
@@ -85,3 +86,83 @@ def definitional_group_tables(invariants):
         for a in els
     )
     return els, idx, add_rows
+
+
+def reference_combine(split, generator_lists):
+    """CRT combine from polynomial generators, one list per component.
+
+    The ideal is generated over the ambient ring by e_i*ctx_i and e_i*g for
+    every generator g of component i, closed under x by canonical_form.
+    """
+    gens = []
+    for e, ctx, part in zip(split.idempotents, split.contexts, generator_lists):
+        gens.append(e * ctx)
+        for g in part:
+            gens.append(e * g)
+    return canonical_form(gens, split.ambient, split.ambient.modulus)
+
+
+def reference_howell_form(rows, N: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """Howell normal form that rescans the whole pool for each column."""
+    pool = []
+    for r in rows:
+        rr = [v % N for v in r]
+        if any(rr):
+            pool.append(rr)
+    basis: list[list[int]] = []
+    for col in range(width):
+        cur = [r for r in pool if _leading(r) == col]
+        pool = [r for r in pool if _leading(r) != col]
+        if not cur:
+            continue
+        r = cur[0]
+        for s in cur[1:]:
+            a, b = r[col], s[col]
+            g, u, v = _ext_gcd(a, b)
+            new_r = [(u * x + v * y) % N for x, y in zip(r, s)]
+            new_s = [((b // g) * x - (a // g) * y) % N for x, y in zip(r, s)]
+            r = new_r
+            if any(new_s):
+                pool.append(new_s)
+        u, d = _normalizing_unit(r[col], N)
+        r = [(u * x) % N for x in r]
+        if d == 0:
+            continue
+        basis.append(r)
+        if d != 1:
+            ann = [((N // d) * x) % N for x in r]
+            if any(ann):
+                pool.append(ann)
+    for i, r in enumerate(basis):
+        c = _leading(r)
+        d = r[c]
+        for j in range(i):
+            q = basis[j][c] // d
+            if q:
+                basis[j] = [(x - q * y) % N for x, y in zip(basis[j], r)]
+    return tuple(tuple(r) for r in basis)
+
+
+def reference_radical_floor_rows(context, modulus, s, radical_gen):
+    """Rows of m^s for m = (p, g), from all 2^s products of s generators."""
+    gens = [Poly.one(modulus)]
+    for _ in range(s):
+        gens = [a * b for a in gens for b in [Poly.constant(modulus.p, modulus), radical_gen]]
+        gens = list({poly_mod(g, context).coeffs: poly_mod(g, context) for g in gens}.values())
+    return canonical_form(gens, context, modulus).rows
+
+
+def reference_quadratic_divisors(N: int, n: int) -> list[tuple[int, int]]:
+    """(a, b) with x^2 + a*x + b dividing x^n + 1 over Z_N, by scanning all N^2.
+
+    x^n is reduced mod x^2 + a*x + b one power at a time, as c1*x + c0.
+    """
+    out = []
+    for a in range(N):
+        for b in range(N):
+            c1, c0 = 0, 1
+            for _ in range(n):
+                c1, c0 = (c0 - a * c1) % N, (-b * c1) % N
+            if c1 == 0 and (c0 + 1) % N == 0:
+                out.append((a, b))
+    return out

@@ -6,6 +6,7 @@ lines and timings.
 
 import itertools
 import random
+import struct
 import time
 
 import pytest
@@ -132,43 +133,44 @@ def test_criterion_3_ideal_lattice_equivalence():
     )
 
 
-LANE = 20
-MASK = (1 << LANE) - 1
+# Residues are packed into integers, one lane per coefficient, lowest degree
+# first: 8-bit lanes for sums and 32-bit lanes for products.  Every ring
+# below has N <= 27 and width <= 12, so a lane sum stays under 2N < 256 and a
+# reduced product lane under width^2 * N^3 < 2^32: lanes never carry, and
+# int.to_bytes reads them all out at once.
+LANE = 32
 
 
 def _pack(coeffs, width):
-    acc = 0
-    for c in reversed(list(coeffs) + [0] * (width - len(coeffs))):
-        acc = (acc << LANE) | c
-    return acc
+    padded = [*coeffs, *[0] * (width - len(coeffs))]
+    return int.from_bytes(struct.pack(f"<{width}I", *padded), "little")
 
 
-def _lanes(value, count):
-    return [(value >> (LANE * j)) & MASK for j in range(count)]
+def _pack8(coeffs, width):
+    return int.from_bytes(bytes(coeffs) + bytes(width - len(coeffs)), "little")
 
 
-def _negacyclic(fint, gint, n, N):
-    lanes = _lanes(fint * gint, 2 * n)
-    return tuple((lanes[j] - lanes[j + n]) % N for j in range(n))
+class _Component:
+    """Packed product in Z_N[x]/(ctx): x^j rows for m <= j <= 2m - 2, lane readers."""
 
+    def __init__(self, ctx, mod):
+        m = self.width = ctx.degree
+        self.N = mod.N
+        self.rows = [_pack(poly_mod(Poly.x(mod) ** j, ctx).coeffs, m) for j in range(m, 2 * m - 1)]
+        self.low_mask = (1 << (LANE * m)) - 1
+        self.shift = LANE * m
+        self.low = struct.Struct(f"<{m}I").unpack
+        self.high = struct.Struct(f"<{m - 1}I").unpack
 
-def _reduce_packed(fint, gint, m, rows, width, N):
-    lanes = _lanes(fint * gint, 2 * width)
-    res = lanes[:m]
-    for j in range(m, 2 * width - 1):
-        c = lanes[j]
-        if c:
-            row = rows[j]
-            for i in range(m):
-                res[i] += c * row[i]
-    return tuple(v % N for v in res)
-
-
-def _trim_key(coeffs):
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return coeffs[:n]
+    def product_bytes(self, a, b):
+        prod = a * b
+        acc = prod & self.low_mask
+        m = self.width
+        for c, row in zip(self.high((prod >> self.shift).to_bytes(4 * m - 4, "little")), self.rows):
+            if c:
+                acc += c * row
+        N = self.N
+        return bytes(v % N for v in self.low(acc.to_bytes(4 * m, "little")))
 
 
 def test_criterion_4_crt_correctness():
@@ -191,27 +193,21 @@ def test_criterion_4_crt_correctness():
                     imgs = split.forward(f)
                     assert split.backward(imgs) == poly_mod(f, ambient)
                     forwards[f.coeffs] = imgs
-                # packed products: x^j reduction rows per component
-                comp_defs = []
-                for ctx in split.contexts:
-                    m = ctx.degree
-                    rows = {}
-                    for j in range(m, 2 * n):
-                        rows[j] = [
-                            poly_mod(Poly.x(mod) ** j, ctx)[i] for i in range(m)
-                        ]
-                    comp_defs.append((m, rows))
-                # per-residue records: padded coeffs, packed value, packed and
-                # padded component images
+                comps = [_Component(ctx, mod) for ctx in split.contexts]
+                # per-residue records, keyed by the padded coefficient bytes:
+                # 8-bit and 32-bit packed values, and per component the 8-bit
+                # and 32-bit packed images and the padded image bytes
+                mod_table = bytes(v % N for v in range(256))
                 recs = {}
                 for f in residues:
                     fc = f.coeffs
-                    imgs = forwards[fc]
-                    recs[fc] = (
-                        tuple(f[i] for i in range(n)),
+                    imgs8 = [_pack8(img.coeffs, c.width) for img, c in zip(forwards[fc], comps)]
+                    recs[_pack8(fc, n).to_bytes(n, "little")] = (
+                        _pack8(fc, n),
                         _pack(fc, n),
-                        [_pack(img.coeffs, d[0]) for img, d in zip(imgs, comp_defs)],
-                        [tuple(img[i] for i in range(d[0])) for img, d in zip(imgs, comp_defs)],
+                        imgs8,
+                        [_pack(img.coeffs, c.width) for img, c in zip(forwards[fc], comps)],
+                        [a.to_bytes(c.width, "little") for a, c in zip(imgs8, comps)],
                     )
                 rec_list = list(recs.values())
                 if size <= 625:
@@ -223,20 +219,21 @@ def test_criterion_4_crt_correctness():
                         for _ in range(10_000)
                     )
                     sampled_runs += 1
-                width = n
-                trim = _trim_key
+                widths = [c.width for c in comps]
+                products = [c.product_bytes for c in comps]
+                ambient_lanes = struct.Struct(f"<{2 * n}I").unpack
                 for f, g in pairs:
-                    fpad, fint, fimgs, ftups = f
-                    gpad, gint, gimgs, gtups = g
+                    f8, fint, f8imgs, fimgs, _ = f
+                    g8, gint, g8imgs, gimgs, _ = g
                     # additivity: reduction mod each component context is linear
-                    srec = recs[trim(tuple((x + y) % N for x, y in zip(fpad, gpad)))]
-                    for a, b, s in zip(ftups, gtups, srec[3]):
-                        assert tuple((x + y) % N for x, y in zip(a, b)) == s
-                    # multiplicativity via packed convolutions
-                    prod = _negacyclic(fint, gint, n, N)
-                    prec = recs[trim(prod)]
-                    for (m, rows), a, b, want in zip(comp_defs, fimgs, gimgs, prec[3]):
-                        assert _reduce_packed(a, b, m, rows, width, N) == want
+                    srec = recs[(f8 + g8).to_bytes(n, "little").translate(mod_table)]
+                    for m, a, b, want in zip(widths, f8imgs, g8imgs, srec[4]):
+                        assert (a + b).to_bytes(m, "little").translate(mod_table) == want
+                    # multiplicativity via packed convolutions: x^n = -1
+                    lanes = ambient_lanes((fint * gint).to_bytes(8 * n, "little"))
+                    prec = recs[bytes((lo - hi) % N for lo, hi in zip(lanes[:n], lanes[n:]))]
+                    for product, a, b, want in zip(products, fimgs, gimgs, prec[4]):
+                        assert product(a, b) == want
     elapsed = time.time() - t0
     assert elapsed < 30
     report(

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from reference_helpers import reference_combine
 
 import rbcm
 from rbcm.cayley import (
@@ -23,7 +24,6 @@ from rbcm.cayley import (
 from rbcm.errors import NotAdmissible, TooLarge, TypeMismatch
 from rbcm.ideals import (
     canonical_form,
-    combine_components,
     crt_split,
     enumerate_ideals_between,
     zero_ideal,
@@ -272,7 +272,7 @@ def test_bounded_candidates_match_full_ring(p, k, n, bound):
     expected = {}
     for combo in itertools.product(*per_component):
         if math.prod(q.quotient_size() for q in combo) <= bound:
-            Q = combine_components(split, [q.row_polys() for q in combo])
+            Q = reference_combine(split, [q.row_polys() for q in combo])
             expected.setdefault(Q.rows, Q)
     got = [Q.rows for Q in bounded_admissible_candidates(p, k, n, bound)]
     assert got == sorted(expected)

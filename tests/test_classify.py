@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from reference_helpers import reference_quadratic_divisors
 
 import rbcm
 from rbcm.cayley import map_stats, maps_isomorphic
@@ -16,6 +17,7 @@ from rbcm.classify import (
     classify_rank2,
     cross_check,
     family_elementary_narrow_count,
+    quadratic_divisors,
     rank2_shift_family_outcome,
     solve_unit_roots,
     standard_form_maps,
@@ -96,6 +98,17 @@ def test_classify_rank2_examples():
     assert len(ms) == 3 and all(m.params.as_dict()["case"] == "d" for m in ms)
     # empty U kills the family
     assert classify_rank2(3, 2, 1, 6) == []
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_quadratic_divisors_match_full_scan(p):
+    found = 0
+    for k in (1, 2, 3):
+        for n in range(1, 11):
+            got = quadratic_divisors(p, k, n)
+            assert got == reference_quadratic_divisors(p**k, n), (k, n)
+            found += len(got)
+    assert found
 
 
 def test_rank2_scan_finds_inert_beyond_theta():

@@ -2,13 +2,15 @@
 
 The references below are classify_2group and classify_coprime as they were
 before the families went through ideals.bounded_combinations: every case is
-combined into a full ideal first, a repeated ideal keeps its first params, and
-the bound is left to _try_build.
+combined into a full ideal first (from polynomial generators, by
+reference_combine), a repeated ideal keeps its first params, and the bound is
+left to _try_build.
 """
 
 import itertools
 
 import pytest
+from reference_helpers import reference_combine
 
 from rbcm.classify import (
     FamilyMap,
@@ -18,7 +20,7 @@ from rbcm.classify import (
     classify_coprime,
 )
 from rbcm.factorlift import lift_level0_factor, split_p_part
-from rbcm.ideals import combine_components, crt_split
+from rbcm.ideals import crt_split
 from rbcm.poly import Poly
 from rbcm.zring import Modulus
 
@@ -51,7 +53,7 @@ def reference_2group(k, n, max_order):
                     for lab, j, kk in zip(labels, J, K)
                 ]
                 jk = tuple((lab, j, kk) for lab, j, kk in zip(labels, J, K))
-                yield _params("two_group", JK=jk), combine_components(split, parts)
+                yield _params("two_group", JK=jk), reference_combine(split, parts)
 
     return _reference_family_maps(cases(), 2**k, n, max_order)
 
@@ -63,7 +65,7 @@ def reference_coprime(p, k, n, max_order):
     cases = (
         (
             _params("coprime", J=tuple(zip(labels, J))),
-            combine_components(split, [[Poly.constant(p**j, mod)] for j in J]),
+            reference_combine(split, [[Poly.constant(p**j, mod)] for j in J]),
         )
         for J in itertools.product(range(k + 1), repeat=len(labels))
     )

@@ -1,0 +1,169 @@
+"""The ideal layer on integer rows, against its polynomial references.
+
+combine_components maps component Howell rows through the CRT embedding
+rows; reference_combine builds the same ideal from polynomial generators.
+howell_form buckets rows by leading column; reference_howell_form rescans the
+pool for each column.  radical_floor takes the s + 1 products p^a g^(s-a);
+the reference takes all 2^s products.
+"""
+
+import dataclasses
+import itertools
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_helpers import (
+    reference_combine,
+    reference_howell_form,
+    reference_radical_floor_rows,
+)
+
+from rbcm import poly
+from rbcm.errors import InvariantViolation
+from rbcm.factorlift import base_factor
+from rbcm.ideals import (
+    ENUM_BUDGET,
+    _certify_embeddings,
+    bounded_ideals_local_tree,
+    combine_components,
+    crt_split,
+    enumerate_ideals_between,
+    howell_form,
+    radical_floor,
+)
+from rbcm.zring import Modulus
+
+BOUND = 81
+
+
+def _prime_powers():
+    for p in (2, 3, 5):
+        k = 1
+        while p**k <= BOUND:
+            yield p, k
+            k += 1
+
+
+def _floor_components(split, mod, bound):
+    """Per label, the ideals of index <= bound above the component's radical floor."""
+    per = []
+    for (d, ell), ctx in zip(split.labels, split.contexts):
+        q = base_factor(split.p, d, ell).reduce_mod(mod)
+        floor = radical_floor(ctx, mod, bound, q.degree, q)
+        if floor.quotient_size() <= ENUM_BUDGET:
+            ideals = enumerate_ideals_between(ctx, mod, base=floor)
+        else:
+            ideals = bounded_ideals_local_tree(ctx, mod, bound, q, q.degree)
+        per.append([i for i in ideals if i.quotient_size() <= bound])
+    return per
+
+
+@pytest.mark.parametrize("p,k", list(_prime_powers()))
+def test_combine_matches_reference(p, k):
+    mod = Modulus(p, k)
+    compared = 0
+    for n in range(1, 9):
+        split = crt_split(p, k, n)
+        for combo in itertools.product(*_floor_components(split, mod, BOUND)):
+            if math.prod(q.quotient_size() for q in combo) > BOUND:
+                continue
+            got = combine_components(split, list(combo))
+            want = reference_combine(split, [q.row_polys() for q in combo])
+            assert got.rows == want.rows, (n, [q.rows for q in combo])
+            assert got == want
+            compared += 1
+    assert compared
+
+
+def test_combine_rejects_parts_in_other_contexts():
+    split = crt_split(3, 1, 4)
+    mod = Modulus(3)
+    parts = [enumerate_ideals_between(ctx, mod)[0] for ctx in split.contexts]
+    with pytest.raises(ValueError):
+        combine_components(split, parts[::-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=100).flatmap(
+        lambda N: st.tuples(
+            st.just(N),
+            st.integers(min_value=1, max_value=6).flatmap(
+                lambda w: st.tuples(
+                    st.just(w),
+                    st.lists(
+                        st.lists(st.integers(min_value=-N, max_value=2 * N), min_size=w, max_size=w),
+                        max_size=8,
+                    ),
+                )
+            ),
+        )
+    )
+)
+def test_howell_form_matches_pool_scan(case):
+    N, (width, rows) = case
+    assert howell_form(rows, N, width) == reference_howell_form(rows, N, width)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 3, 4), (2, 2, 8), (3, 2, 4), (3, 3, 2), (5, 2, 4), (3, 1, 6)])
+def test_radical_floor_matches_all_products(p, k, n):
+    split = crt_split(p, k, n)
+    mod = Modulus(p, k)
+    for (d, ell), ctx in zip(split.labels, split.contexts):
+        g = base_factor(p, d, ell).reduce_mod(mod)
+        q = p**g.degree
+        for s in range(5):
+            got = radical_floor(ctx, mod, q**s, g.degree, g)
+            assert got.rows == reference_radical_floor_rows(ctx, mod, s, g), (d, ell, s)
+
+
+def _with_row(split, i, c, row):
+    emb = split.embeddings[i]
+    emb = emb[:c] + (row,) + emb[c + 1 :]
+    return dataclasses.replace(split, embeddings=split.embeddings[:i] + (emb,) + split.embeddings[i + 1 :])
+
+
+@pytest.mark.parametrize("p,k,n", [(5, 1, 4), (3, 2, 4), (2, 2, 6)])
+def test_corrupted_embedding_row_is_caught(p, k, n):
+    """One entry off by one, or a whole row off by its own context.
+
+    The second corruption is still right on its own component, so only the
+    other components catch it.
+    """
+    split = crt_split(p, k, n)
+    N = p**k
+    assert len(split.contexts) > 1
+    for i, (emb, ctx) in enumerate(zip(split.embeddings, split.contexts)):
+        ctx_row = [ctx[n - 1 - col] for col in range(n)]
+        for c, row in enumerate(emb):
+            bad_rows = [
+                tuple((v + (j == col)) % N for j, v in enumerate(row)) for col in range(n)
+            ]
+            bad_rows.append(tuple((v + w) % N for v, w in zip(row, ctx_row)))
+            for bad_row in bad_rows:
+                with pytest.raises(InvariantViolation):
+                    _certify_embeddings(_with_row(split, i, c, bad_row))
+
+
+def test_row_layer_builds_no_poly(monkeypatch):
+    split = crt_split(3, 2, 4)
+    mod = Modulus(3, 2)
+    floors = []
+    for (d, ell), ctx in zip(split.labels, split.contexts):
+        g = base_factor(3, d, ell).reduce_mod(mod)
+        floors.append(radical_floor(ctx, mod, BOUND, g.degree, g))
+    made = []
+    init = poly.Poly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(poly.Poly, "__init__", counting_init)
+    per = [enumerate_ideals_between(ctx, mod, base=f) for ctx, f in zip(split.contexts, floors)]
+    combined = [combine_components(split, list(combo)) for combo in itertools.product(*per)]
+    monkeypatch.undo()
+    assert len(combined) > 1 and all(len(ideals) > 1 for ideals in per)
+    assert not made
