@@ -117,26 +117,23 @@ class MapStats:
     face_lengths: tuple[int, ...]
 
 
-def _hom_extend_idx(src: AbelianGroupTable, dst: AbelianGroupTable, pair_idx):
+def _hom_extend_idx(order: int, pairs):
     """Index-based homomorphism extension; returns the image table or None.
 
-    Breadth-first closure over the subgroup generated by the sources; an edge
+    pairs holds (translation by a source, translation by its image) rows.
+    Breadth-first closure from index 0, the zero of both groups; an edge
     conflict means no homomorphism exists.  Checking every (element, i) edge
     certifies path-independence, hence additivity.
     """
-    els_s, idx_s, add_s = src.tables()
-    _, idx_d, add_d = dst.tables()
-    table = [-1] * len(els_s)
-    z_s = idx_s[src.zero()]
-    table[z_s] = idx_d[dst.zero()]
-    frontier = [z_s]
+    table = [-1] * order
+    table[0] = 0
+    frontier = [0]
     while frontier:
         a = frontier.pop()
-        row_a = add_s[a]
-        row_fa = add_d[table[a]]
-        for g, h in pair_idx:
-            b = row_a[g]
-            fb = row_fa[h]
+        fa = table[a]
+        for step, image_step in pairs:
+            b = step[a]
+            fb = image_step[fa]
             got = table[b]
             if got < 0:
                 table[b] = fb
@@ -155,13 +152,12 @@ def _is_total_bijection(table, order: int) -> bool:
 def is_rbcm(record: CayleyMapRecord):
     """(flag, witness): does the rotation extend to a group automorphism?"""
     g = record.group
-    els, idx, _ = g.tables()
     L = record.valence
-    cyc = [idx[w] for w in record.cycle]
-    pair_idx = [(cyc[i], cyc[(i + 1) % L]) for i in range(L)]
-    table = _hom_extend_idx(g, g, pair_idx)
+    steps = [g.translation(w) for w in record.cycle]
+    table = _hom_extend_idx(g.order, [(steps[i], steps[(i + 1) % L]) for i in range(L)])
     if table is None or not _is_total_bijection(table, g.order):
         return False, None
+    els = g.elements()
     record._witness = {els[i]: els[v] for i, v in enumerate(table)}
     return True, {w: record._witness[w] for w in record.cycle}
 
@@ -172,15 +168,12 @@ def maps_isomorphic(m1: CayleyMapRecord, m2: CayleyMapRecord) -> bool:
         raise TypeMismatch(f"{m1.map_type} vs {m2.map_type}")
     if m1.group.invariants != m2.group.invariants or m1.valence != m2.valence:
         return False
-    _, idx1, _ = m1.group.tables()
-    _, idx2, _ = m2.group.tables()
     L = m1.valence
-    c1 = [idx1[w] for w in m1.cycle]
-    c2 = [idx2[w] for w in m2.cycle]
+    s1 = [m1.group.translation(w) for w in m1.cycle]
+    s2 = [m2.group.translation(w) for w in m2.cycle]
     order = m1.group.order
     for shift in range(L):
-        pair_idx = [(c1[i], c2[(i + shift) % L]) for i in range(L)]
-        table = _hom_extend_idx(m1.group, m2.group, pair_idx)
+        table = _hom_extend_idx(order, [(s1[i], s2[(i + shift) % L]) for i in range(L)])
         if table is not None and _is_total_bijection(table, order):
             return True
     return False
@@ -191,9 +184,8 @@ def trace_faces(record: CayleyMapRecord) -> MapStats:
     g = record.group
     L = record.valence
     n = L // 2 if record.map_type == "I" else L
-    els, idx, add_rows = g.tables()
-    V = len(els)
-    cyc = [idx[w] for w in record.cycle]
+    V = g.order
+    steps = [g.translation(w) for w in record.cycle]
     nxt_pos = [((i + n) % L + 1) % L if record.map_type == "I" else (i + 1) % L for i in range(L)]
     E = V * L // 2
     seen = bytearray(V * L)
@@ -207,7 +199,7 @@ def trace_faces(record: CayleyMapRecord) -> MapStats:
             seen[cur] = 1
             length += 1
             v, i = divmod(cur, L)
-            cur = add_rows[v][cyc[i]] * L + nxt_pos[i]
+            cur = steps[i][v] * L + nxt_pos[i]
         require(cur == start, "face trace failed to close")
         lengths.append(length)
     F = len(lengths)
@@ -230,14 +222,13 @@ def arc_transitive(record: CayleyMapRecord) -> bool:
     if not ok:
         return False
     g = record.group
-    els, idx, add_rows = g.tables()
+    els, idx = g.tables()
     sigma = [idx[record._witness[e]] for e in els]
     L = record.valence
-    cyc = [idx[w] for w in record.cycle]
     arcs = range(len(els) * L)  # arc v*L + i leaves vertex v along cycle[i]
-    steps = [[add_rows[a // L][t] * L + a % L for a in arcs] for t in cyc]
+    steps = [[t[a // L] * L + a % L for a in arcs] for t in map(g.translation, record.cycle)]
     steps.append([sigma[a // L] * L + (a + 1) % L for a in arcs])
-    return reachable(idx[g.zero()] * L, steps, len(arcs)) == len(arcs)
+    return reachable(0, steps, len(arcs)) == len(arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +359,22 @@ def _elementary_automorphisms(invariants):
                 yield basis[:j] + [image] + basis[j + 1 :]
 
 
-def _image_table(images, invariants, idx, add_rows) -> list[int]:
+def _image_table(images, group: AbelianGroupTable) -> list[int]:
     """Index table of the homomorphism sending basis vector i to images[i].
 
-    Product order: the first coordinate is the most significant digit.
+    Product order: the first coordinate is the most significant digit, so
+    each image a of the leading coordinates is followed by a + j*images[i]
+    for j < d_i, walked along the translation by images[i].
     """
     table = [0]
-    for img, d in zip(images, invariants):
-        step = add_rows[idx[img]]
-        multiples = [0]
-        for _ in range(d - 1):
-            multiples.append(step[multiples[-1]])
-        table = [add_rows[a][b] for a in table for b in multiples]
+    for img, d in zip(images, group.invariants):
+        step = group.translation(img)
+        walked = []
+        for a in table:
+            for _ in range(d):
+                walked.append(a)
+                a = step[a]
+        table = walked
     return table
 
 
@@ -387,20 +382,20 @@ def _image_table(images, invariants, idx, add_rows) -> list[int]:
 def automorphism_permutations(invariants: tuple[int, ...]) -> tuple[bytes | array, ...]:
     """Every automorphism of the group as an image-index table.
 
-    Entry i is the index of the image of element i in the element order of
-    AbelianGroupTable.tables().  A table is bytes when |G| <= 256, else a
+    Entry i is the index of the image of element i, in the product order of
+    AbelianGroupTable.elements().  A table is bytes when |G| <= 256, else a
     16-bit array: |G| is at most aut_candidate_count, which sigma mode keeps
     within AUT_CANDIDATE_LIMIT.
 
     The tables are the breadth-first closure, under composition, of the
-    elementary automorphisms.  The closure lies inside Aut(G); the count
-    certificate against aut_order makes it all of Aut(G).
+    elementary automorphisms, each walked from its generator images along
+    translation rows.  The closure lies inside Aut(G); the count certificate
+    against aut_order makes it all of Aut(G).
     """
     count = aut_candidate_count(invariants)
     if count > AUT_CANDIDATE_LIMIT:
         raise TooLarge(f"{count} automorphism candidates")
     group = AbelianGroupTable(invariants)
-    _, idx, add_rows = group.tables()
     order = group.order
     gens = []
     for images in _elementary_automorphisms(invariants):
@@ -408,7 +403,7 @@ def automorphism_permutations(invariants: tuple[int, ...]) -> tuple[bytes | arra
             all(d % group.element_order(img) == 0 for img, d in zip(images, invariants)),
             "elementary image order does not divide its generator's order",
         )
-        table = _image_table(images, invariants, idx, add_rows)
+        table = _image_table(images, group)
         require(len(set(table)) == order, "elementary automorphism is not a bijection")
         gens.append(table)
     narrow = order <= 256
@@ -434,7 +429,7 @@ def automorphism_permutations(invariants: tuple[int, ...]) -> tuple[bytes | arra
 def automorphism_matrices(invariants: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Every automorphism as rows of generator images, in the order of
     automorphism_permutations: row i of an entry is the image of e_i."""
-    els, idx, _ = AbelianGroupTable(invariants).tables()
+    els, idx = AbelianGroupTable(invariants).tables()
     r = len(invariants)
     basis = [idx[tuple(int(i == j) for j in range(r))] for i in range(r)]
     return tuple(
@@ -476,8 +471,7 @@ def _sigma_mode(group: AbelianGroupTable, n: int, map_type: str):
     a with a(m) = m applied to the cycle as walked from m.
     """
     perms = automorphism_permutations(group.invariants)
-    els, idx, _ = group.tables()
-    zero = idx[group.zero()]
+    els, idx = group.tables()
     neg = [idx[group.neg(e)] for e in els]
     seed_order = group.exponent if map_type == "I" else 2
     seeds = [i for i, e in enumerate(els) if group.element_order(e) == seed_order]
@@ -494,7 +488,7 @@ def _sigma_mode(group: AbelianGroupTable, n: int, map_type: str):
         if sigma[orbit[-1]] != target:
             continue
         cycle = tuple(orbit + [neg[c] for c in orbit]) if map_type == "I" else tuple(orbit)
-        if len(set(cycle)) != len(cycle) or zero in cycle:
+        if len(set(cycle)) != len(cycle) or 0 in cycle:  # index 0 is the zero
             continue
         key = keys.get(cycle)
         if key is None:

@@ -65,11 +65,10 @@ def map_to_json(record) -> dict:
 def rotation_system(record) -> str:
     """Plain-text export: header 'V E F genus', then arc targets per vertex."""
     st = map_stats(record)
-    els, idx, add_rows = record.group.tables()
-    cyc = [idx[w] for w in record.cycle]
+    steps = [record.group.translation(w) for w in record.cycle]
     lines = [f"{st.vertices} {st.edges} {st.faces} {st.genus}"]
-    for v in range(len(els)):
-        targets = " ".join(str(add_rows[v][w]) for w in cyc)
+    for v in range(record.group.order):
+        targets = " ".join(str(step[v]) for step in steps)
         lines.append(f"{v}: {targets}")
     return "\n".join(lines) + "\n"
 

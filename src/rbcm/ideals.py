@@ -288,6 +288,16 @@ class Admissibility:
         return self.ok
 
 
+def _x_power_plus_one_rows(Q: IdealPresentation, n: int) -> list[list[int]]:
+    """Rows of x^m + 1 mod Q's context for 0 <= m <= n, from one x_step walk."""
+    row = one = (0,) * (Q.width - 1) + (1,)
+    rows = []
+    for _ in range(n + 1):
+        rows.append([a + b for a, b in zip(row, one)])
+        row = x_step(row, Q.context_monic, Q.modulus.N)
+    return rows
+
+
 def is_admissible(Q: IdealPresentation, N: int, n: int) -> Admissibility:
     """Defining clauses, each checked by direct membership.
 
@@ -299,13 +309,14 @@ def is_admissible(Q: IdealPresentation, N: int, n: int) -> Admissibility:
         raise ValueError(f"ideal is over Z_{Q.modulus.N}, not Z_{N}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not Q.contains(Poly.x_pow_plus_const(n, 1, Q.modulus)):
+    plus_one = _x_power_plus_one_rows(Q, n)
+    if not Q.contains_row(plus_one[n]):
         return Admissibility(False, "i", f"x^{n}+1 not in ideal")
     d = Q.constant_divisor()
     if d != N:
         return Admissibility(False, "iii", f"constant {d} in ideal")
     for m in range(1, n):
-        if Q.contains(Poly.x_pow_plus_const(m, 1, Q.modulus)):
+        if Q.contains_row(plus_one[m]):
             return Admissibility(False, "ii", f"x^{m}+1 in ideal")
     return Admissibility(True)
 
@@ -314,10 +325,11 @@ def is_admissible_type2(Q: IdealPresentation, n: int) -> Admissibility:
     """Involution-generator variant over Z_2: proper-divisor minimality."""
     if Q.modulus.N != 2:
         raise ValueError("type II presentations live over Z_2")
-    if not Q.contains(Poly.x_pow_plus_const(n, 1, Q.modulus)):
+    plus_one = _x_power_plus_one_rows(Q, n)
+    if not Q.contains_row(plus_one[n]):
         return Admissibility(False, "i", f"x^{n}+1 not in ideal")
     for m in divisors(n):
-        if m < n and Q.contains(Poly.x_pow_plus_const(m, 1, Q.modulus)):
+        if m < n and Q.contains_row(plus_one[m]):
             return Admissibility(False, "ii", f"x^{m}+1 in ideal")
     if Q.constant_divisor() != 2:
         return Admissibility(False, "iii", "ideal is the whole ring")
@@ -341,15 +353,6 @@ class CrtSplit:
     idempotents: tuple[Poly, ...]
     ambient: Poly
     embeddings: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def forward(self, f: Poly) -> list[Poly]:
-        return [poly_mod(f, ctx) for ctx in self.contexts]
-
-    def backward(self, parts) -> Poly:
-        acc = Poly.zero(self.ambient.modulus)
-        for g, e in zip(parts, self.idempotents):
-            acc = acc + g * e
-        return poly_mod(acc, self.ambient)
 
 
 @lru_cache(maxsize=None)

@@ -214,33 +214,33 @@ def reachable(start: int, steps, size: int) -> int:
 
 @lru_cache(maxsize=None)
 def _group_tables(invariants: tuple[int, ...]):
-    """(elements, index-of, add rows) of the group, built once per invariants tuple.
+    """(elements, index-of) of the group, built once per invariants tuple.
 
     Elements come in itertools.product order, so index order is coordinate
-    (lexicographic) order.  The rows are tuples because every caller shares them.
-    Row a is row (a - e_k) followed by row e_k, for the last nonzero
-    coordinate k of a; a - e_k sits stride_k places earlier, so it is built.
+    (lexicographic) order and index 0 is the zero.
     """
     els = tuple(itertools.product(*[range(d) for d in invariants]))
-    idx = {e: i for i, e in enumerate(els)}
-    r = len(invariants)
-    strides = [math.prod(invariants[k + 1 :]) for k in range(r)]
-    basis_rows = []
-    for k, (d, s) in enumerate(zip(invariants, strides)):
-        # adding e_k steps coordinate k by one, wrapping d - 1 back to 0
-        basis_rows.append(tuple(i + s if b[k] < d - 1 else i - (d - 1) * s for i, b in enumerate(els)))
-    add_rows = [tuple(range(len(els)))]
-    for i, a in enumerate(els[1:], 1):
-        k = next(k for k in range(r - 1, -1, -1) if a[k])
-        add_rows.append(tuple(map(basis_rows[k].__getitem__, add_rows[i - strides[k]])))
-    return els, idx, tuple(add_rows)
+    return els, {e: i for i, e in enumerate(els)}
+
+
+@lru_cache(maxsize=None)
+def translation(invariants: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """Index row of a -> a + g: entry i is the index of element i plus g.
+
+    Built one coordinate at a time; the first is the most significant digit.
+    """
+    row = [0]
+    for x, d in zip(g, invariants):
+        row = [t * d + (j + x) % d for t in row for j in range(d)]
+    return tuple(row)
 
 
 class AbelianGroupTable:
     """Finite abelian group in invariant-factor coordinates.
 
-    Index-based addition tables are built lazily, once per invariants tuple,
-    so the closure, homomorphism and face-tracing loops run on small integers.
+    Elements are numbered in product order, index 0 the zero.  The closure,
+    homomorphism and face-tracing loops run on small integers, through the
+    translation row a -> a + g of each element g they add, built once per g.
     """
 
     def __init__(self, invariants: tuple[int, ...]):
@@ -268,8 +268,12 @@ class AbelianGroupTable:
         return cls(tuple(d for d in diag if d > 1))
 
     def tables(self):
-        """(elements, index-of, add rows), shared by every table of these invariants."""
+        """(elements, index-of), shared by every table of these invariants."""
         return _group_tables(self.invariants)
+
+    def translation(self, g) -> tuple[int, ...]:
+        """Index row of a -> a + g, shared by every table of these invariants."""
+        return translation(self.invariants, tuple(g))
 
     @property
     def order(self) -> int:
@@ -305,10 +309,7 @@ class AbelianGroupTable:
         return n
 
     def generates(self, gens) -> bool:
-        _, idx, add_rows = self.tables()
-        # the table is symmetric, so row g maps a to a + g
-        steps = [add_rows[idx[tuple(g)]] for g in gens]
-        return reachable(idx[self.zero()], steps, self.order) == self.order
+        return reachable(0, [self.translation(g) for g in gens], self.order) == self.order
 
     def __repr__(self):
         return " x ".join(f"Z_{d}" for d in self.invariants)

@@ -8,7 +8,7 @@ from rbcm.cayley import _rank_mod_p
 from rbcm.ideals import _ext_gcd, _leading, _normalizing_unit, canonical_form
 from rbcm.poly import Poly, poly_mod
 from rbcm.structure import AbelianGroupTable
-from rbcm.zring import Modulus, factorize
+from rbcm.zring import Modulus, divisors, factorize
 
 
 def all_monic(modulus: Modulus, degree: int):
@@ -77,8 +77,13 @@ def reference_automorphism_matrices(invariants):
     return tuple(auts)
 
 
+@lru_cache(maxsize=None)
 def definitional_group_tables(invariants):
-    """(elements, index-of, add rows) straight from the definition of addition."""
+    """(elements, index-of, add rows) straight from the definition of addition.
+
+    Row a, column b holds the index of a + b.  Cached: the automorphism tests
+    read it once per table they check.
+    """
     els = tuple(itertools.product(*[range(d) for d in invariants]))
     idx = {e: i for i, e in enumerate(els)}
     add_rows = tuple(
@@ -86,6 +91,39 @@ def definitional_group_tables(invariants):
         for a in els
     )
     return els, idx, add_rows
+
+
+def crt_forward(split, f):
+    """Images of f in the component rings Z_{p^k}[x]/(ctx_i), in label order."""
+    return [poly_mod(f, ctx) for ctx in split.contexts]
+
+
+def crt_backward(split, parts):
+    """The ambient element with the given component images: sum_i parts[i]*e_i."""
+    acc = Poly.zero(split.ambient.modulus)
+    for g, e in zip(parts, split.idempotents):
+        acc = acc + g * e
+    return poly_mod(acc, split.ambient)
+
+
+def reference_admissibility(Q, n, type2=False):
+    """(ok, clause) of is_admissible (or is_admissible_type2), with each
+    x^m + 1 built as a Poly and tested by Q.contains."""
+
+    def plus_one_in(m):
+        return Q.contains(Poly.x_pow_plus_const(m, 1, Q.modulus))
+
+    if not plus_one_in(n):
+        return False, "i"
+    if type2:
+        if any(plus_one_in(m) for m in divisors(n) if m < n):
+            return False, "ii"
+        return (True, None) if Q.constant_divisor() == 2 else (False, "iii")
+    if Q.constant_divisor() != Q.modulus.N:
+        return False, "iii"
+    if any(plus_one_in(m) for m in range(1, n)):
+        return False, "ii"
+    return True, None
 
 
 def reference_combine(split, generator_lists):

@@ -278,6 +278,28 @@ def test_bounded_candidates_match_full_ring(p, k, n, bound):
     assert got == sorted(expected)
 
 
+@pytest.mark.parametrize(
+    "p,k,n,bound", [(2, 1, 8, 16), (2, 2, 4, 16), (3, 2, 3, 81), (5, 2, 4, 25), (2, 3, 4, 64)]
+)
+def test_bounded_candidates_local_tree_branch(monkeypatch, p, k, n, bound):
+    """With the enumeration budget at 0 every component goes through the
+    local tree, and the candidates are those of the default floor path."""
+    floor_rows = [Q.rows for Q in bounded_admissible_candidates(p, k, n, bound)]
+    tree = rbcm.cayley.bounded_ideals_local_tree
+    calls = []
+    monkeypatch.setattr(rbcm.cayley, "ENUM_BUDGET", 0)
+    monkeypatch.setattr(
+        rbcm.cayley, "bounded_ideals_local_tree", lambda *a: calls.append(a) or tree(*a)
+    )
+    bounded_admissible_candidates.cache_clear()
+    try:
+        tree_rows = [Q.rows for Q in bounded_admissible_candidates(p, k, n, bound)]
+    finally:
+        bounded_admissible_candidates.cache_clear()
+    assert len(calls) == len(crt_split(p, k, n).labels)
+    assert tree_rows == floor_rows
+
+
 def test_realize_record_collision():
     from rbcm.errors import DegenerateOmega
 

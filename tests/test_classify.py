@@ -1,6 +1,7 @@
 import ast
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,32 @@ def test_classify_2group_examples():
     assert types == [(2, 4), (4, 4)]
     ms1 = classify_2group(1, 2)
     assert [m.invariants for m in ms1] == []  # exponent-2 groups carry no type I
+
+
+def _clear_rbcm_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rbcm."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def test_classify_2group_large_groups_small_memory():
+    """classify twogroup --k 3 --n 4 at the CLI's default order bound 4096.
+
+    Its maps live on groups of order 512 to 4096, and checking one only adds
+    a cycle element to every group element; so the traced peak stays far
+    below what one |G| x |G| addition table of the largest group would take.
+    """
+    _clear_rbcm_caches()
+    tracemalloc.start()
+    try:
+        maps = classify_2group(3, 4, max_order=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [m.invariants for m in maps] == [(4, 4, 4, 8), (4, 4, 8, 8), (4, 8, 8, 8), (8, 8, 8, 8)]
+    assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_classify_coprime_examples():

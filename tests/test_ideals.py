@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from reference_helpers import crt_backward, crt_forward, reference_admissibility
 
+from rbcm.cayley import bounded_admissible_candidates
 from rbcm.errors import ComponentNotAdmissible, DuplicatePrime, TooLarge
 from rbcm.factorlift import base_factor, factor_xn_plus1
 from rbcm.ideals import (
@@ -142,20 +144,41 @@ def test_is_admissible_type2():
     assert not a.ok and a.clause == "ii"
 
 
+def test_admissibility_row_walk_matches_poly_membership():
+    """The x-power row walk gives the verdict and clause of testing each
+    x^m + 1 as a Poly, on every bounded candidate ideal and every m <= n."""
+    pairs = 0
+    for p in (2, 3, 5):
+        for k in range(1, 7):
+            N = p**k
+            if N > 81:
+                break
+            for n in range(1, 9):
+                for Q in bounded_admissible_candidates(p, k, n, 81):
+                    for m in range(1, n + 1):
+                        got = is_admissible(Q, N, m)
+                        assert (got.ok, got.clause) == reference_admissibility(Q, m), (Q, m)
+                        if N == 2:
+                            got = is_admissible_type2(Q, m)
+                            assert (got.ok, got.clause) == reference_admissibility(Q, m, True), (Q, m)
+                        pairs += 1
+    assert pairs == 3227
+
+
 def test_crt_split_examples():
     split = crt_split(5, 1, 2)
     x = Poly.x(Z5)
-    parts = split.forward(x)
+    parts = crt_forward(split, x)
     assert [p.coeffs for p in parts] == [(2,), (3,)]
     one = Poly.one(Z5)
-    assert all(p == one for p in split.forward(one))
-    assert split.backward(parts) == x
+    assert all(p == one for p in crt_forward(split, one))
+    assert crt_backward(split, parts) == x
 
     split31 = crt_split(3, 1, 2)
     assert len(split31.contexts) == 1
     assert split31.idempotents == (Poly.one(Modulus(3)),)
     x3 = Poly.x(Modulus(3))
-    assert split31.forward(x3) == [x3]
+    assert crt_forward(split31, x3) == [x3]
 
 
 @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 1, 4), (5, 1, 2), (2, 2, 3), (3, 2, 2)])
@@ -169,16 +192,16 @@ def test_crt_round_trip_exhaustive(p, k, n):
 
     residues = [Poly(c, mod) for c in itertools.product(range(p**k), repeat=n)]
     for f in residues:
-        assert split.backward(split.forward(f)) == poly_mod(f, split.ambient)
+        assert crt_backward(split, crt_forward(split, f)) == poly_mod(f, split.ambient)
     # homomorphism property on a sample
     rng = random.Random(3)
     for _ in range(300):
         f, g = rng.choice(residues), rng.choice(residues)
-        ff, gg = split.forward(f), split.forward(g)
-        assert split.forward(poly_mod(f * g, split.ambient)) == [
+        ff, gg = crt_forward(split, f), crt_forward(split, g)
+        assert crt_forward(split, poly_mod(f * g, split.ambient)) == [
             poly_mod(a * b, ctx) for a, b, ctx in zip(ff, gg, split.contexts)
         ]
-        assert split.forward(f + g) == [
+        assert crt_forward(split, f + g) == [
             poly_mod(a + b, ctx) for a, b, ctx in zip(ff, gg, split.contexts)
         ]
 

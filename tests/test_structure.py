@@ -15,6 +15,7 @@ from rbcm.structure import (
     quotient_group_type,
     quotient_isomorphism,
     smith_normal_form,
+    translation,
 )
 from rbcm.zring import Modulus
 
@@ -168,8 +169,14 @@ def test_abelian_group_table():
     "invariants", [(81,), (3, 27), (9, 9), (3, 3, 9), (2, 2, 2, 2), (2, 6), (2, 256)], ids=str
 )
 def test_group_tables_match_definition(invariants):
-    """Rows composed from basis rows equal the tables built from (a + b) mod d."""
-    assert _group_tables(invariants) == definitional_group_tables(invariants)
+    """Elements, indices and every translation row agree with the tables
+    built from (a + b) mod d: the translation by g is column g."""
+    els, idx, add_rows = definitional_group_tables(invariants)
+    assert _group_tables(invariants) == (els, idx)
+    assert els[0] == (0,) * len(invariants)
+    for j, g in enumerate(els):
+        assert translation(invariants, g) == tuple(row[j] for row in add_rows)
+    assert AbelianGroupTable(invariants).translation(list(els[-1])) == translation(invariants, els[-1])
 
 
 def test_smith_invariants_match_sympy():

@@ -33,3 +33,11 @@ def test_tracer_targets_resolve():
         if not ok:
             missing.append(target)
     assert not missing, f"tracer targets missing from rbcm: {missing}"
+
+
+def test_benchmark_reads_resolve():
+    """perfbench/run.py reads these cayley names for every sweep row."""
+    from rbcm import cayley
+
+    assert isinstance(cayley.AUT_CANDIDATE_LIMIT, int)
+    assert cayley.aut_candidate_count((9, 9)) <= cayley.AUT_CANDIDATE_LIMIT
