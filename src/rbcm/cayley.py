@@ -242,7 +242,7 @@ def realize_record(Q: IdealPresentation, n: int, map_type: str) -> CayleyMapReco
     if not typ.invariant_factors:
         raise DegenerateOmega("trivial quotient")
     group = AbelianGroupTable(typ.invariant_factors)
-    omegas = [to_coords(ring.x_power_image(i)) for i in range(n)]
+    omegas = [to_coords(w) for w in ring.x_power_images(n)]
     if map_type == "I":
         negs = [group.neg(w) for w in omegas]
         cycle = omegas + negs

@@ -270,33 +270,39 @@ def _rank2_generator_check(
 
     The quotient of a surviving rank-2 ideal with a double root at mu has
     residues c0 + c1*x with c1 bounded by p; the pairing
-    (c0 + c1*(mu + p*nu), c1) must be a group isomorphism onto
-    Z_{p^k} x Z_p sending the image of x^(i-1) to the predicted pair.
+    phi(c0 + c1*x) = (c1, c0 + c1*(mu + p*nu)) must be a group isomorphism
+    onto Z_p x Z_{p^k} sending the image of x^(i-1) to the predicted pair.
+
+    Additivity is checked on the relation rows, not on residue pairs.  Let L
+    be the Z-linear map on coefficient rows with L(x^j) = phi(reduced x^j).
+    If L kills every Howell row of Q (the "not additive" check), it kills
+    the whole relation lattice: N*e_c too, because the target has exponent
+    N = p^k.  L and phi agree on the reduced residues 1 and x, so on every
+    residue, and each row differs from its reduction by a relation; hence
+    L = phi(reduce(.)) on every row, and phi is additive on the quotient.
     """
     N = p**k
+    D = Q.width
+    require(Q.residue_bounds() == [1] * (D - 2) + [p, N], "unreduced residue")
     ring = QuotientRing(Q)
-    target = AbelianGroupTable((p, N))
+    lam = mu + p * nu
 
     def phi(row) -> tuple[int, int]:
-        poly = Q.row_to_poly(row)
-        c0, c1 = poly[0], poly[1]
-        require(all(poly[i] == 0 for i in range(2, Q.width)), "unreduced residue")
-        return (c1 % p, (c0 + c1 * (mu + p * nu)) % N)
+        return (row[D - 2] % p, (row[D - 1] + row[D - 2] * lam) % N)
 
-    residues = ring.residues()
-    images = {phi(res) for res in residues}
-    require(len(images) == ring.order == target.order, "generator map is not bijective")
-    for a in residues:
-        for b in residues:
-            require(phi(ring.add(a, b)) == target.add(phi(a), phi(b)), "not additive")
+    images = [phi(w) for w in ring.x_power_images(max(D, n))]
+    require(len({phi(res) for res in ring.residues()}) == p * N, "generator map is not bijective")
+    for h in Q.rows:
+        first = sum(c * images[D - 1 - j][0] for j, c in enumerate(h)) % p
+        second = sum(c * images[D - 1 - j][1] for j, c in enumerate(h)) % N
+        require((first, second) == (0, 0), "not additive")
     for i in range(1, n + 1):
-        omega = ring.x_power_image(i - 1)
         first = (
-            pow(mu + p * nu, i - 1, N)
+            pow(lam, i - 1, N)
             + _binom2(i - 1) * (p * alpha - p * p * nu * nu) * (pow(mu, i - 3, N) if i >= 3 else 0)
         ) % N
         second = ((i - 1) * (pow(mu, i - 2, N) if i >= 2 else 0)) % p
-        if phi(omega) != (second, first):
+        if images[i - 1] != (second, first):
             raise InvariantViolation(f"generator {i} mismatch")
 
 
@@ -312,17 +318,17 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
     context = Poly.x_pow_plus_const(n, 1, mod)
     target = tuple(sorted((p**k, p**k2)))
     out = []
-    seen: dict[tuple, str] = {}
+    # ideal rows -> case of its family map, or None when it gives none
+    seen: dict[tuple, str | None] = {}
 
     def push(Q, case, rec_params):
-        rec = _try_build(Q, N, n, "I", max_order)
-        if rec is None:
-            return
-        if rec.group.invariants != target:
-            return
         if Q.rows in seen:
-            if seen[Q.rows] != case:
+            if seen[Q.rows] not in (None, case):
                 raise InvariantViolation(f"ideal produced by case {seen[Q.rows]} and case {case}")
+            return
+        rec = _try_build(Q, N, n, "I", max_order)
+        if rec is None or rec.group.invariants != target:
+            seen[Q.rows] = None
             return
         seen[Q.rows] = case
         out.append(FamilyMap(_params("rank2", case=case, **rec_params), Q, rec))
@@ -409,10 +415,9 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
 
 def _rank2_eval_check(Q, n, p, k, k2, mu1, mu2):
     """Case (a) generators are evaluation pairs (mu1^i, mu2^i)."""
-    ring = QuotientRing(Q)
     N1, N2 = p**k, p**k2
-    for i in range(1, n + 1):
-        f = Q.row_to_poly(ring.x_power_image(i - 1))
+    for i, omega in enumerate(QuotientRing(Q).x_power_images(n), 1):
+        f = Q.row_to_poly(omega)
         require(f.evaluate(mu1) % N1 == pow(mu1, i - 1, N1), "not the evaluation at mu1")
         require(f.evaluate(mu2 % N2) % N2 == pow(mu2, i - 1, N2), "not the evaluation at mu2")
 

@@ -127,6 +127,14 @@ def x_step(row, context_monic: Poly, N: int) -> tuple[int, ...]:
     return tuple((a - top * c) % N for a, c in zip((*row[1:], 0), lower))
 
 
+def x_powers(row, context_monic: Poly, N: int, count: int) -> list:
+    """row, x*row, ..., x^(count-1)*row mod the monic context, from one x_step walk."""
+    powers = [row] if count > 0 else []
+    while len(powers) < count:
+        powers.append(x_step(powers[-1], context_monic, N))
+    return powers
+
+
 @dataclass(frozen=True)
 class IdealPresentation:
     """Canonical presentation of an ideal of Z_N[x] containing context_monic."""
@@ -137,8 +145,9 @@ class IdealPresentation:
     _pivots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # built once: every reduction against this ideal reads it
-        object.__setattr__(self, "_pivots", {_leading(r): (r[_leading(r)], r) for r in self.rows})
+        # built once, in column order: every reduction against this ideal reads it
+        leads = sorted((_leading(r), r) for r in self.rows)
+        object.__setattr__(self, "_pivots", {c: (r[c], r) for c, r in leads})
 
     @property
     def width(self) -> int:
@@ -173,10 +182,8 @@ class IdealPresentation:
         """Canonical coset representative of a coefficient vector."""
         N = self.modulus.N
         v = [x % N for x in vec]
-        piv = self._pivots
-        for c in range(self.width):
-            if c in piv and v[c]:
-                d, row = piv[c]
+        for c, (d, row) in self._pivots.items():
+            if v[c]:
                 q = v[c] // d
                 if q:
                     v = [(x - q * y) % N for x, y in zip(v, row)]
@@ -227,9 +234,7 @@ def ideal_of_rows(
     N = modulus.N
     rows = list(base_rows)
     for row in gen_rows:
-        for _ in range(D):
-            rows.append(row)
-            row = x_step(row, context_monic, N)
+        rows += x_powers(row, context_monic, N, D)
     pres = IdealPresentation(modulus, context_monic, howell_form(rows, N, D))
     _assert_shift_closed(pres)
     return pres
@@ -289,13 +294,10 @@ class Admissibility:
 
 
 def _x_power_plus_one_rows(Q: IdealPresentation, n: int) -> list[list[int]]:
-    """Rows of x^m + 1 mod Q's context for 0 <= m <= n, from one x_step walk."""
-    row = one = (0,) * (Q.width - 1) + (1,)
-    rows = []
-    for _ in range(n + 1):
-        rows.append([a + b for a, b in zip(row, one)])
-        row = x_step(row, Q.context_monic, Q.modulus.N)
-    return rows
+    """Rows of x^m + 1 mod Q's context for 0 <= m <= n, from one x-power walk."""
+    one = (0,) * (Q.width - 1) + (1,)
+    powers = x_powers(one, Q.context_monic, Q.modulus.N, n + 1)
+    return [[a + b for a, b in zip(row, one)] for row in powers]
 
 
 def is_admissible(Q: IdealPresentation, N: int, n: int) -> Admissibility:
@@ -376,11 +378,7 @@ def crt_split(p: int, k: int, n: int) -> CrtSplit:
         e = poly_mod(v * rest, ambient)
         idems.append(e)
         row = tuple(e[n - 1 - c] for c in range(n))
-        shifts = []
-        for _ in range(ctx.degree):
-            shifts.append(row)
-            row = x_step(row, ambient, mod.N)
-        embeddings.append(tuple(reversed(shifts)))
+        embeddings.append(tuple(reversed(x_powers(row, ambient, mod.N, ctx.degree))))
     split = CrtSplit(p, k, n, labels, contexts, tuple(idems), ambient, tuple(embeddings))
     _certify_embeddings(split)
     require(poly_mod(sum(idems[1:], idems[0]), ambient) == one, "idempotents do not sum to 1")

@@ -54,8 +54,10 @@ class Poly:
 
     @classmethod
     def x_pow_plus_const(cls, n: int, c: int, modulus: Modulus) -> "Poly":
-        """x^n + c."""
-        return cls([c] + [0] * (n - 1) + [1], modulus)
+        """x^n + c; n = 0 gives the constant 1 + c."""
+        coeffs = [0] * n + [1]
+        coeffs[0] += c
+        return cls(coeffs, modulus)
 
     @property
     def degree(self) -> int:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantViolation, TooLarge, require
-from .ideals import IdealPresentation, x_step
-from .poly import Poly
+from .ideals import IdealPresentation, x_powers
 
 RESIDUE_BUDGET = 1 << 16
 
@@ -146,12 +145,10 @@ def quotient_isomorphism(Q: IdealPresentation):
 
 
 class QuotientRing:
-    """Residue table of Z_N[x]/Q with addition and x-multiplication."""
+    """Residues and x-power rows of Z_N[x]/Q, within the residue budget."""
 
     def __init__(self, Q: IdealPresentation):
         self.ideal = Q
-        self.modulus = Q.modulus
-        self.context = Q.context_monic
         self.order = Q.quotient_size()
         if self.order > RESIDUE_BUDGET:
             raise TooLarge(f"quotient has {self.order} residues (budget {RESIDUE_BUDGET})")
@@ -159,32 +156,14 @@ class QuotientRing:
     def residues(self) -> list[tuple[int, ...]]:
         return list(self.ideal.residues())
 
-    def reduce_poly(self, f: Poly) -> tuple[int, ...]:
-        return self.ideal.reduce_row(self.ideal.poly_to_row(f))
-
-    def to_poly(self, row) -> Poly:
-        return self.ideal.row_to_poly(row)
-
-    def add(self, a, b) -> tuple[int, ...]:
-        return self.ideal.reduce_row([x + y for x, y in zip(a, b)])
-
-    def neg(self, a) -> tuple[int, ...]:
-        return self.ideal.reduce_row([-x for x in a])
-
-    def mul_x(self, a) -> tuple[int, ...]:
-        return self.ideal.reduce_row(x_step(a, self.context, self.modulus.N))
-
-    def mul(self, a, b) -> tuple[int, ...]:
-        return self.reduce_poly(self.to_poly(a) * self.to_poly(b))
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.ideal.width
+    def x_power_images(self, n: int) -> list[tuple[int, ...]]:
+        """Reduced rows of x^0, ..., x^(n-1), from one x-power walk."""
+        Q = self.ideal
+        one = (0,) * (Q.width - 1) + (1,)
+        return [Q.reduce_row(r) for r in x_powers(one, Q.context_monic, Q.modulus.N, n)]
 
     def x_power_image(self, i: int) -> tuple[int, ...]:
-        row = (0,) * (self.ideal.width - 1) + (1,)
-        for _ in range(i):
-            row = x_step(row, self.context, self.modulus.N)
-        return self.ideal.reduce_row(row)
+        return self.x_power_images(i + 1)[i]
 
 
 def enumerate_residues(Q: IdealPresentation) -> list[tuple[int, ...]]:

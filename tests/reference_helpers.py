@@ -5,9 +5,11 @@ import math
 from functools import lru_cache, reduce
 
 from rbcm.cayley import _rank_mod_p
+from rbcm.classify import _binom2
+from rbcm.errors import InvariantViolation, require
 from rbcm.ideals import _ext_gcd, _leading, _normalizing_unit, canonical_form
 from rbcm.poly import Poly, poly_mod
-from rbcm.structure import AbelianGroupTable
+from rbcm.structure import AbelianGroupTable, QuotientRing
 from rbcm.zring import Modulus, divisors, factorize
 
 
@@ -204,3 +206,41 @@ def reference_quadratic_divisors(N: int, n: int) -> list[tuple[int, int]]:
             if c1 == 0 and (c0 + 1) % N == 0:
                 out.append((a, b))
     return out
+
+
+def reference_rank2_generator_check(Q, n: int, p: int, k: int, mu: int, alpha: int, nu: int) -> None:
+    """The rank-2 generator certificate checked pairwise, on every residue pair.
+
+    phi reads each residue through a Poly (once, then from a cache) and must
+    be additive on all |Q|^2 pairs.  classify._rank2_generator_check checks
+    additivity on the relation rows instead and must raise the same messages.
+    """
+    N = p**k
+    ring = QuotientRing(Q)
+    target = AbelianGroupTable((p, N))
+
+    def add(a, b):
+        return Q.reduce_row([x + y for x, y in zip(a, b)])
+
+    @lru_cache(maxsize=None)
+    def phi(row) -> tuple[int, int]:
+        poly = Q.row_to_poly(row)
+        c0, c1 = poly[0], poly[1]
+        require(all(poly[i] == 0 for i in range(2, Q.width)), "unreduced residue")
+        return (c1 % p, (c0 + c1 * (mu + p * nu)) % N)
+
+    residues = ring.residues()
+    images = {phi(res) for res in residues}
+    require(len(images) == ring.order == target.order, "generator map is not bijective")
+    for a in residues:
+        for b in residues:
+            require(phi(add(a, b)) == target.add(phi(a), phi(b)), "not additive")
+    for i in range(1, n + 1):
+        omega = ring.x_power_image(i - 1)
+        first = (
+            pow(mu + p * nu, i - 1, N)
+            + _binom2(i - 1) * (p * alpha - p * p * nu * nu) * (pow(mu, i - 3, N) if i >= 3 else 0)
+        ) % N
+        second = ((i - 1) * (pow(mu, i - 2, N) if i >= 2 else 0)) % p
+        if phi(omega) != (second, first):
+            raise InvariantViolation(f"generator {i} mismatch")

@@ -4,7 +4,9 @@ combine_components maps component Howell rows through the CRT embedding
 rows; reference_combine builds the same ideal from polynomial generators.
 howell_form buckets rows by leading column; reference_howell_form rescans the
 pool for each column.  radical_floor takes the s + 1 products p^a g^(s-a);
-the reference takes all 2^s products.
+the reference takes all 2^s products.  reduce_row walks the pivots in
+column order, whatever the order of the rows it was given, and x_powers
+walks the same rows as powers of x through Poly.
 """
 
 import dataclasses
@@ -25,6 +27,7 @@ from rbcm.errors import InvariantViolation
 from rbcm.factorlift import base_factor
 from rbcm.ideals import (
     ENUM_BUDGET,
+    IdealPresentation,
     _certify_embeddings,
     bounded_ideals_local_tree,
     combine_components,
@@ -32,8 +35,9 @@ from rbcm.ideals import (
     enumerate_ideals_between,
     howell_form,
     radical_floor,
+    x_powers,
 )
-from rbcm.zring import Modulus
+from rbcm.zring import Modulus, factorize
 
 BOUND = 81
 
@@ -167,3 +171,29 @@ def test_row_layer_builds_no_poly(monkeypatch):
     monkeypatch.undo()
     assert len(combined) > 1 and all(len(ideals) > 1 for ideals in per)
     assert not made
+
+
+@pytest.mark.parametrize("N,n", [(4, 3), (9, 2), (8, 2), (3, 4)])
+def test_reduce_row_reads_pivots_in_column_order(N, n):
+    p, k = factorize(N)[0]
+    mod = Modulus(p, k)
+    ctx = poly.Poly.x_pow_plus_const(n, 1, mod)
+    ideals = [q for q in enumerate_ideals_between(ctx, mod) if len(q.rows) > 1]
+    assert ideals
+    for q in ideals:
+        reverse = IdealPresentation(mod, ctx, q.rows[::-1])
+        for vec in itertools.product(range(N), repeat=n):
+            assert reverse.reduce_row(vec) == q.reduce_row(vec), (q.rows, vec)
+
+
+@pytest.mark.parametrize("N,n", [(4, 3), (9, 4), (5, 1)])
+def test_x_powers_walk_matches_poly_powers(N, n):
+    p, k = factorize(N)[0]
+    mod = Modulus(p, k)
+    ctx = poly.Poly.x_pow_plus_const(n, 1, mod)
+    q = enumerate_ideals_between(ctx, mod)[0]  # the zero ideal: rows are reduced mod ctx only
+    one = (0,) * (n - 1) + (1,)
+    powers = x_powers(one, ctx, N, 3 * n + 1)
+    assert len(powers) == 3 * n + 1 and x_powers(one, ctx, N, 0) == []
+    for i, row in enumerate(powers):
+        assert tuple(row) == q.poly_to_row(poly.Poly.x(mod) ** i)

@@ -37,6 +37,13 @@ def test_trim_and_degree():
     assert P([5, 10], Z5).is_zero()
 
 
+def test_x_pow_plus_const():
+    assert Poly.x_pow_plus_const(0, 1, Z5).coeffs == (2,)
+    assert Poly.x_pow_plus_const(0, -1, Z5).is_zero()
+    assert Poly.x_pow_plus_const(1, 1, Z5).coeffs == (1, 1)
+    assert Poly.x_pow_plus_const(3, -1, Z5).coeffs == (4, 0, 0, 1)
+
+
 def test_divmod_examples():
     # x^2+1 = (x+2)(x-2) over Z_5
     q, r = divmod_monic(P([1, 0, 1], Z5), P([-2, 1], Z5))

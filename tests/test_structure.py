@@ -4,7 +4,7 @@ import pytest
 from reference_helpers import definitional_group_tables
 
 from rbcm.errors import InvariantViolation, TooLarge
-from rbcm.ideals import canonical_form, is_admissible, zero_ideal
+from rbcm.ideals import canonical_form, is_admissible, x_step, zero_ideal
 from rbcm.poly import Poly
 from rbcm.structure import (
     AbelianGroupTable,
@@ -110,34 +110,45 @@ def test_quotient_ring_ops():
         mod = Q.modulus
         ring = QuotientRing(Q)
         res = ring.residues()
-        assert len(res) == size
-        zero = ring.zero()
-        x = ring.reduce_poly(Poly.x(mod))
+        assert len(res) == size == ring.order
+        zero = (0,) * Q.width
+        x = Poly.x(mod)
+
+        def reduce(f):
+            return Q.reduce_row(Q.poly_to_row(f))
+
         for a in res:
-            assert ring.add(a, zero) == a
-            assert ring.add(a, ring.neg(a)) == zero
-            assert ring.mul_x(a) == ring.mul(x, a)
-        for i in range(2 * Q.width + 1):
-            assert ring.x_power_image(i) == ring.reduce_poly(Poly.x(mod) ** i)
+            assert Q.reduce_row(a) == a
+            neg = Q.reduce_row([-v for v in a])
+            assert Q.reduce_row([s + t for s, t in zip(a, neg)]) == zero
+            assert Q.reduce_row(x_step(a, Q.context_monic, mod.N)) == reduce(x * Q.row_to_poly(a))
+        count = 2 * Q.width + 1
+        images = ring.x_power_images(count)
+        assert len(images) == count
+        for i in range(count):
+            assert ring.x_power_image(i) == images[i] == reduce(x**i)
         # closure of addition and x-multiplication on representatives
         rset = set(res)
         for a in res[:5]:
             for b in res:
-                assert ring.add(a, b) in rset
-            assert ring.mul_x(a) in rset
+                total = Q.reduce_row([s + t for s, t in zip(a, b)])
+                assert total in rset
+                assert total == reduce(Q.row_to_poly(a) + Q.row_to_poly(b))
+            assert reduce(x * Q.row_to_poly(a)) in rset
 
 
 def test_quotient_isomorphism_is_group_iso():
     Q = canonical_form([P([2, 2], Z4)], ctx(2, Z4), Z4)
     typ, to_coords = quotient_isomorphism(Q)
     assert typ.invariant_factors == (2, 4)
-    ring = QuotientRing(Q)
     table = AbelianGroupTable(typ.invariant_factors)
-    images = [to_coords(a) for a in ring.residues()]
+    res = list(Q.residues())
+    images = [to_coords(a) for a in res]
     assert len(set(images)) == len(images) == table.order
-    for a in ring.residues():
-        for b in ring.residues():
-            assert to_coords(ring.add(a, b)) == table.add(to_coords(a), to_coords(b))
+    for a in res:
+        for b in res:
+            total = Q.reduce_row([s + t for s, t in zip(a, b)])
+            assert to_coords(total) == table.add(to_coords(a), to_coords(b))
 
 
 def test_too_large_guard():
