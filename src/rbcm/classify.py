@@ -259,19 +259,17 @@ def classify_coprime(p: int, k: int, n: int, max_order=None) -> list[FamilyMap]:
     return _family_maps(bounded_combinations(split, cases, max_order), p**k, n, "I", None)
 
 
-def _binom2(i: int) -> int:
-    return i * (i - 1) // 2
-
-
 def _rank2_generator_check(
-    Q: IdealPresentation, n: int, p: int, k: int, mu: int, alpha: int, nu: int
+    Q: IdealPresentation, n: int, p: int, k: int, k2: int, mu: int, alpha: int
 ) -> None:
     """Verify the explicit generator pairs against the built quotient.
 
     The quotient of a surviving rank-2 ideal with a double root at mu has
-    residues c0 + c1*x with c1 bounded by p; the pairing
-    phi(c0 + c1*x) = (c1, c0 + c1*(mu + p*nu)) must be a group isomorphism
-    onto Z_p x Z_{p^k} sending the image of x^(i-1) to the predicted pair.
+    residues c0 + c1*x with c1 bounded by p^k2; the pairing
+    phi(c0 + c1*x) = (c1, c0 + c1*mu) must be a group isomorphism onto
+    Z_{p^k2} x Z_{p^k} sending the image of x^(i-1) to the predicted pair.
+    With y = x - mu the quotient has y^2 = p*alpha, so x^i = A + B*y with
+    (A, B) <- (mu*A + p*alpha*B, A + mu*B) from (1, 0), and phi(x^i) = (B, A).
 
     Additivity is checked on the relation rows, not on residue pairs.  Let L
     be the Z-linear map on coefficient rows with L(x^j) = phi(reduced x^j).
@@ -281,29 +279,25 @@ def _rank2_generator_check(
     residue, and each row differs from its reduction by a relation; hence
     L = phi(reduce(.)) on every row, and phi is additive on the quotient.
     """
-    N = p**k
+    N, M = p**k, p**k2
     D = Q.width
-    require(Q.residue_bounds() == [1] * (D - 2) + [p, N], "unreduced residue")
+    require(Q.residue_bounds() == [1] * (D - 2) + [M, N], "unreduced residue")
     ring = QuotientRing(Q)
-    lam = mu + p * nu
 
     def phi(row) -> tuple[int, int]:
-        return (row[D - 2] % p, (row[D - 1] + row[D - 2] * lam) % N)
+        return (row[D - 2] % M, (row[D - 1] + row[D - 2] * mu) % N)
 
     images = [phi(w) for w in ring.x_power_images(max(D, n))]
-    require(len({phi(res) for res in ring.residues()}) == p * N, "generator map is not bijective")
+    require(len({phi(res) for res in ring.residues()}) == M * N, "generator map is not bijective")
     for h in Q.rows:
-        first = sum(c * images[D - 1 - j][0] for j, c in enumerate(h)) % p
+        first = sum(c * images[D - 1 - j][0] for j, c in enumerate(h)) % M
         second = sum(c * images[D - 1 - j][1] for j, c in enumerate(h)) % N
         require((first, second) == (0, 0), "not additive")
+    a, b = 1, 0
     for i in range(1, n + 1):
-        first = (
-            pow(lam, i - 1, N)
-            + _binom2(i - 1) * (p * alpha - p * p * nu * nu) * (pow(mu, i - 3, N) if i >= 3 else 0)
-        ) % N
-        second = ((i - 1) * (pow(mu, i - 2, N) if i >= 2 else 0)) % p
-        if images[i - 1] != (second, first):
+        if images[i - 1] != (b % M, a):
             raise InvariantViolation(f"generator {i} mismatch")
+        a, b = (mu * a + p * alpha * b) % N, (a + mu * b) % N
 
 
 def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[FamilyMap]:
@@ -360,11 +354,13 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
                     (lab.d, lab.l),
                     lift_level0_factor(lab.d, lab.l, p, k).poly,
                 )
+        unit_roots = solve_unit_roots(p, k, n)
         for f in quadratics:
             red = f.reduce_mod(Modulus(p))
             roots = [t for t in range(p) if red.evaluate(t) == 0]
             if len(roots) == 2:
-                full = [t for t in range(N) if f.evaluate(t) == 0]
+                # f divides x^n + 1, so its roots are among the unit roots
+                full = [t for t in unit_roots if f.evaluate(t) == 0]
                 mu1 = next(t for t in full if t % p == roots[0])
                 mu2 = next(t for t in full if t % p == roots[1])
                 push(canonical_form([f], context, mod), "a", dict(mu1=mu1, mu2=mu2))
@@ -379,35 +375,32 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
                     dict(label=dl, shift=shift, theta_condition=(p + 1) % dl[0] == 0),
                 )
             elif k == 1:
-                push(canonical_form([f], context, mod), "c", dict(mu=roots[0], alpha=0, nu=0))
+                push(canonical_form([f], context, mod), "c", dict(mu=roots[0], alpha=0))
             else:
                 # double root at equal precision k >= 2: outside the four
                 # narrow case tags, surfaced in the diagnostics
                 push(canonical_form([f], context, mod), "c+", dict(mu=roots[0], coeffs=f.coeffs))
 
-    # (d) double root with depth-two corrections
-    if k > k2 == 1 and r > 0:
-        nu_step = p ** max(k - r - 1, 0)
-        alpha_step = p ** max(k - 2, 0)
-        for mu in solve_unit_roots(p, k, n):
-            for nu in range(0, N, nu_step):
-                for t in range(min(p * p, N // alpha_step)):
-                    alpha = (p * nu * nu + t * alpha_step) % N
-                    gens = [
-                        (x - Poly.constant(mu, mod)) ** 2 - Poly.constant(p * alpha, mod),
-                        Poly.constant(p, mod) * (x - Poly.constant(mu, mod))
-                        - Poly.constant(p * p * nu, mod),
-                    ]
-                    Q = canonical_form(gens, context, mod)
-                    push(Q, "d", dict(mu=mu, alpha=alpha, nu=nu))
+    # (d) double root mod p, one (mu, alpha) box mod p^(k-1): the ideal
+    # <(x-mu)^2 - p*alpha, p^k2*(x-mu)>.  Shifting mu or alpha by p^(k-1)
+    # changes neither generator modulo the ideal, since k-1 >= k2 and
+    # 2k-2 >= k.  A corrected generator p(x-mu) - p^2*s adds nothing: it is
+    # p(x-mu') at mu' = mu + p*s, with alpha - p*s^2 in place of alpha
+    if k > k2 and r > 0:
+        box = p ** (k - 1)
+        for mu in range(box):
+            if (pow(mu, n, p) + 1) % p:
+                continue
+            y = x - Poly.constant(mu, mod)
+            for alpha in range(box):
+                gens = [y**2 - Poly.constant(p * alpha, mod), Poly.constant(p**k2, mod) * y]
+                push(canonical_form(gens, context, mod), "d", dict(mu=mu, alpha=alpha))
 
     for fm in out:
-        case = fm.params.as_dict()["case"]
-        if case in ("c", "d"):
-            d = fm.params.as_dict()
-            _rank2_generator_check(fm.ideal, n, p, k, d["mu"], d["alpha"], d["nu"])
-        if case == "a":
-            d = fm.params.as_dict()
+        d = fm.params.as_dict()
+        if d["case"] in ("c", "d"):
+            _rank2_generator_check(fm.ideal, n, p, k, k2, d["mu"], d["alpha"])
+        elif d["case"] == "a":
             _rank2_eval_check(fm.ideal, n, p, k, k2, d["mu1"], d["mu2"])
     _assert_pairwise_distinct(out)
     return out
@@ -416,10 +409,17 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
 def _rank2_eval_check(Q, n, p, k, k2, mu1, mu2):
     """Case (a) generators are evaluation pairs (mu1^i, mu2^i)."""
     N1, N2 = p**k, p**k2
-    for i, omega in enumerate(QuotientRing(Q).x_power_images(n), 1):
-        f = Q.row_to_poly(omega)
-        require(f.evaluate(mu1) % N1 == pow(mu1, i - 1, N1), "not the evaluation at mu1")
-        require(f.evaluate(mu2 % N2) % N2 == pow(mu2, i - 1, N2), "not the evaluation at mu2")
+
+    def evaluate(row, t, N):
+        # Horner's rule on a coefficient row, highest degree first
+        acc = 0
+        for c in row:
+            acc = (acc * t + c) % N
+        return acc
+
+    for i, omega in enumerate(QuotientRing(Q).x_power_images(n)):
+        require(evaluate(omega, mu1, N1) == pow(mu1, i, N1), "not the evaluation at mu1")
+        require(evaluate(omega, mu2, N2) == pow(mu2, i, N2), "not the evaluation at mu2")
 
 
 def rank2_shift_family_outcome(maps: list[FamilyMap]) -> dict:

@@ -2,7 +2,8 @@
 
 Exit status 0 on success, 1 on domain errors (the error class name is
 printed), 2 on usage errors, which include every ValueError raised for a bad
-value.  All output is deterministic.
+value.  A crosscheck with an instance that is not ok prints its report, then
+exits 1 with ReconciliationMismatch.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .classify import (
     cross_check,
     sweep,
 )
-from .errors import DomainError
+from .errors import DomainError, ReconciliationMismatch
 from .factorlift import (
     factor_radical_sum,
     factor_xn_minus1,
@@ -222,6 +223,9 @@ def cmd_crosscheck(args) -> None:
         for r in instances
     ]
     _emit(args, payload, rows, ("group", "valence", "oracle", "standard", "status"))
+    bad = sum(not r.ok for r in instances)
+    if bad:
+        raise ReconciliationMismatch(f"{bad} of {len(instances)} instances are not ok")
 
 
 def cmd_export_map(args) -> None:

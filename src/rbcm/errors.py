@@ -69,6 +69,10 @@ class InvariantViolation(DomainError):
     """A certificate of a definitional property failed."""
 
 
+class ReconciliationMismatch(DomainError):
+    """A cross-check report has instances that are not ok."""
+
+
 def require(cond: bool, message: str) -> None:
     """Raise InvariantViolation unless cond holds; unlike assert, not stripped by -O."""
     if not cond:

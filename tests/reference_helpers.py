@@ -5,8 +5,9 @@ import math
 from functools import lru_cache, reduce
 
 from rbcm.cayley import _rank_mod_p
-from rbcm.classify import _binom2
+from rbcm.classify import _try_build, solve_unit_roots
 from rbcm.errors import InvariantViolation, require
+from rbcm.factorlift import split_p_part
 from rbcm.ideals import _ext_gcd, _leading, _normalizing_unit, canonical_form
 from rbcm.poly import Poly, poly_mod
 from rbcm.structure import AbelianGroupTable, QuotientRing
@@ -208,16 +209,24 @@ def reference_quadratic_divisors(N: int, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def reference_rank2_generator_check(Q, n: int, p: int, k: int, mu: int, alpha: int, nu: int) -> None:
-    """The rank-2 generator certificate checked pairwise, on every residue pair.
+def reference_rank2_generator_check(
+    Q, n: int, p: int, k: int, k2: int, mu: int, alpha: int
+) -> None:
+    """The rank-2 generator certificate checked on residues.
 
     phi reads each residue through a Poly (once, then from a cache) and must
-    be additive on all |Q|^2 pairs.  classify._rank2_generator_check checks
-    additivity on the relation rows instead and must raise the same messages.
+    be additive into Z_{p^k2} x Z_{p^k}: phi(a + g) = phi(a) + phi(g) for
+    every residue a and each g in {1, x}.  Those two generate the quotient,
+    and the b with phi(a + b) = phi(a) + phi(b) for all a are closed under
+    addition, so this is additivity on all pairs.  The image of x^i is
+    predicted from the binomial sum: with y = x - mu and y^2 = p*alpha,
+    x^i = sum_j C(i, j) mu^(i-j) y^j.  classify._rank2_generator_check checks
+    additivity on the relation rows and predicts by a recurrence instead, and
+    must raise the same messages.
     """
-    N = p**k
+    N, M = p**k, p**k2
     ring = QuotientRing(Q)
-    target = AbelianGroupTable((p, N))
+    target = AbelianGroupTable((M, N))
 
     def add(a, b):
         return Q.reduce_row([x + y for x, y in zip(a, b)])
@@ -227,20 +236,52 @@ def reference_rank2_generator_check(Q, n: int, p: int, k: int, mu: int, alpha: i
         poly = Q.row_to_poly(row)
         c0, c1 = poly[0], poly[1]
         require(all(poly[i] == 0 for i in range(2, Q.width)), "unreduced residue")
-        return (c1 % p, (c0 + c1 * (mu + p * nu)) % N)
+        return (c1 % M, (c0 + c1 * mu) % N)
 
     residues = ring.residues()
     images = {phi(res) for res in residues}
     require(len(images) == ring.order == target.order, "generator map is not bijective")
-    for a in residues:
-        for b in residues:
-            require(phi(add(a, b)) == target.add(phi(a), phi(b)), "not additive")
+    for g in ring.x_power_images(2):
+        for a in residues:
+            require(phi(add(a, g)) == target.add(phi(a), phi(g)), "not additive")
     for i in range(1, n + 1):
         omega = ring.x_power_image(i - 1)
-        first = (
-            pow(mu + p * nu, i - 1, N)
-            + _binom2(i - 1) * (p * alpha - p * p * nu * nu) * (pow(mu, i - 3, N) if i >= 3 else 0)
-        ) % N
-        second = ((i - 1) * (pow(mu, i - 2, N) if i >= 2 else 0)) % p
+        terms = [
+            math.comb(i - 1, j) * mu ** (i - 1 - j) * (p * alpha) ** (j // 2) for j in range(i)
+        ]
+        first = sum(terms[0::2]) % N
+        second = sum(terms[1::2]) % M
         if phi(omega) != (second, first):
             raise InvariantViolation(f"generator {i} mismatch")
+
+
+def reference_rank2_case_d(p: int, k: int, n: int) -> list[tuple]:
+    """Case-(d) ideals on Z_{p^k} x Z_p from the (mu, nu, t) scan.
+
+    The ideal <(x-mu)^2 - p*alpha, p(x-mu) - p^2*nu> for every unit root mu
+    mod p^k, nu in steps of p^(k-r-1) (p^r exactly divides n) and
+    alpha = p*nu^2 + t*p^(k-2) for t < p^2.  Returns the distinct ideal rows
+    that give a map of Z_p x Z_{p^k}, in the order they are first hit.
+    """
+    N = p**k
+    mod = Modulus(p, k)
+    r, _ = split_p_part(n, p)
+    context = Poly.x_pow_plus_const(n, 1, mod)
+    x = Poly.x(mod)
+    nu_step = p ** max(k - r - 1, 0)
+    alpha_step = p ** max(k - 2, 0)
+    seen = {}
+    for mu in solve_unit_roots(p, k, n):
+        y = x - Poly.constant(mu, mod)
+        for nu in range(0, N, nu_step):
+            for t in range(min(p * p, N // alpha_step)):
+                alpha = (p * nu * nu + t * alpha_step) % N
+                gens = [
+                    y**2 - Poly.constant(p * alpha, mod),
+                    Poly.constant(p, mod) * y - Poly.constant(p * p * nu, mod),
+                ]
+                Q = canonical_form(gens, context, mod)
+                if Q.rows not in seen:
+                    rec = _try_build(Q, N, n, "I")
+                    seen[Q.rows] = rec is not None and rec.group.invariants == (p, N)
+    return [rows for rows, kept in seen.items() if kept]

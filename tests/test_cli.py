@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rbcm
-from rbcm import cli
+from rbcm import classify, cli
+from rbcm.classify import cross_check
 
 
 def run_cli(argv, capsys):
@@ -98,6 +100,25 @@ def test_crosscheck_sweep_schema(capsys):
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema("report.schema.json"))
     assert payload["ok"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["--group", "2,4", "--valence", "4"], ["--sweep", "--primes", "5", "--max-order", "5"]]
+)
+def test_crosscheck_mismatch_exits_1(argv, monkeypatch, capsys):
+    """A report with an instance that is not ok is printed whole, then exits 1."""
+
+    def failing(group, valence):
+        return dataclasses.replace(cross_check(group, valence), ok=False)
+
+    monkeypatch.setattr(classify, "cross_check", failing)
+    monkeypatch.setattr(cli, "cross_check", failing)
+    code, out, err = run_cli(["crosscheck", *argv], capsys)
+    payload = json.loads(out)
+    instances = payload.get("instances", [payload])
+    assert code == 1 and instances and not payload["ok"]
+    count = len(instances)
+    assert err == f"ReconciliationMismatch: {count} of {count} instances are not ok\n"
 
 
 def test_export_map(tmp_path, capsys):

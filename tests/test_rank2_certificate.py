@@ -1,22 +1,35 @@
-"""The rank-2 generator certificate on relation rows, and build-once ideals.
+"""The rank-2 generator certificate on relation rows, case (d) as one
+(mu, alpha) box, and build-once ideals.
 
 classify._rank2_generator_check checks additivity of the generator pairing
 on the Howell rows of the ideal; reference_rank2_generator_check checks it on
-every pair of residues.  Both must pass or fail alike, with the same
-message, on the case-(c)/(d) maps of small rank-2 groups under shifted
-parameters, where the certificate has something to reject.
+every residue.  Both must pass or fail alike, with the same message, on the
+case-(c)/(d) maps of small rank-2 groups under shifted parameters, where the
+certificate has something to reject.
 """
 
 import collections
 import itertools
 
-from reference_helpers import reference_rank2_generator_check
+import pytest
+from reference_helpers import reference_rank2_case_d, reference_rank2_generator_check
 
 from rbcm import classify
-from rbcm.classify import _rank2_generator_check, classify_rank2
+from rbcm.classify import _rank2_generator_check, classify_rank2, standard_form_maps
 from rbcm.errors import InvariantViolation
+from rbcm.structure import AbelianGroupTable
 
-GROUPS = [(3, 1, 1, 3), (3, 2, 1, 3), (3, 3, 1, 3), (5, 1, 1, 5), (5, 2, 1, 5)]
+# (p, k, k2, n) on Z_{p^k} x Z_{p^k2}; the last three have k > k2 >= 2
+GROUPS = [
+    (3, 1, 1, 3),
+    (3, 2, 1, 3),
+    (3, 3, 1, 3),
+    (5, 1, 1, 5),
+    (5, 2, 1, 5),
+    (3, 3, 2, 3),
+    (3, 3, 2, 9),
+    (3, 4, 3, 3),
+]
 
 
 def outcome(check, *args):
@@ -27,21 +40,58 @@ def outcome(check, *args):
     return None
 
 
+def rank2_maps(p, k, k2, n):
+    """The family's maps on Z_{p^k} x Z_{p^k2} itself."""
+    inv = (p**k2, p**k)
+    return [m for m in classify_rank2(p, k, k2, n, max_order=p ** (k + k2)) if m.invariants == inv]
+
+
 def test_rank2_certificate_matches_pairwise_reference():
     seen = collections.Counter()
     for p, k, k2, n in GROUPS:
-        maps = [m for m in classify_rank2(p, k, k2, n) if m.params.as_dict()["case"] in ("c", "d")]
+        maps = [m for m in rank2_maps(p, k, k2, n) if m.params.as_dict()["case"] in ("c", "d")]
         assert maps, (p, k, k2, n)
         for fm in maps:
             d = fm.params.as_dict()
-            for dmu, dalpha, dnu in itertools.product((0, 1, p), repeat=3):
-                args = (fm.ideal, n, p, k, d["mu"] + dmu, d["alpha"] + dalpha, d["nu"] + dnu)
+            for dmu, dalpha in itertools.product((0, 1, p), repeat=2):
+                args = (fm.ideal, n, p, k, k2, d["mu"] + dmu, d["alpha"] + dalpha)
                 got = outcome(_rank2_generator_check, *args)
                 assert got == outcome(reference_rank2_generator_check, *args), (fm.params, args[4:])
                 seen[got] += 1
     # the shifts put both the additivity and the generator checks to work;
     # the zero shift is the family's own parameters, which pass
     assert seen[None] and seen["not additive"] and seen["generator 3 mismatch"], seen
+
+
+@pytest.mark.parametrize("p, k, n", [(3, 2, 3), (3, 3, 3), (3, 4, 3), (3, 3, 9), (5, 2, 5), (5, 3, 5)])
+def test_rank2_case_d_box_matches_scan(p, k, n):
+    # three of the six ideals at (3, 3, 9) are first hit at nu = 1 in the scan
+    got = [m.ideal.rows for m in classify_rank2(p, k, 1, n) if m.params.as_dict()["case"] == "d"]
+    assert got and got == reference_rank2_case_d(p, k, n)
+
+
+@pytest.mark.parametrize("k, k2, n, count", [(3, 2, 3, 3), (3, 2, 9, 24), (4, 3, 3, 3)])
+def test_rank2_matches_standard_list_beyond_k2_one(k, k2, n, count):
+    inv = (3**k2, 3**k)
+    family = {m.ideal.rows for m in rank2_maps(3, k, k2, n)}
+    standard = {m.ideal.rows for m in standard_form_maps(AbelianGroupTable(inv), 2 * n)}
+    assert len(family) == count and family == standard
+
+
+def test_rank2_case_d_forms_each_ideal_once(monkeypatch):
+    calls = []
+    canonical_form = classify.canonical_form
+
+    def counting(*args):
+        calls.append(args)
+        return canonical_form(*args)
+
+    monkeypatch.setattr(classify, "canonical_form", counting)
+    maps = classify_rank2(7, 2, 1, 7)
+    # every unit root of x^7 + 1 mod 49 is -1 mod 7, so case (a) has no pair
+    # and all calls are case (d)'s
+    assert [m.params.as_dict()["case"] for m in maps] == ["d"] * 7
+    assert len(calls) <= 7, len(calls)
 
 
 def test_rank2_builds_each_ideal_once(monkeypatch):
