@@ -260,7 +260,7 @@ def classify_coprime(p: int, k: int, n: int, max_order=None) -> list[FamilyMap]:
 
 
 def _rank2_generator_check(
-    Q: IdealPresentation, n: int, p: int, k: int, k2: int, mu: int, alpha: int
+    Q: IdealPresentation, n: int, p: int, k: int, k2: int, mu: int, alpha: int, beta: int
 ) -> None:
     """Verify the explicit generator pairs against the built quotient.
 
@@ -268,8 +268,8 @@ def _rank2_generator_check(
     residues c0 + c1*x with c1 bounded by p^k2; the pairing
     phi(c0 + c1*x) = (c1, c0 + c1*mu) must be a group isomorphism onto
     Z_{p^k2} x Z_{p^k} sending the image of x^(i-1) to the predicted pair.
-    With y = x - mu the quotient has y^2 = p*alpha, so x^i = A + B*y with
-    (A, B) <- (mu*A + p*alpha*B, A + mu*B) from (1, 0), and phi(x^i) = (B, A).
+    With y = x - mu the quotient has y^2 = p*alpha + p*beta*y, so x^i = A + B*y
+    with (A, B) <- (mu*A + p*alpha*B, A + (mu + p*beta)*B) from (1, 0); phi(x^i) = (B, A).
 
     Additivity is checked on the relation rows, not on residue pairs.  Let L
     be the Z-linear map on coefficient rows with L(x^j) = phi(reduced x^j).
@@ -297,7 +297,7 @@ def _rank2_generator_check(
     for i in range(1, n + 1):
         if images[i - 1] != (b % M, a):
             raise InvariantViolation(f"generator {i} mismatch")
-        a, b = (mu * a + p * alpha * b) % N, (a + mu * b) % N
+        a, b = (mu * a + p * alpha * b) % N, (a + (mu + p * beta) * b) % N
 
 
 def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[FamilyMap]:
@@ -375,31 +375,31 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
                     dict(label=dl, shift=shift, theta_condition=(p + 1) % dl[0] == 0),
                 )
             elif k == 1:
-                push(canonical_form([f], context, mod), "c", dict(mu=roots[0], alpha=0))
+                push(canonical_form([f], context, mod), "c", dict(mu=roots[0], alpha=0, beta=0))
             else:
                 # double root at equal precision k >= 2: outside the four
                 # narrow case tags, surfaced in the diagnostics
                 push(canonical_form([f], context, mod), "c+", dict(mu=roots[0], coeffs=f.coeffs))
 
-    # (d) double root mod p, one (mu, alpha) box mod p^(k-1): the ideal
-    # <(x-mu)^2 - p*alpha, p^k2*(x-mu)>.  Shifting mu or alpha by p^(k-1)
-    # changes neither generator modulo the ideal, since k-1 >= k2 and
-    # 2k-2 >= k.  A corrected generator p(x-mu) - p^2*s adds nothing: it is
-    # p(x-mu') at mu' = mu + p*s, with alpha - p*s^2 in place of alpha
+    # (d) double root mod p: <y^2 - p*beta*y - p*alpha, p^k2*y>, y = x - mu.
+    # mu, alpha run mod p^(k-1), since k-1 >= k2 and 2k-2 >= k; alpha steps by
+    # p^(k-k2-1), else p^k2*y*y leaves a constant; re-centring at mu + p^(k-k2)*s
+    # moves p*beta by 2p^(k-k2)*s, so beta runs mod p^(min(k2, k-k2) - 1)
     if k > k2 and r > 0:
         box = p ** (k - 1)
-        for mu in range(box):
-            if (pow(mu, n, p) + 1) % p:
-                continue
+        for mu in sorted(m for m0 in solve_unit_roots(p, 1, n) for m in range(m0, box, p)):
             y = x - Poly.constant(mu, mod)
-            for alpha in range(box):
-                gens = [y**2 - Poly.constant(p * alpha, mod), Poly.constant(p**k2, mod) * y]
-                push(canonical_form(gens, context, mod), "d", dict(mu=mu, alpha=alpha))
+            for beta in range(p ** (min(k2, k - k2) - 1)):
+                square = y**2 - Poly.constant(p * beta, mod) * y
+                for alpha in range(0, box, p ** (k - k2 - 1)):
+                    gens = [square - Poly.constant(p * alpha, mod), Poly.constant(p**k2, mod) * y]
+                    params = dict(mu=mu, alpha=alpha, beta=beta)
+                    push(canonical_form(gens, context, mod), "d", params)
 
     for fm in out:
         d = fm.params.as_dict()
         if d["case"] in ("c", "d"):
-            _rank2_generator_check(fm.ideal, n, p, k, k2, d["mu"], d["alpha"])
+            _rank2_generator_check(fm.ideal, n, p, k, k2, d["mu"], d["alpha"], d["beta"])
         elif d["case"] == "a":
             _rank2_eval_check(fm.ideal, n, p, k, k2, d["mu1"], d["mu2"])
     _assert_pairwise_distinct(out)

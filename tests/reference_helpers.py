@@ -210,7 +210,7 @@ def reference_quadratic_divisors(N: int, n: int) -> list[tuple[int, int]]:
 
 
 def reference_rank2_generator_check(
-    Q, n: int, p: int, k: int, k2: int, mu: int, alpha: int
+    Q, n: int, p: int, k: int, k2: int, mu: int, alpha: int, beta: int
 ) -> None:
     """The rank-2 generator certificate checked on residues.
 
@@ -219,8 +219,9 @@ def reference_rank2_generator_check(
     every residue a and each g in {1, x}.  Those two generate the quotient,
     and the b with phi(a + b) = phi(a) + phi(b) for all a are closed under
     addition, so this is additivity on all pairs.  The image of x^i is
-    predicted from the binomial sum: with y = x - mu and y^2 = p*alpha,
-    x^i = sum_j C(i, j) mu^(i-j) y^j.  classify._rank2_generator_check checks
+    predicted from the binomial sum: with y = x - mu and
+    y^2 = p*alpha + p*beta*y, x^i = sum_j C(i, j) mu^(i-j) y^j, where
+    y^j = P_j + R_j*y.  classify._rank2_generator_check checks
     additivity on the relation rows and predicts by a recurrence instead, and
     must raise the same messages.
     """
@@ -244,13 +245,15 @@ def reference_rank2_generator_check(
     for g in ring.x_power_images(2):
         for a in residues:
             require(phi(add(a, g)) == target.add(phi(a), phi(g)), "not additive")
+    y_powers = [(1, 0)]
+    for _ in range(n):
+        P, R = y_powers[-1]
+        y_powers.append((p * alpha * R, P + p * beta * R))
     for i in range(1, n + 1):
         omega = ring.x_power_image(i - 1)
-        terms = [
-            math.comb(i - 1, j) * mu ** (i - 1 - j) * (p * alpha) ** (j // 2) for j in range(i)
-        ]
-        first = sum(terms[0::2]) % N
-        second = sum(terms[1::2]) % M
+        weights = [math.comb(i - 1, j) * mu ** (i - 1 - j) for j in range(i)]
+        first = sum(w * P for w, (P, _) in zip(weights, y_powers)) % N
+        second = sum(w * R for w, (_, R) in zip(weights, y_powers)) % M
         if phi(omega) != (second, first):
             raise InvariantViolation(f"generator {i} mismatch")
 
@@ -285,3 +288,33 @@ def reference_rank2_case_d(p: int, k: int, n: int) -> list[tuple]:
                     rec = _try_build(Q, N, n, "I")
                     seen[Q.rows] = rec is not None and rec.group.invariants == (p, N)
     return [rows for rows, kept in seen.items() if kept]
+
+
+def reference_rank2_case_d_full(p: int, k: int, k2: int, n: int) -> set[tuple]:
+    """Case-(d) ideals on Z_{p^k} x Z_{p^k2} over unreduced parameter ranges.
+
+    The ideal <y^2 - b*y - a, p^k2*y> with y = x - mu, for every mu mod p^k
+    with mu^n = -1 mod p, every p-multiple a mod p^k and every p-multiple b
+    mod p^k2.  Returns the distinct ideal rows that give a map of
+    Z_{p^k2} x Z_{p^k}.
+    """
+    N = p**k
+    mod = Modulus(p, k)
+    context = Poly.x_pow_plus_const(n, 1, mod)
+    x = Poly.x(mod)
+    seen = {}
+    for mu in range(N):
+        if (pow(mu, n, p) + 1) % p:
+            continue
+        y = x - Poly.constant(mu, mod)
+        for b in range(0, p**k2, p):
+            for a in range(0, N, p):
+                gens = [
+                    y**2 - Poly.constant(b, mod) * y - Poly.constant(a, mod),
+                    Poly.constant(p**k2, mod) * y,
+                ]
+                Q = canonical_form(gens, context, mod)
+                if Q.rows not in seen:
+                    rec = _try_build(Q, N, n, "I")
+                    seen[Q.rows] = rec is not None and rec.group.invariants == (p**k2, N)
+    return {rows for rows, kept in seen.items() if kept}

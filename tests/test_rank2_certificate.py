@@ -1,5 +1,5 @@
 """The rank-2 generator certificate on relation rows, case (d) as one
-(mu, alpha) box, and build-once ideals.
+(mu, alpha, beta) box, and build-once ideals.
 
 classify._rank2_generator_check checks additivity of the generator pairing
 on the Howell rows of the ideal; reference_rank2_generator_check checks it on
@@ -12,14 +12,22 @@ import collections
 import itertools
 
 import pytest
-from reference_helpers import reference_rank2_case_d, reference_rank2_generator_check
+from reference_helpers import (
+    reference_rank2_case_d,
+    reference_rank2_case_d_full,
+    reference_rank2_generator_check,
+)
 
 from rbcm import classify
 from rbcm.classify import _rank2_generator_check, classify_rank2, standard_form_maps
 from rbcm.errors import InvariantViolation
+from rbcm.ideals import canonical_form
+from rbcm.poly import Poly
 from rbcm.structure import AbelianGroupTable
+from rbcm.zring import Modulus
 
-# (p, k, k2, n) on Z_{p^k} x Z_{p^k2}; the last three have k > k2 >= 2
+# (p, k, k2, n) on Z_{p^k} x Z_{p^k2}; the last four have k > k2 >= 2, and
+# (3, 4, 2, 9) has case-(d) maps with beta != 0
 GROUPS = [
     (3, 1, 1, 3),
     (3, 2, 1, 3),
@@ -29,6 +37,7 @@ GROUPS = [
     (3, 3, 2, 3),
     (3, 3, 2, 9),
     (3, 4, 3, 3),
+    (3, 4, 2, 9),
 ]
 
 
@@ -53,8 +62,10 @@ def test_rank2_certificate_matches_pairwise_reference():
         assert maps, (p, k, k2, n)
         for fm in maps:
             d = fm.params.as_dict()
-            for dmu, dalpha in itertools.product((0, 1, p), repeat=2):
-                args = (fm.ideal, n, p, k, k2, d["mu"] + dmu, d["alpha"] + dalpha)
+            # mu and alpha shifted by {0, 1, p}, and beta by 1 on its own
+            shifts = [(dmu, dalpha, 0) for dmu, dalpha in itertools.product((0, 1, p), repeat=2)]
+            for dmu, dalpha, dbeta in shifts + [(0, 0, 1)]:
+                args = (fm.ideal, n, p, k, k2, d["mu"] + dmu, d["alpha"] + dalpha, d["beta"] + dbeta)
                 got = outcome(_rank2_generator_check, *args)
                 assert got == outcome(reference_rank2_generator_check, *args), (fm.params, args[4:])
                 seen[got] += 1
@@ -70,12 +81,34 @@ def test_rank2_case_d_box_matches_scan(p, k, n):
     assert got and got == reference_rank2_case_d(p, k, n)
 
 
+@pytest.mark.parametrize("k, k2, n", [(3, 2, 9), (4, 2, 9)])
+def test_rank2_case_d_box_matches_full_ranges(k, k2, n):
+    # at (4, 2, 9) min(k2, k - k2) = 2, so beta runs over 0, 1, 2 and alpha
+    # steps by 3; the full ranges take mu mod 81, every a and every b
+    got = {m.ideal.rows for m in classify_rank2(3, k, k2, n) if m.params.as_dict()["case"] == "d"}
+    assert got and got == reference_rank2_case_d_full(3, k, k2, n)
+
+
 @pytest.mark.parametrize("k, k2, n, count", [(3, 2, 3, 3), (3, 2, 9, 24), (4, 3, 3, 3)])
 def test_rank2_matches_standard_list_beyond_k2_one(k, k2, n, count):
     inv = (3**k2, 3**k)
     family = {m.ideal.rows for m in rank2_maps(3, k, k2, n)}
     standard = {m.ideal.rows for m in standard_form_maps(AbelianGroupTable(inv), 2 * n)}
     assert len(family) == count and family == standard
+
+
+def test_rank2_case_d_reaches_recentred_ideal():
+    # <y^2 + 3y, 9y> with y = x - 80 over Z_81 contains x^9 + 1 and gives a
+    # map of Z_9 x Z_81.  Completing the square moves mu by 3/2, not by a
+    # multiple of 9 = p^(k-k2), so 9y would gain a constant: no beta = 0 point
+    # of the box gives this ideal
+    mod = Modulus(3, 4)
+    y = Poly.x(mod) - Poly.constant(80, mod)
+    gens = [y**2 + Poly.constant(3, mod) * y, Poly.constant(9, mod) * y]
+    Q = canonical_form(gens, Poly.x_pow_plus_const(9, 1, mod), mod)
+    maps = {m.ideal.rows: m for m in rank2_maps(3, 4, 2, 9)}
+    assert Q.rows in maps
+    assert maps[Q.rows].params.as_dict()["beta"] != 0
 
 
 def test_rank2_case_d_forms_each_ideal_once(monkeypatch):
