@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -47,7 +47,7 @@ from .structure import (
     quotient_isomorphism,
     reachable,
 )
-from .zring import Modulus, factorize
+from .zring import Frozen, Modulus, factorize
 
 DEFAULT_ORACLE_BUDGET = 128
 AUT_CANDIDATE_LIMIT = 30_000
@@ -108,13 +108,24 @@ class CayleyMapRecord:
         return f"<{self.map_type} map on {self.group}, valence {self.valence}>"
 
 
-@dataclass(frozen=True)
-class MapStats:
-    vertices: int
-    edges: int
-    faces: int
-    genus: int
-    face_lengths: tuple[int, ...]
+class MapStats(Frozen):
+    __slots__ = ("vertices", "edges", "faces", "genus", "face_lengths")
+
+    def __init__(self, vertices: int, edges: int, faces: int, genus: int, face_lengths: tuple[int, ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "face_lengths", face_lengths)
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.edges, self.faces, self.genus, self.face_lengths)
+
+    def __repr__(self) -> str:
+        return (
+            f"MapStats(vertices={self.vertices}, edges={self.edges}, faces={self.faces}, "
+            f"genus={self.genus}, face_lengths={self.face_lengths})"
+        )
 
 
 def _hom_extend_idx(order: int, pairs):
@@ -416,8 +427,10 @@ def automorphism_permutations(invariants: tuple[int, ...]) -> tuple[bytes | arra
     perms = [identity]
     seen = {identity if narrow else identity.tobytes()}
     for perm in perms:  # breadth first: perms grows while it is walked
+        # g o perm is get(g): one C-level lookup per entry, set up once per perm
+        get = None if narrow else operator.itemgetter(*perm)
         for g in gens:
-            new = perm.translate(g) if narrow else array("H", map(g.__getitem__, perm))
+            new = perm.translate(g) if narrow else array("H", get(g))
             key = new if narrow else new.tobytes()
             if key not in seen:
                 seen.add(key)
@@ -594,7 +607,10 @@ def brute_force_rbcms(group_spec, valence: int):
     group = AbelianGroupTable.from_spec(group_spec)
     budget = oracle_budget()
     if group.order > budget:
-        raise TooLarge(f"group order {group.order} exceeds oracle budget {budget}")
+        raise TooLarge(
+            f"group order {group.order} exceeds oracle budget {budget}; "
+            "set RBCM_ORACLE_BUDGET to raise it"
+        )
     if valence < 1:
         raise ValueError("valence must be >= 1")
     if valence > 2 * group.order:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .cayley import (
     CayleyMapRecord,
@@ -32,13 +31,18 @@ from .ideals import (
 )
 from .poly import Poly, poly_mod
 from .structure import AbelianGroupTable, QuotientRing, quotient_group_type
-from .zring import Modulus, divisors, factorize, is_prime
+from .zring import Frozen, Modulus, divisors, factorize, is_prime
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    variant: str
-    values: tuple[tuple[str, object], ...]
+class FamilyParams(Frozen):
+    __slots__ = ("variant", "values")
+
+    def __init__(self, variant: str, values: tuple[tuple[str, object], ...]):
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "values", values)
+
+    def _key(self) -> tuple:
+        return (self.variant, self.values)
 
     def as_dict(self) -> dict:
         return dict(self.values)
@@ -48,11 +52,11 @@ class FamilyParams:
         return f"{self.variant}({inner})"
 
 
-@dataclass
 class FamilyMap:
-    params: FamilyParams
-    ideal: IdealPresentation
-    record: CayleyMapRecord
+    def __init__(self, params: FamilyParams, ideal: IdealPresentation, record: CayleyMapRecord):
+        self.params = params
+        self.ideal = ideal
+        self.record = record
 
     @property
     def invariants(self):
@@ -483,17 +487,28 @@ def _match_classes(family: list, oracle: list[CayleyMapRecord]):
     return pairs
 
 
-@dataclass
 class InstanceReport:
-    invariants: tuple[int, ...]
-    valence: int
-    oracle_count: int
-    standard_count: int
-    family_counts: dict
-    matching: list | None
-    diagnostics: dict
-    map_summaries: list
-    ok: bool
+    def __init__(
+        self,
+        invariants: tuple[int, ...],
+        valence: int,
+        oracle_count: int,
+        standard_count: int,
+        family_counts: dict,
+        matching: list | None,
+        diagnostics: dict,
+        map_summaries: list,
+        ok: bool,
+    ):
+        self.invariants = invariants
+        self.valence = valence
+        self.oracle_count = oracle_count
+        self.standard_count = standard_count
+        self.family_counts = family_counts
+        self.matching = matching
+        self.diagnostics = diagnostics
+        self.map_summaries = map_summaries
+        self.ok = ok
 
     def to_json(self) -> dict:
         return {
@@ -669,9 +684,9 @@ def _partitions(e: int):
     yield from rec(e, e)
 
 
-@dataclass
 class ReconciliationReport:
-    instances: list[InstanceReport] = field(default_factory=list)
+    def __init__(self):
+        self.instances: list[InstanceReport] = []
 
     @property
     def ok(self) -> bool:

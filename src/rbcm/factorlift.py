@@ -8,8 +8,7 @@ and a final exact-division check.  Labels (d, l, level) order the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from .errors import InvariantViolation, NotCoprime, NotSimpleFactor, require
 from .poly import (
@@ -21,26 +20,48 @@ from .poly import (
     poly_mod,
     poly_xgcd_field,
 )
-from .zring import Modulus, divisors, multiplicative_order
+from .zring import Frozen, Modulus, divisors, multiplicative_order
 
 
-@dataclass(frozen=True, order=True)
-class FactorLabel:
-    """Label (d, l, level) of one factor, with its degree."""
+@total_ordering
+class FactorLabel(Frozen):
+    """Label (d, l, level) of one factor, with its degree.
 
-    d: int
-    l: int
-    level: int
-    degree: int
+    Labels compare, hash and sort as the tuple (d, l, level, degree).
+    """
+
+    __slots__ = ("d", "l", "level", "degree")
+
+    def __init__(self, d: int, l: int, level: int, degree: int):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "degree", degree)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.d, self.l, self.level)
 
+    def _key(self) -> tuple:
+        return (self.d, self.l, self.level, self.degree)
 
-@dataclass(frozen=True)
-class LabeledFactor:
-    label: FactorLabel
-    poly: Poly
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() < other._key()
+
+    def __repr__(self) -> str:
+        return f"FactorLabel(d={self.d}, l={self.l}, level={self.level}, degree={self.degree})"
+
+
+class LabeledFactor(Frozen):
+    __slots__ = ("label", "poly")
+
+    def __init__(self, label: FactorLabel, poly: Poly):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "poly", poly)
+
+    def _key(self) -> tuple:
+        return (self.label, self.poly)
 
     def __repr__(self) -> str:
         return f"q[d={self.label.d},l={self.label.l},b={self.label.level}] = {self.poly}"

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import ComponentNotAdmissible, DuplicatePrime, InvariantViolation, TooLarge, require
@@ -32,7 +31,7 @@ from .factorlift import (
     lift_level0_factor,
 )
 from .poly import Poly, poly_mod
-from .zring import Modulus, divisors, inverse_mod
+from .zring import Frozen, Modulus, divisors, inverse_mod
 
 ENUM_BUDGET = 1 << 16
 
@@ -135,18 +134,17 @@ def x_powers(row, context_monic: Poly, N: int, count: int) -> list:
     return powers
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
+class IdealPresentation(Frozen):
     """Canonical presentation of an ideal of Z_N[x] containing context_monic."""
 
-    modulus: Modulus
-    context_monic: Poly
-    rows: tuple[tuple[int, ...], ...]
-    _pivots: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("modulus", "context_monic", "rows", "_pivots")
 
-    def __post_init__(self):
+    def __init__(self, modulus: Modulus, context_monic: Poly, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "context_monic", context_monic)
+        object.__setattr__(self, "rows", rows)
         # built once, in column order: every reduction against this ideal reads it
-        leads = sorted((_leading(r), r) for r in self.rows)
+        leads = sorted((_leading(r), r) for r in rows)
         object.__setattr__(self, "_pivots", {c: (r[c], r) for c, r in leads})
 
     @property
@@ -283,11 +281,16 @@ def constant_ideal(d: int, context_monic: Poly, modulus: Modulus) -> IdealPresen
     return IdealPresentation(modulus, context_monic, rows)
 
 
-@dataclass(frozen=True)
-class Admissibility:
-    ok: bool
-    clause: str | None = None
-    detail: str | None = None
+class Admissibility(Frozen):
+    __slots__ = ("ok", "clause", "detail")
+
+    def __init__(self, ok: bool, clause: str | None = None, detail: str | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "clause", clause)
+        object.__setattr__(self, "detail", detail)
+
+    def _key(self) -> tuple:
+        return (self.ok, self.clause, self.detail)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -338,8 +341,7 @@ def is_admissible_type2(Q: IdealPresentation, n: int) -> Admissibility:
     return Admissibility(True)
 
 
-@dataclass(frozen=True)
-class CrtSplit:
+class CrtSplit(Frozen):
     """Ring decomposition of Z_{p^k}[x]/(x^n+1) into label components.
 
     embeddings[i][c] is the ambient row of e_i*x^(D_i-1-c) mod x^n+1, for
@@ -347,14 +349,33 @@ class CrtSplit:
     a component row r maps to the ambient row of e_i*r as sum_c r[c]*emb[c].
     """
 
-    p: int
-    k: int
-    n: int
-    labels: tuple[tuple[int, int], ...]
-    contexts: tuple[Poly, ...]
-    idempotents: tuple[Poly, ...]
-    ambient: Poly
-    embeddings: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("p", "k", "n", "labels", "contexts", "idempotents", "ambient", "embeddings")
+
+    def __init__(
+        self,
+        p: int,
+        k: int,
+        n: int,
+        labels: tuple[tuple[int, int], ...],
+        contexts: tuple[Poly, ...],
+        idempotents: tuple[Poly, ...],
+        ambient: Poly,
+        embeddings: tuple[tuple[tuple[int, ...], ...], ...],
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "contexts", contexts)
+        object.__setattr__(self, "idempotents", idempotents)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "embeddings", embeddings)
+
+    def _key(self) -> tuple:
+        return (
+            self.p, self.k, self.n, self.labels, self.contexts, self.idempotents, self.ambient,
+            self.embeddings,
+        )
 
 
 @lru_cache(maxsize=None)

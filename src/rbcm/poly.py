@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NonUnitLeading, NotCoprime, NotInBaseField, require
-from .zring import Modulus, divisors, factorize, inverse_mod, multiplicative_order
+from .zring import Frozen, Modulus, divisors, factorize, inverse_mod, multiplicative_order
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -24,12 +23,10 @@ def _trim(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs[:n])
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Frozen):
     """Polynomial over Z_N as an ascending coefficient tuple."""
 
-    coeffs: tuple[int, ...]
-    modulus: Modulus
+    __slots__ = ("coeffs", "modulus")
 
     def __init__(self, coeffs, modulus: Modulus):
         N = modulus.N
@@ -153,6 +150,9 @@ class Poly:
                 terms.append(xi if c == 1 else f"{c}{xi}")
         return " + ".join(terms)
 
+    def _key(self) -> tuple:
+        return (self.coeffs, self.modulus)
+
     def __repr__(self) -> str:
         return f"Poly({self} over {self.modulus})"
 
@@ -264,12 +264,14 @@ def least_irreducible(p: int, m: int) -> Poly:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Frozen):
     """Element of F_{p^m} = Z_p[y]/(field_modulus), rep reduced mod the field modulus."""
 
-    rep: Poly
-    field_modulus: Poly
+    __slots__ = ("rep", "field_modulus")
+
+    def __init__(self, rep: Poly, field_modulus: Poly):
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "field_modulus", field_modulus)
 
     def _make(self, rep: Poly) -> "FieldElement":
         return FieldElement(poly_mod(rep, self.field_modulus), self.field_modulus)
@@ -314,6 +316,9 @@ class FieldElement:
             while order % prime == 0 and (self ** (order // prime)).is_one():
                 order //= prime
         return order
+
+    def _key(self) -> tuple:
+        return (self.rep, self.field_modulus)
 
     def __repr__(self) -> str:
         return f"FieldElement({self.rep} in GF({self.p}^{self.field_modulus.degree}))"

@@ -9,26 +9,29 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantViolation, TooLarge, require
 from .ideals import IdealPresentation, x_powers
+from .zring import Frozen
 
 RESIDUE_BUDGET = 1 << 16
 
 
-@dataclass(frozen=True)
-class AbelianType:
+class AbelianType(Frozen):
     """Invariant factors d_1 | d_2 | ... | d_s, each > 1, ascending."""
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self):
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        for a, b in zip(invariant_factors, invariant_factors[1:]):
             if b % a:
                 raise InvariantViolation("invariant factors must form a divisibility chain")
-        require(all(d > 1 for d in self.invariant_factors), "invariant factors must exceed 1")
+        require(all(d > 1 for d in invariant_factors), "invariant factors must exceed 1")
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+
+    def _key(self) -> tuple:
+        return (self.invariant_factors,)
 
     @property
     def order(self) -> int:

@@ -8,7 +8,6 @@ cross-prime composition, which constructs moduli through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ModulusMismatch, NotAUnit, NotCoprime
 
@@ -48,13 +47,42 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Frozen:
+    """Base of the immutable value classes.
+
+    Each subclass lists its fields in ``__slots__``, sets them once in
+    ``__init__`` through ``object.__setattr__``, and returns them from
+    ``_key``; a later assignment or deletion raises AttributeError, and
+    objects of one class compare and hash by ``_key``.  Every method is
+    written out, so importing the package generates and compiles no code.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # pickle and copy hand slot values back as (None, {name: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Modulus(Frozen):
     """The coefficient ring Z_N with N = p^k (or composite, flagged)."""
 
-    p: int | None
-    k: int | None
-    N: int
+    __slots__ = ("p", "k", "N")
 
     def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
@@ -94,19 +122,24 @@ class Modulus:
             return [(self.p, self.k)]
         return factorize(self.N)
 
+    def _key(self) -> tuple:
+        return (self.p, self.k, self.N)
+
     def __repr__(self) -> str:
         return f"Z_{self.N}"
 
 
-@dataclass(frozen=True)
-class ResidueInt:
+class ResidueInt(Frozen):
     """Least non-negative residue together with its modulus."""
 
-    value: int
-    modulus: Modulus
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus.N)
+    def __init__(self, value: int, modulus: Modulus):
+        object.__setattr__(self, "value", value % modulus.N)
+        object.__setattr__(self, "modulus", modulus)
+
+    def _key(self) -> tuple:
+        return (self.value, self.modulus)
 
     def _check(self, other: "ResidueInt") -> None:
         if other.modulus.N != self.modulus.N:

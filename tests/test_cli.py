@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import rbcm
 from rbcm import classify, cli
-from rbcm.classify import cross_check
+from rbcm.classify import InstanceReport, cross_check
 
 
 def run_cli(argv, capsys):
@@ -109,7 +108,11 @@ def test_crosscheck_mismatch_exits_1(argv, monkeypatch, capsys):
     """A report with an instance that is not ok is printed whole, then exits 1."""
 
     def failing(group, valence):
-        return dataclasses.replace(cross_check(group, valence), ok=False)
+        r = cross_check(group, valence)
+        return InstanceReport(
+            r.invariants, r.valence, r.oracle_count, r.standard_count, r.family_counts,
+            r.matching, r.diagnostics, r.map_summaries, ok=False,
+        )
 
     monkeypatch.setattr(classify, "cross_check", failing)
     monkeypatch.setattr(cli, "cross_check", failing)
@@ -167,10 +170,13 @@ def test_bad_group_spec_usage_error(argv):
     assert "Traceback" not in proc.stderr
 
 
-def test_domain_error_exit_code(capsys):
-    code, out, err = run_cli(["oracle", "--group", "256", "--valence", "4"], capsys)
-    assert code == 1
-    assert "TooLarge" in err
+def test_domain_error_exit_code(monkeypatch, capsys):
+    """A group past the oracle budget exits 1, naming the variable that raises the budget."""
+    monkeypatch.delenv("RBCM_ORACLE_BUDGET", raising=False)
+    for group in ("256", "3,81"):
+        code, out, err = run_cli(["oracle", "--group", group, "--valence", "4"], capsys)
+        assert code == 1, group
+        assert err.startswith("TooLarge: ") and "RBCM_ORACLE_BUDGET" in err, group
 
 
 def test_usage_error_exit_code():
@@ -240,6 +246,35 @@ def _run_cli_child(argv, seed):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _modules_after(code):
+    """Names in sys.modules after ``code`` runs in a fresh interpreter whose
+    environment holds only ``PATH`` and a ``PYTHONPATH`` naming this rbcm."""
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(rbcm.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Importing the CLI loads neither module unless a bare interpreter already does.
+
+    ``dataclasses`` imports ``inspect``, ``ast`` and ``dis``, and each of its
+    decorators compiles generated code at import: together most of the
+    start-up of a cold command.  This is a structural guard, not a timing.
+    """
+    bare = _modules_after("pass")
+    cli_import = _modules_after("import rbcm.cli")
+    assert "rbcm.cli" in cli_import
+    for name in ("dataclasses", "inspect"):
+        assert name in bare or name not in cli_import, name
 
 
 def test_cross_process_determinism():

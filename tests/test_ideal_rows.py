@@ -9,7 +9,6 @@ column order, whatever the order of the rows it was given, and x_powers
 walks the same rows as powers of x through Poly.
 """
 
-import dataclasses
 import itertools
 import math
 
@@ -27,6 +26,7 @@ from rbcm.errors import InvariantViolation
 from rbcm.factorlift import base_factor
 from rbcm.ideals import (
     ENUM_BUDGET,
+    CrtSplit,
     IdealPresentation,
     _certify_embeddings,
     bounded_ideals_local_tree,
@@ -126,7 +126,10 @@ def test_radical_floor_matches_all_products(p, k, n):
 def _with_row(split, i, c, row):
     emb = split.embeddings[i]
     emb = emb[:c] + (row,) + emb[c + 1 :]
-    return dataclasses.replace(split, embeddings=split.embeddings[:i] + (emb,) + split.embeddings[i + 1 :])
+    embeddings = split.embeddings[:i] + (emb,) + split.embeddings[i + 1 :]
+    return CrtSplit(
+        split.p, split.k, split.n, split.labels, split.contexts, split.idempotents, split.ambient, embeddings
+    )
 
 
 @pytest.mark.parametrize("p,k,n", [(5, 1, 4), (3, 2, 4), (2, 2, 6)])
