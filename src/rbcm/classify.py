@@ -702,8 +702,9 @@ class ReconciliationReport:
 def sweep(primes=(2, 3, 5), max_order: int = 81, max_n: int = 8) -> ReconciliationReport:
     """Cross-check every abelian p-group up to max_order at every valence 2n."""
     report = ReconciliationReport()
-    # every prime is checked before the first instance runs
-    groups = [inv for p in primes for inv in abelian_p_groups(p, max_order)]
+    # every prime is checked before the first instance runs; a repeated or
+    # reordered prime list gives the same report
+    groups = [inv for p in sorted(set(primes)) for inv in abelian_p_groups(p, max_order)]
     for inv in groups:
         group = AbelianGroupTable(inv)
         for n in range(2, max_n + 1):

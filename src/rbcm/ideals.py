@@ -72,47 +72,56 @@ def howell_form(rows, N: int, width: int) -> tuple[tuple[int, ...], ...]:
 
     Rows wait in buckets by leading column, found once as each row enters.
     Every row made while clearing a column leads past it, so each bucket is
-    complete when its column comes up.
+    complete when its column comes up.  A bucket holds row tails from its
+    column on: the entries before it are zero.
     """
     buckets: list[list[list[int]]] = [[] for _ in range(width)]
 
-    def push(row: list[int]) -> None:
-        c = _leading(row)
-        if c >= 0:
-            buckets[c].append(row)
+    def push(tail: list[int], col: int) -> None:
+        for i, v in enumerate(tail):
+            if v:
+                buckets[col + i].append(tail[i:] if i else tail)
+                return
 
     for r in rows:
-        push([v % N for v in r])
-    basis: list[list[int]] = []
+        push([v % N for v in r], 0)
+    basis: list[tuple[int, list[int]]] = []
     for col in range(width):
         cur = buckets[col]
         if not cur:
             continue
         r = cur[0]
         for s in cur[1:]:
-            a, b = r[col], s[col]
+            a, b = r[0], s[0]
+            if b % a == 0:
+                q = b // a
+                for j, x in enumerate(r):
+                    s[j] = (s[j] - q * x) % N
+                push(s, col)
+                continue
             g, u, v = _ext_gcd(a, b)
             # unimodular pair transform: pivot gcd up, eliminated row down
-            new_r = [(u * x + v * y) % N for x, y in zip(r, s)]
-            new_s = [((b // g) * x - (a // g) * y) % N for x, y in zip(r, s)]
-            r = new_r
-            push(new_s)
-        u, d = _normalizing_unit(r[col], N)
-        r = [(u * x) % N for x in r]
+            push([((b // g) * x - (a // g) * y) % N for x, y in zip(r, s)], col)
+            r = [(u * x + v * y) % N for x, y in zip(r, s)]
+        u, d = _normalizing_unit(r[0], N)
         if d == 0:
             continue
-        basis.append(r)
+        if u != 1:
+            for j, x in enumerate(r):
+                r[j] = (u * x) % N
+        basis.append((col, r))
         if d != 1:
-            push([((N // d) * x) % N for x in r])
+            push([((N // d) * x) % N for x in r], col)
     # reduce entries above each pivot
-    for i, r in enumerate(basis):
-        c = _leading(r)
-        d = r[c]
-        for j in range(i):
-            q = basis[j][c] // d
+    for i, (col, r) in enumerate(basis):
+        d = r[0]
+        for cj, t in basis[:i]:
+            off = col - cj
+            q = t[off] // d
             if q:
-                basis[j] = [(x - q * y) % N for x, y in zip(basis[j], r)]
-    return tuple(tuple(r) for r in basis)
+                for j, y in enumerate(r, off):
+                    t[j] = (t[j] - q * y) % N
+    return tuple((0,) * col + tuple(t) for col, t in basis)
 
 
 def x_step(row, context_monic: Poly, N: int) -> tuple[int, ...]:
@@ -145,7 +154,7 @@ class IdealPresentation(Frozen):
         object.__setattr__(self, "rows", rows)
         # built once, in column order: every reduction against this ideal reads it
         leads = sorted((_leading(r), r) for r in rows)
-        object.__setattr__(self, "_pivots", {c: (r[c], r) for c, r in leads})
+        object.__setattr__(self, "_pivots", {c: (r[c], r[c:]) for c, r in leads})
 
     @property
     def width(self) -> int:
@@ -173,18 +182,20 @@ class IdealPresentation(Frozen):
         return [self.row_to_poly(r) for r in self.rows]
 
     def pivots(self) -> dict[int, tuple[int, tuple[int, ...]]]:
-        """column -> (pivot scalar, row)."""
+        """column -> (pivot scalar, the pivot row's entries from that column on)."""
         return self._pivots
 
     def reduce_row(self, vec) -> tuple[int, ...]:
         """Canonical coset representative of a coefficient vector."""
         N = self.modulus.N
         v = [x % N for x in vec]
-        for c, (d, row) in self._pivots.items():
+        for c, (d, tail) in self._pivots.items():
             if v[c]:
                 q = v[c] // d
                 if q:
-                    v = [(x - q * y) % N for x, y in zip(v, row)]
+                    # in place, from the pivot column on: the row is zero before it
+                    for j, y in enumerate(tail, c):
+                        v[j] = (v[j] - q * y) % N
         return tuple(v)
 
     def contains_row(self, vec) -> bool:
@@ -491,6 +502,13 @@ def enumerate_ideals_between(
     Exhaustive over shift-closed row spans: computes the principal closure of
     every residue (modulo unit scaling and x-shifts), then closes the set
     under pairwise sums.
+
+    Unit scaling runs over the units mod c = base.constant_divisor(), not
+    mod N.  The constant c lies in the base, so u*v and (u + c)*v agree mod
+    the base, and every unit class mod c holds a unit mod N (CRT): the
+    marked orbits are the same.  In the sum closure, J + P = J when P's
+    generator lies in J (both contain the base), so that pair costs one
+    reduction and no Howell form.
     """
     if base is None:
         base = zero_ideal(context, modulus)
@@ -499,16 +517,18 @@ def enumerate_ideals_between(
         raise TooLarge(f"quotient has {size} elements (budget {ENUM_BUDGET})")
     N = modulus.N
     D = context.degree
-    units = [u for u in range(1, N) if math.gcd(u, N) == 1]
+    c = base.constant_divisor()
+    units = [u for u in range(1, c) if math.gcd(u, c) == 1]
     # x-shifts preserve principal ideals only when x is a unit mod context
     x_invertible = math.gcd(context[0], N) == 1
     seen: set[tuple[int, ...]] = set()
-    principals: dict[tuple, IdealPresentation] = {}
+    # rows -> (a generator mod the base, the principal closure)
+    principals: dict[tuple, tuple[tuple[int, ...], IdealPresentation]] = {}
     for combo in base.residues():
         if combo in seen or not any(combo):
             continue
         pres = ideal_of_rows([combo], context, modulus, base.rows)
-        principals.setdefault(pres.rows, pres)
+        principals.setdefault(pres.rows, (combo, pres))
         # unit multiples (and x-shifts, when allowed) generate the same ideal
         cur = combo
         for _ in range(4 * D):
@@ -520,13 +540,15 @@ def enumerate_ideals_between(
             if base.reduce_row(cur) == combo:
                 break
     found: dict[tuple, IdealPresentation] = {base.rows: base}
-    for pres in principals.values():
+    for _, pres in principals.values():
         found.setdefault(pres.rows, pres)
     frontier = list(found.values())
     plist = list(principals.values())
     while frontier:
         cur = frontier.pop()
-        for pr in plist:
+        for gen, pr in plist:
+            if cur.contains_row(gen):
+                continue
             rows = howell_form(list(cur.rows) + list(pr.rows), N, D)
             if rows not in found:
                 pres = IdealPresentation(modulus, context, rows)

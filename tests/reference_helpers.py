@@ -6,9 +6,20 @@ from functools import lru_cache, reduce
 
 from rbcm.cayley import _rank_mod_p
 from rbcm.classify import _try_build, solve_unit_roots
-from rbcm.errors import InvariantViolation, require
+from rbcm.errors import InvariantViolation, TooLarge, require
 from rbcm.factorlift import split_p_part
-from rbcm.ideals import _ext_gcd, _leading, _normalizing_unit, canonical_form
+from rbcm.ideals import (
+    ENUM_BUDGET,
+    IdealPresentation,
+    _ext_gcd,
+    _leading,
+    _normalizing_unit,
+    canonical_form,
+    howell_form,
+    ideal_of_rows,
+    x_step,
+    zero_ideal,
+)
 from rbcm.poly import Poly, poly_mod
 from rbcm.structure import AbelianGroupTable, QuotientRing
 from rbcm.zring import Modulus, divisors, factorize
@@ -182,6 +193,63 @@ def reference_howell_form(rows, N: int, width: int) -> tuple[tuple[int, ...], ..
             if q:
                 basis[j] = [(x - q * y) % N for x, y in zip(basis[j], r)]
     return tuple(tuple(r) for r in basis)
+
+
+def reference_enumerate_ideals_between(
+    context: Poly,
+    modulus: Modulus,
+    base: IdealPresentation | None = None,
+) -> list[IdealPresentation]:
+    """All ideals of Z_N[x]/(context) containing the base ideal.
+
+    Exhaustive over shift-closed row spans: computes the principal closure of
+    every residue (modulo unit scaling and x-shifts), then closes the set
+    under pairwise sums.  Marks orbits with every unit of Z_N and takes a
+    Howell form for every (ideal, principal) pair.
+    """
+    if base is None:
+        base = zero_ideal(context, modulus)
+    size = base.quotient_size()
+    if size > ENUM_BUDGET:
+        raise TooLarge(f"quotient has {size} elements (budget {ENUM_BUDGET})")
+    N = modulus.N
+    D = context.degree
+    units = [u for u in range(1, N) if math.gcd(u, N) == 1]
+    # x-shifts preserve principal ideals only when x is a unit mod context
+    x_invertible = math.gcd(context[0], N) == 1
+    seen: set[tuple[int, ...]] = set()
+    principals: dict[tuple, IdealPresentation] = {}
+    for combo in base.residues():
+        if combo in seen or not any(combo):
+            continue
+        pres = ideal_of_rows([combo], context, modulus, base.rows)
+        principals.setdefault(pres.rows, pres)
+        # unit multiples (and x-shifts, when allowed) generate the same ideal
+        cur = combo
+        for _ in range(4 * D):
+            for u in units:
+                seen.add(base.reduce_row([u * v for v in cur]))
+            if not x_invertible:
+                break
+            cur = x_step(cur, context, N)
+            if base.reduce_row(cur) == combo:
+                break
+    found: dict[tuple, IdealPresentation] = {base.rows: base}
+    for pres in principals.values():
+        found.setdefault(pres.rows, pres)
+    frontier = list(found.values())
+    plist = list(principals.values())
+    while frontier:
+        cur = frontier.pop()
+        for pr in plist:
+            rows = howell_form(list(cur.rows) + list(pr.rows), N, D)
+            if rows not in found:
+                pres = IdealPresentation(modulus, context, rows)
+                found[rows] = pres
+                frontier.append(pres)
+    out = list(found.values())
+    out.sort(key=lambda q: q.rows)
+    return out
 
 
 def reference_radical_floor_rows(context, modulus, s, radical_gen):

@@ -14,6 +14,16 @@ from rbcm import classify, cli
 from rbcm.classify import InstanceReport, cross_check
 
 
+# the directory holding the rbcm package this process imported: child
+# interpreters import the same code, installed or not
+RBCM_SRC = str(Path(rbcm.__file__).resolve().parents[1])
+
+
+def _inherited_env():
+    """This process's environment, with PYTHONPATH naming RBCM_SRC only."""
+    return {**os.environ, "PYTHONPATH": RBCM_SRC}
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     out, err = capsys.readouterr()
@@ -101,6 +111,20 @@ def test_crosscheck_sweep_schema(capsys):
     assert payload["ok"]
 
 
+@pytest.mark.parametrize("primes,same", [("3,3", "3"), ("5,3", "3,5")])
+def test_crosscheck_sweep_prime_list_is_a_set(primes, same, capsys):
+    """A repeated prime runs once, and the report follows the primes in increasing order."""
+    outs = []
+    for spec in (primes, same):
+        code, out, _ = run_cli(
+            ["crosscheck", "--sweep", "--primes", spec, "--max-order", "25", "--max-n", "3"], capsys
+        )
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["instances"]
+
+
 @pytest.mark.parametrize(
     "argv", [["--group", "2,4", "--valence", "4"], ["--sweep", "--primes", "5", "--max-order", "5"]]
 )
@@ -163,6 +187,7 @@ def test_bad_group_spec_usage_error(argv):
         [sys.executable, "-m", "rbcm.cli", *argv, "--valence", "4"],
         capture_output=True,
         text=True,
+        env=_inherited_env(),
         timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
@@ -184,6 +209,7 @@ def test_usage_error_exit_code():
         [sys.executable, "-m", "rbcm.cli", "classify", "--bogus"],
         capture_output=True,
         text=True,
+        env=_inherited_env(),
         timeout=120,
     )
     assert proc.returncode == 2
@@ -218,6 +244,7 @@ def test_not_prime_usage_error(argv):
         [sys.executable, "-m", "rbcm.cli", *argv],
         capture_output=True,
         text=True,
+        env=_inherited_env(),
         timeout=120,
     )
     assert proc.returncode == 2, proc.stderr
@@ -235,7 +262,7 @@ def _run_cli_child(argv, seed):
     env = {
         "PYTHONHASHSEED": seed,
         "PATH": "/usr/bin:/bin",
-        "PYTHONPATH": str(Path(rbcm.__file__).resolve().parents[1]),
+        "PYTHONPATH": RBCM_SRC,
     }
     proc = subprocess.run(
         [sys.executable, "-m", "rbcm.cli", *argv],
@@ -251,7 +278,7 @@ def _run_cli_child(argv, seed):
 def _modules_after(code):
     """Names in sys.modules after ``code`` runs in a fresh interpreter whose
     environment holds only ``PATH`` and a ``PYTHONPATH`` naming this rbcm."""
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(rbcm.__file__).resolve().parents[1])}
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": RBCM_SRC}
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
         capture_output=True,

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_helpers import (
     reference_combine,
+    reference_enumerate_ideals_between,
     reference_howell_form,
     reference_radical_floor_rows,
 )
@@ -31,6 +32,7 @@ from rbcm.ideals import (
     _certify_embeddings,
     bounded_ideals_local_tree,
     combine_components,
+    constant_ideal,
     crt_split,
     enumerate_ideals_between,
     howell_form,
@@ -50,12 +52,17 @@ def _prime_powers():
             k += 1
 
 
+def _component_floors(split, mod, bound):
+    """Per label: its context, its radical generator and its radical floor at the bound."""
+    for (d, ell), ctx in zip(split.labels, split.contexts):
+        q = base_factor(split.p, d, ell).reduce_mod(mod)
+        yield ctx, q, radical_floor(ctx, mod, bound, q.degree, q)
+
+
 def _floor_components(split, mod, bound):
     """Per label, the ideals of index <= bound above the component's radical floor."""
     per = []
-    for (d, ell), ctx in zip(split.labels, split.contexts):
-        q = base_factor(split.p, d, ell).reduce_mod(mod)
-        floor = radical_floor(ctx, mod, bound, q.degree, q)
+    for ctx, q, floor in _component_floors(split, mod, bound):
         if floor.quotient_size() <= ENUM_BUDGET:
             ideals = enumerate_ideals_between(ctx, mod, base=floor)
         else:
@@ -79,6 +86,74 @@ def test_combine_matches_reference(p, k):
             assert got == want
             compared += 1
     assert compared
+
+
+@pytest.mark.parametrize("p,k", list(_prime_powers()))
+def test_enumeration_matches_reference_above_floors(p, k):
+    """Same rows, in the same order, on every component above its radical floor."""
+    mod = Modulus(p, k)
+    compared = 0
+    for n in range(1, 9):
+        for ctx, _, floor in _component_floors(crt_split(p, k, n), mod, BOUND):
+            if floor.quotient_size() > ENUM_BUDGET:
+                continue
+            got = enumerate_ideals_between(ctx, mod, base=floor)
+            want = reference_enumerate_ideals_between(ctx, mod, base=floor)
+            assert [q.rows for q in got] == [q.rows for q in want], (n, ctx, floor.rows)
+            compared += 1
+    assert compared
+
+
+@pytest.mark.parametrize("N,n", [(4, 3), (9, 2), (8, 2), (3, 4), (2, 6), (25, 2)])
+def test_enumeration_matches_reference_above_zero(N, n):
+    p, k = factorize(N)[0]
+    mod = Modulus(p, k)
+    ctx = poly.Poly.x_pow_plus_const(n, 1, mod)
+    got = enumerate_ideals_between(ctx, mod)
+    assert [q.rows for q in got] == [q.rows for q in reference_enumerate_ideals_between(ctx, mod)]
+
+
+@pytest.mark.parametrize("N,max_n", [(6, 4), (10, 4), (12, 4), (18, 3), (27, 3)])
+def test_enumeration_matches_reference_above_constants(N, max_n):
+    """Units mod the base's constant d are not all units mod N.
+
+    At N = 18 and 27 with n = 3 and d = 9, a sum-closure skip that tests
+    membership of anything but the principal's generator loses an ideal.
+    """
+    mod = Modulus.composite(N)
+    compared = 0
+    for n in range(1, max_n + 1):
+        ctx = poly.Poly.x_pow_plus_const(n, 1, mod)
+        for d in (d for d in range(1, N + 1) if N % d == 0):
+            base = constant_ideal(d, ctx, mod)
+            got = enumerate_ideals_between(ctx, mod, base=base)
+            want = reference_enumerate_ideals_between(ctx, mod, base=base)
+            assert [q.rows for q in got] == [q.rows for q in want], (n, d)
+            compared += 1
+    assert compared == max_n * sum(1 for d in range(1, N + 1) if N % d == 0)
+
+
+def test_enumeration_marks_orbits_by_units_mod_base_constant(monkeypatch):
+    """The degree-4 component of Z_81[x]/(x^5+1) above its floor has constant 3.
+
+    Marking orbits with the units mod 3, not the 54 units mod 81, takes its
+    reductions from 4,432 to 274; the pin leaves room up to 400.
+    """
+    mod = Modulus(3, 4)
+    components = _component_floors(crt_split(3, 4, 5), mod, BOUND)
+    ((ctx, _, floor),) = [c for c in components if c[0].degree == 4]
+    assert floor.constant_divisor() == 3
+    calls = []
+    reduce_row = IdealPresentation.reduce_row
+
+    def counting(self, vec):
+        calls.append(1)
+        return reduce_row(self, vec)
+
+    monkeypatch.setattr(IdealPresentation, "reduce_row", counting)
+    assert enumerate_ideals_between(ctx, mod, base=floor)
+    monkeypatch.undo()
+    assert len(calls) <= 400, len(calls)
 
 
 def test_combine_rejects_parts_in_other_contexts():
