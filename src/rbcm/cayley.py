@@ -9,7 +9,9 @@ image under Aut(G).  Aut(G) is listed as the closure of the elementary
 automorphisms (unit scalings and transvections), certified complete by the
 closed-form |Aut(G)|.  Otherwise the oracle falls back to exhaustive
 shift-closed relation-lattice enumeration (realized and validated
-definitionally, deduplicated by explicit isomorphism search).
+definitionally, deduplicated by explicit isomorphism search).  Sigma mode
+already yields one record per class, so only lattice-mode output is
+deduplicated.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .ideals import (
     crt_split,
     enumerate_ideals_between,
     is_admissible,
-    is_admissible_type2,
     radical_floor,
 )
 from .structure import (
@@ -60,23 +61,18 @@ def oracle_budget() -> int:
 class CayleyMapRecord:
     """A balanced Cayley map: group, generator cycle, and type."""
 
-    def __init__(self, group: AbelianGroupTable, cycle, map_type: str, source=None):
+    def __init__(self, group: AbelianGroupTable, cycle, map_type: str):
         self.group = group
         self.cycle = tuple(tuple(g) for g in cycle)
         self.map_type = map_type
-        self.source = source
         self.valence = len(self.cycle)
         self._stats = None
-        self._witness = None
 
     @property
     def omega(self) -> tuple[tuple[int, ...], ...]:
         if self.map_type == "I":
             return self.cycle[: self.valence // 2]
         return self.cycle
-
-    def rho(self, w):
-        return self.cycle[(self.cycle.index(tuple(w)) + 1) % self.valence]
 
     def canonical_key(self):
         rotations = [
@@ -160,17 +156,26 @@ def _is_total_bijection(table, order: int) -> bool:
     return len(set(table)) == order
 
 
-def is_rbcm(record: CayleyMapRecord):
-    """(flag, witness): does the rotation extend to a group automorphism?"""
+def _rotation_table(record: CayleyMapRecord):
+    """Index table of the automorphism extending the rotation, or None."""
     g = record.group
     L = record.valence
     steps = [g.translation(w) for w in record.cycle]
     table = _hom_extend_idx(g.order, [(steps[i], steps[(i + 1) % L]) for i in range(L)])
     if table is None or not _is_total_bijection(table, g.order):
+        return None
+    return table
+
+
+def is_rbcm(record: CayleyMapRecord):
+    """(flag, witness): does the rotation extend to a group automorphism?
+
+    The witness maps each cycle element to its image."""
+    table = _rotation_table(record)
+    if table is None:
         return False, None
-    els = g.elements()
-    record._witness = {els[i]: els[v] for i, v in enumerate(table)}
-    return True, {w: record._witness[w] for w in record.cycle}
+    els, idx = record.group.tables()
+    return True, {w: els[table[idx[w]]] for w in record.cycle}
 
 
 def maps_isomorphic(m1: CayleyMapRecord, m2: CayleyMapRecord) -> bool:
@@ -229,14 +234,12 @@ def map_stats(record: CayleyMapRecord) -> MapStats:
 
 def arc_transitive(record: CayleyMapRecord) -> bool:
     """Explicit orbit computation: translations + the rotation automorphism."""
-    ok, _ = is_rbcm(record)
-    if not ok:
+    sigma = _rotation_table(record)
+    if sigma is None:
         return False
     g = record.group
-    els, idx = g.tables()
-    sigma = [idx[record._witness[e]] for e in els]
     L = record.valence
-    arcs = range(len(els) * L)  # arc v*L + i leaves vertex v along cycle[i]
+    arcs = range(g.order * L)  # arc v*L + i leaves vertex v along cycle[i]
     steps = [[t[a // L] * L + a % L for a in arcs] for t in map(g.translation, record.cycle)]
     steps.append([sigma[a // L] * L + (a + 1) % L for a in arcs])
     return reachable(0, steps, len(arcs)) == len(arcs)
@@ -261,19 +264,14 @@ def realize_record(Q: IdealPresentation, n: int, map_type: str) -> CayleyMapReco
         cycle = omegas
     if len(set(cycle)) != len(cycle) or group.zero() in cycle:
         raise DegenerateOmega(f"collisions among signed generators (n={n})")
-    return CayleyMapRecord(group, cycle, map_type, source=Q)
+    return CayleyMapRecord(group, cycle, map_type)
 
 
-def build_map(Q: IdealPresentation, N: int, n: int, map_type: str = "I") -> CayleyMapRecord:
+def build_map(Q: IdealPresentation, n: int, map_type: str = "I") -> CayleyMapRecord:
     """Standard map of an admissible ideal (admissibility checked first)."""
-    if map_type == "I":
-        if n < 2:
-            raise ValueError("type I maps need n >= 2")
-        adm = is_admissible(Q, N, n)
-    else:
-        if N != 2:
-            raise ValueError("type II maps live over Z_2")
-        adm = is_admissible_type2(Q, n)
+    if map_type == "I" and n < 2:
+        raise ValueError("type I maps need n >= 2")
+    adm = is_admissible(Q, n, map_type)
     if not adm:
         raise NotAdmissible(adm.clause or "?", adm.detail or "")
     record = realize_record(Q, n, map_type)
@@ -531,11 +529,11 @@ def bounded_admissible_candidates(
     per_component = []
     for (d, ell), ctx in zip(split.labels, split.contexts):
         q = base_factor(p, d, ell).reduce_mod(mod)
-        floor = radical_floor(ctx, mod, bound, q.degree, q)
+        floor = radical_floor(ctx, mod, bound, q)
         if floor.quotient_size() <= ENUM_BUDGET:
             ideals = enumerate_ideals_between(ctx, mod, base=floor)
         else:
-            ideals = bounded_ideals_local_tree(ctx, mod, bound, q, q.degree)
+            ideals = bounded_ideals_local_tree(ctx, mod, bound, q)
         per_component.append([ideal for ideal in ideals if ideal.quotient_size() <= bound])
     cases = ((None, combo) for combo in itertools.product(*per_component))
     found = [Q for _, Q in bounded_combinations(split, cases, bound)]
@@ -615,11 +613,12 @@ def brute_force_rbcms(group_spec, valence: int):
         raise ValueError("valence must be >= 1")
     if valence > 2 * group.order:
         raise ValueError("valence exceeds twice the group order")
-    if aut_candidate_count(group.invariants) <= AUT_CANDIDATE_LIMIT:
-        mode = _sigma_mode
-    else:
-        mode = _lattice_mode
+    sigma = aut_candidate_count(group.invariants) <= AUT_CANDIDATE_LIMIT
+    mode = _sigma_mode if sigma else _lattice_mode
     out = []
     for n, map_type in map_cases(group, valence):
         out.extend(mode(group, n, map_type))
-    return _dedup_classes(out)
+    # sigma mode keys each class by its minimal image, so it already returns
+    # one record per class, in canonical-key order; map_cases gives at most
+    # one case
+    return out if sigma else _dedup_classes(out)

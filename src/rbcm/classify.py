@@ -30,7 +30,7 @@ from .ideals import (
     crt_split,
 )
 from .poly import Poly, poly_mod
-from .structure import AbelianGroupTable, QuotientRing, quotient_group_type
+from .structure import AbelianGroupTable, QuotientRing
 from .zring import Frozen, Modulus, divisors, factorize, is_prime
 
 
@@ -112,11 +112,11 @@ def theta_set(p: int, n: int) -> tuple[int, ...]:
     )
 
 
-def _try_build(Q: IdealPresentation, N: int, n: int, map_type: str, max_order=None):
+def _try_build(Q: IdealPresentation, n: int, map_type: str, max_order=None):
     if max_order is not None and Q.quotient_size() > max_order:
         return None
     try:
-        return build_map(Q, N, n, map_type)
+        return build_map(Q, n, map_type)
     except (NotAdmissible, DegenerateOmega, TooLarge):
         return None
 
@@ -127,7 +127,7 @@ def _assert_pairwise_distinct(maps: list[FamilyMap]) -> None:
             raise InvariantViolation(f"family members {a.params} and {b.params} are isomorphic")
 
 
-def _family_maps(cases, N: int, n: int, map_type: str, max_order) -> list[FamilyMap]:
+def _family_maps(cases, n: int, map_type: str, max_order) -> list[FamilyMap]:
     """The maps of the (params, ideal) cases whose ideal builds one.
 
     Each family yields every ideal once, so no map is built twice.  Families
@@ -136,7 +136,7 @@ def _family_maps(cases, N: int, n: int, map_type: str, max_order) -> list[Family
     """
     out = []
     for params, Q in cases:
-        rec = _try_build(Q, N, n, map_type, max_order)
+        rec = _try_build(Q, n, map_type, max_order)
         if rec is not None:
             out.append(FamilyMap(params, Q, rec))
     _assert_pairwise_distinct(out)
@@ -153,7 +153,7 @@ def classify_cyclic(p: int, k: int, n: int, max_order=None) -> list[FamilyMap]:
         (_params("cyclic", mu=mu), canonical_form([Poly([-mu, 1], mod)], context, mod))
         for mu in solve_unit_roots(p, k, n)
     )
-    return _family_maps(cases, p**k, n, "I", max_order)
+    return _family_maps(cases, n, "I", max_order)
 
 
 def classify_elementary(p: int, m: int, n: int, map_type: str = "I", max_order=None) -> list[FamilyMap]:
@@ -186,7 +186,7 @@ def classify_elementary(p: int, m: int, n: int, map_type: str = "I", max_order=N
             K = tuple(((lab.d, lab.l), e) for lab, e in zip(labels, exps))
             yield _params("elementary" + map_type, K=K), canonical_form([f], context, mod)
 
-    return _family_maps(cases(), p, n, map_type, max_order)
+    return _family_maps(cases(), n, map_type, max_order)
 
 
 def family_elementary_narrow_count(p: int, m: int, n: int) -> int:
@@ -233,7 +233,7 @@ def classify_2group(k: int, n: int, max_order=None) -> list[FamilyMap]:
                 jk = tuple(zip(labels, J, K))
                 yield _params("two_group", JK=jk), [c[j, kk] for c, j, kk in zip(comps, J, K)]
 
-    return _family_maps(bounded_combinations(split, cases(), max_order), 2**k, n, "I", None)
+    return _family_maps(bounded_combinations(split, cases(), max_order), n, "I", None)
 
 
 def two_group_unfiltered_pairs(k: int, n: int) -> int:
@@ -260,7 +260,7 @@ def classify_coprime(p: int, k: int, n: int, max_order=None) -> list[FamilyMap]:
         (_params("coprime", J=tuple(zip(labels, J))), [lev[j] for lev, j in zip(levels, J)])
         for J in itertools.product(range(k + 1), repeat=len(labels))
     )
-    return _family_maps(bounded_combinations(split, cases, max_order), p**k, n, "I", None)
+    return _family_maps(bounded_combinations(split, cases, max_order), n, "I", None)
 
 
 def _rank2_generator_check(
@@ -310,7 +310,8 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
         raise ValueError("rank-2 families require odd p")
     if not (k >= k2 >= 1) or n < 2:
         raise ValueError("need k >= k2 >= 1 and n > 1")
-    N = p**k
+    if max_order is not None and p ** (k + k2) > max_order:
+        return []  # every family map lies on the target group, of order p^(k+k2)
     mod = Modulus(p, k)
     r, n_prime = split_p_part(n, p)
     context = Poly.x_pow_plus_const(n, 1, mod)
@@ -324,7 +325,7 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
             if seen[Q.rows] not in (None, case):
                 raise InvariantViolation(f"ideal produced by case {seen[Q.rows]} and case {case}")
             return
-        rec = _try_build(Q, N, n, "I", max_order)
+        rec = _try_build(Q, n, "I", max_order)
         if rec is None or rec.group.invariants != target:
             seen[Q.rows] = None
             return
@@ -446,7 +447,8 @@ def standard_form_maps(group: AbelianGroupTable, valence: int) -> list[FamilyMap
 
     Ideals live over the exponent ring Z_{p^k}, at the n of each case of
     map_cases; type II cases have an elementary 2-group, so (p, k) = (2, 1).
-    build_map checks admissibility before it builds.
+    build_map checks admissibility before it builds, and a built map is kept
+    when its group is this one.
     """
     facs = factorize(group.exponent)
     if len(facs) != 1:
@@ -457,10 +459,8 @@ def standard_form_maps(group: AbelianGroupTable, valence: int) -> list[FamilyMap
         for Q in bounded_admissible_candidates(p, k, n, group.order):
             if Q.quotient_size() != group.order:
                 continue
-            if quotient_group_type(Q).invariant_factors != group.invariants:
-                continue
-            rec = _try_build(Q, p**k, n, map_type)
-            if rec is not None:
+            rec = _try_build(Q, n, map_type)
+            if rec is not None and rec.group.invariants == group.invariants:
                 out.append(FamilyMap(_params("standard_" + map_type, rows=Q.rows), Q, rec))
     return out
 

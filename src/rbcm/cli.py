@@ -146,7 +146,7 @@ def cmd_lift(args) -> None:
 
 def cmd_ideals(args) -> None:
     lf = _lifted_factor(args)
-    ideals = enumerate_ideals_containing(lf.poly, args.p, args.k, label=lf.label)
+    ideals = enumerate_ideals_containing(lf.poly, label=lf.label)
     payload = [ideal_to_json(q) for q in ideals]
     rows = [
         (i, q.quotient_size(), "; ".join(str(f) for f in q.row_polys()) or "0")

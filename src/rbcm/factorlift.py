@@ -110,7 +110,14 @@ def lambda_index(p: int, n_prime: int) -> tuple[FactorLabel, ...]:
 
 @lru_cache(maxsize=None)
 def base_factor(p: int, d: int, ell: int) -> Poly:
-    """Irreducible factor of the d-th cyclotomic polynomial over Z_p for coset l."""
+    """Irreducible factor of the d-th cyclotomic polynomial over Z_p for coset l.
+
+    l must be a label: one of coset_reps(p, d), the least representatives.
+    """
+    reps = coset_reps(p, d)
+    if ell not in reps:
+        labels = ", ".join(map(str, reps))
+        raise ValueError(f"l = {ell} is not a factor label; for p = {p}, d = {d} they are {labels}")
     eta, _ = build_splitting_field(p, d)
     return minimal_polynomial(eta**ell, p, d, ell)
 

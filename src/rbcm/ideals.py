@@ -314,41 +314,39 @@ def _x_power_plus_one_rows(Q: IdealPresentation, n: int) -> list[list[int]]:
     return [[a + b for a, b in zip(row, one)] for row in powers]
 
 
-def is_admissible(Q: IdealPresentation, N: int, n: int) -> Admissibility:
-    """Defining clauses, each checked by direct membership.
+def is_admissible(Q: IdealPresentation, n: int, map_type: str = "I") -> Admissibility:
+    """Defining clauses of an admissible ideal, each checked by direct membership.
 
-    (i) x^n + 1 lies in the ideal; (ii) no x^m + 1 with 1 <= m < n does;
-    (iii) no nonzero constant does.  n = 1 is accepted (clause (ii) is then
-    vacuous) because cross-prime components may carry valence 2.
+    Over Z_N = Q.modulus: (i) x^n + 1 lies in the ideal; (ii) no x^m + 1
+    with 1 <= m < n does; (iii) no nonzero constant does.  Type I checks
+    them in the order (i), (iii), (ii), and accepts n = 1 (clause (ii) is
+    then vacuous) because cross-prime components may carry valence 2.  Type
+    II (involution generators) lives over Z_2, checks (i), (ii), (iii), and
+    runs clause (ii) over the proper divisors m of n only.  The first clause
+    that fails is reported.
     """
-    if Q.modulus.N != N:
-        raise ValueError(f"ideal is over Z_{Q.modulus.N}, not Z_{N}")
+    N = Q.modulus.N
+    if map_type == "I":
+        smaller = range(1, n)
+    elif map_type == "II":
+        if N != 2:
+            raise ValueError("type II presentations live over Z_2")
+        smaller = [m for m in divisors(n) if m < n]
+    else:
+        raise ValueError(f"unknown map type {map_type!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     plus_one = _x_power_plus_one_rows(Q, n)
     if not Q.contains_row(plus_one[n]):
         return Admissibility(False, "i", f"x^{n}+1 not in ideal")
     d = Q.constant_divisor()
-    if d != N:
+    if map_type == "I" and d != N:
         return Admissibility(False, "iii", f"constant {d} in ideal")
-    for m in range(1, n):
+    for m in smaller:
         if Q.contains_row(plus_one[m]):
             return Admissibility(False, "ii", f"x^{m}+1 in ideal")
-    return Admissibility(True)
-
-
-def is_admissible_type2(Q: IdealPresentation, n: int) -> Admissibility:
-    """Involution-generator variant over Z_2: proper-divisor minimality."""
-    if Q.modulus.N != 2:
-        raise ValueError("type II presentations live over Z_2")
-    plus_one = _x_power_plus_one_rows(Q, n)
-    if not Q.contains_row(plus_one[n]):
-        return Admissibility(False, "i", f"x^{n}+1 not in ideal")
-    for m in divisors(n):
-        if m < n and Q.contains_row(plus_one[m]):
-            return Admissibility(False, "ii", f"x^{m}+1 in ideal")
-    if Q.constant_divisor() != 2:
-        return Admissibility(False, "iii", "ideal is the whole ring")
+    if d != N:
+        return Admissibility(False, "iii", f"constant {d} in ideal")
     return Admissibility(True)
 
 
@@ -560,17 +558,17 @@ def enumerate_ideals_between(
 
 
 def radical_floor(
-    context: Poly, modulus: Modulus, quotient_bound: int, residue_degree: int, radical_gen: Poly
+    context: Poly, modulus: Modulus, quotient_bound: int, radical_gen: Poly
 ) -> IdealPresentation:
     """Power of the maximal ideal below every ideal of bounded index.
 
     In the local quotient with maximal ideal (p, g) and residue field of size
-    p^residue_degree, an ideal of index <= quotient_bound contains m^s for
+    p^o, o = deg g, an ideal of index <= quotient_bound contains m^s for
     s = floor(log_{p^o} bound): each radical layer of the quotient has at
     least p^o elements.
     """
     p = modulus.p
-    q = p**residue_degree
+    q = p**radical_gen.degree
     s = 0
     while q ** (s + 1) <= quotient_bound:
         s += 1
@@ -588,16 +586,16 @@ def bounded_ideals_local_tree(
     modulus: Modulus,
     bound: int,
     radical_gen: Poly,
-    residue_degree: int,
 ) -> list[IdealPresentation]:
     """Ideals of index <= bound in a local quotient, by descending maximal chains.
 
     Children of an ideal I are its maximal subideals, all of which contain
-    m*I and have index |residue field| in I; they are read off a small
-    enumeration of the module between m*I and I.
+    m*I and have index p^deg(radical_gen), the size of the residue field,
+    in I; they are read off a small enumeration of the module between m*I
+    and I.
     """
     p = modulus.p
-    q = p**residue_degree
+    q = p**radical_gen.degree
     full = canonical_form([Poly.one(modulus)], context, modulus)
     out = {full.rows: full}
     frontier = [full]
@@ -625,17 +623,16 @@ def bounded_ideals_local_tree(
     )
 
 
-def closed_form_ideals(
-    factor_poly: Poly, label: FactorLabel, p: int, k: int
-) -> list[IdealPresentation] | None:
-    """Known ideal lattices above a lifted factor, or None when no form applies.
+def closed_form_ideals(factor_poly: Poly, label: FactorLabel) -> list[IdealPresentation] | None:
+    """Known ideal lattices above a lifted factor over Z_{p^k}, or None when no form applies.
 
     k = 1: the quotient is a principal chain (powers of the base factor).
     level 0, k >= 2: an unramified chain ring; ideals are (f, p^u).
     p = 2, level >= 1, k >= 2: ideals (f, 2^u * lift^v, 2^(u+1)) after
     deduplication.  Odd p at level >= 1 with k >= 2 has no closed form.
     """
-    mod = Modulus(p, k)
+    mod = factor_poly.modulus
+    p, k = mod.p, mod.k
     ctx = factor_poly
     if k == 1:
         q = base_factor(p, label.d, label.l)
@@ -659,29 +656,20 @@ def closed_form_ideals(
     return sorted(dedup.values(), key=lambda q: q.rows)
 
 
-def enumerate_ideals_containing(
-    f: Poly, p: int, k: int, label: FactorLabel | None = None
-) -> list[IdealPresentation]:
+def enumerate_ideals_containing(f: Poly, label: FactorLabel | None = None) -> list[IdealPresentation]:
     """All ideals of Z_{p^k}[x] containing the monic f, canonical and sorted.
 
-    Exhaustive within the element budget; a label unlocks the closed-form
-    lattice, which is cross-checked against the exhaustive list whenever both
-    are available.
+    A label unlocks the closed-form lattice where one applies; otherwise the
+    enumeration is exhaustive within the element budget.  The tests compare
+    the two wherever both are available.
     """
-    mod = Modulus(p, k)
-    size = (p**k) ** f.degree
-    closed = closed_form_ideals(f, label, p, k) if label is not None else None
-    if size <= ENUM_BUDGET:
-        out = enumerate_ideals_between(f, mod)
-        if closed is not None:
-            require(
-                [q.rows for q in closed] == [q.rows for q in out],
-                "closed-form ideal list disagrees with exhaustive enumeration",
-            )
-        return out
+    closed = closed_form_ideals(f, label) if label is not None else None
     if closed is not None:
         return closed
-    raise TooLarge(f"quotient has {size} elements and no closed form applies")
+    size = f.modulus.N ** f.degree
+    if size > ENUM_BUDGET:
+        raise TooLarge(f"quotient has {size} elements and no closed form applies")
+    return enumerate_ideals_between(f, f.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +693,7 @@ def compose_across_primes(components) -> tuple[int, int, IdealPresentation]:
         n = n * n_p // math.gcd(n, n_p)
     N = 1
     for p, k_p, Q_p, n_p in comps:
-        adm = is_admissible(Q_p, p**k_p, n_p)
+        adm = is_admissible(Q_p, n_p)
         if not adm:
             raise ComponentNotAdmissible(f"component p={p}: clause {adm.clause} ({adm.detail})")
         N *= p**k_p

@@ -121,8 +121,8 @@ def crt_backward(split, parts):
 
 
 def reference_admissibility(Q, n, type2=False):
-    """(ok, clause) of is_admissible (or is_admissible_type2), with each
-    x^m + 1 built as a Poly and tested by Q.contains."""
+    """(ok, clause) of is_admissible for type I (or type II, with type2),
+    with each x^m + 1 built as a Poly and tested by Q.contains."""
 
     def plus_one_in(m):
         return Q.contains(Poly.x_pow_plus_const(m, 1, Q.modulus))
@@ -353,7 +353,7 @@ def reference_rank2_case_d(p: int, k: int, n: int) -> list[tuple]:
                 ]
                 Q = canonical_form(gens, context, mod)
                 if Q.rows not in seen:
-                    rec = _try_build(Q, N, n, "I")
+                    rec = _try_build(Q, n, "I")
                     seen[Q.rows] = rec is not None and rec.group.invariants == (p, N)
     return [rows for rows, kept in seen.items() if kept]
 
@@ -383,6 +383,6 @@ def reference_rank2_case_d_full(p: int, k: int, k2: int, n: int) -> set[tuple]:
                 ]
                 Q = canonical_form(gens, context, mod)
                 if Q.rows not in seen:
-                    rec = _try_build(Q, N, n, "I")
+                    rec = _try_build(Q, n, "I")
                     seen[Q.rows] = rec is not None and rec.group.invariants == (p**k2, N)
     return {rows for rows, kept in seen.items() if kept}

@@ -115,7 +115,7 @@ def test_criterion_3_ideal_lattice_equivalence():
                     size = (p**k) ** lf.poly.degree
                     if size > 1 << 12:
                         continue
-                    closed = closed_form_ideals(lf.poly, lf.label, p, k)
+                    closed = closed_form_ideals(lf.poly, lf.label)
                     exhaustive = enumerate_ideals_between(lf.poly, mod)
                     for q in exhaustive:
                         assert q.contains(lf.poly)
@@ -335,7 +335,7 @@ def test_criterion_7_cross_prime_composition():
     assert (N, n) == (65, 2)
     assert Q.contains(Poly([-57, 1], Q.modulus))
     assert Q.contains(Poly.x_pow_plus_const(2, 1, Q.modulus))
-    assert is_admissible(Q, 65, 2).ok
+    assert is_admissible(Q, 2).ok
     elapsed = time.time() - t0
     assert elapsed < 1
     report(7, elapsed, "(5,(x-2)) . (13,(x-5)) = (x-57) over Z_65, projections verified")

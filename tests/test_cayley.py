@@ -47,7 +47,7 @@ def ctx(n, mod):
 def cyclic_map(mu, p, k, n):
     mod = Modulus(p, k)
     Q = canonical_form([P([-mu, 1], mod)], ctx(n, mod), mod)
-    return build_map(Q, p**k, n, "I")
+    return build_map(Q, n, "I")
 
 
 def test_build_map_cyclic5():
@@ -60,7 +60,7 @@ def test_build_map_cyclic5():
 def test_build_map_z3sq():
     mod = Z3
     Q = zero_ideal(ctx(2, mod), mod)
-    rec = build_map(Q, 3, 2, "I")
+    rec = build_map(Q, 2, "I")
     assert rec.group.invariants == (3, 3)
     assert len(set(rec.cycle)) == 4
 
@@ -69,7 +69,7 @@ def test_build_map_not_admissible():
     Z2 = Modulus(2)
     Q = canonical_form([P([1, 1], Z2)], ctx(2, Z2), Z2)
     with pytest.raises(NotAdmissible) as e:
-        build_map(Q, 2, 2, "I")
+        build_map(Q, 2, "I")
     assert e.value.clause == "ii"
 
 
@@ -138,7 +138,7 @@ def test_trace_faces_z5():
 
 def test_trace_faces_z3sq():
     Q = zero_ideal(ctx(2, Z3), Z3)
-    rec = build_map(Q, 3, 2, "I")
+    rec = build_map(Q, 2, "I")
     st = trace_faces(rec)
     assert (st.vertices, st.edges) == (9, 18)
     assert st.vertices - st.edges + st.faces == 2 - 2 * st.genus
@@ -151,7 +151,7 @@ def test_arc_transitivity_small():
     for rec in [cyclic_map(2, 5, 1, 2), cyclic_map(3, 5, 1, 2)]:
         assert arc_transitive(rec)
     Q = zero_ideal(ctx(2, Z3), Z3)
-    assert arc_transitive(build_map(Q, 3, 2, "I"))
+    assert arc_transitive(build_map(Q, 2, "I"))
 
 
 def test_oracle_z5_valence4():

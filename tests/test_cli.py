@@ -58,6 +58,26 @@ def test_lift_example(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["coeffs"] == [8, 4, 1]
+    # 5 is the other label of d = 8 over Z_3
+    code, out, _ = run_cli(["lift", "--p", "3", "--k", "2", "--d", "8", "--l", "5"], capsys)
+    assert code == 0
+    assert json.loads(out)["coeffs"] == [8, 5, 1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", "--p", "2", "--d", "3", "--l", "3"],
+        ["ideals", "--p", "2", "--d", "3", "--l", "3"],
+        ["lift", "--p", "2", "--d", "3", "--l", "2"],
+    ],
+)
+def test_factor_label_must_be_a_label(argv, capsys):
+    """--l names one of the labels `factor` prints for d; over Z_2 the only one for d = 3 is 1."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("usage error:")
 
 
 def test_ideals_json_valid(capsys):
@@ -338,6 +358,7 @@ def _family_argv(command, *extra):
         st.sampled_from([["cyclic"], ["elementary"], ["twogroup"], ["coprime"], ["rank2"]]),
         _opt("--p", _SMALL),
         _opt("--k", _SMALL),
+        _opt("--k2", _SMALL),
         _opt("--m", _SMALL),
         _opt("--n", _VALENCE),
         _opt("--map-type", st.sampled_from(["I", "II"])),
@@ -365,6 +386,7 @@ _CLI_ARGV = st.one_of(
         _opt("--p", _SMALL),
         _opt("--k", _SMALL),
         _opt("--d", st.integers(-1, 8)),
+        _opt("--l", st.integers(-1, 8)),
         _opt("--level", st.integers(0, 2)),
     ),
 )

@@ -25,14 +25,14 @@ from rbcm.poly import Poly
 from rbcm.zring import Modulus
 
 
-def _reference_family_maps(cases, N, n, max_order):
+def _reference_family_maps(cases, n, max_order):
     out = []
     seen = set()
     for params, Q in cases:
         if Q.rows in seen:
             continue
         seen.add(Q.rows)
-        rec = _try_build(Q, N, n, "I", max_order)
+        rec = _try_build(Q, n, "I", max_order)
         if rec is not None:
             out.append(FamilyMap(params, Q, rec))
     return out
@@ -55,7 +55,7 @@ def reference_2group(k, n, max_order):
                 jk = tuple((lab, j, kk) for lab, j, kk in zip(labels, J, K))
                 yield _params("two_group", JK=jk), reference_combine(split, parts)
 
-    return _reference_family_maps(cases(), 2**k, n, max_order)
+    return _reference_family_maps(cases(), n, max_order)
 
 
 def reference_coprime(p, k, n, max_order):
@@ -69,7 +69,7 @@ def reference_coprime(p, k, n, max_order):
         )
         for J in itertools.product(range(k + 1), repeat=len(labels))
     )
-    return _reference_family_maps(cases, p**k, n, max_order)
+    return _reference_family_maps(cases, n, max_order)
 
 
 def _listing(maps):

@@ -56,7 +56,7 @@ def _component_floors(split, mod, bound):
     """Per label: its context, its radical generator and its radical floor at the bound."""
     for (d, ell), ctx in zip(split.labels, split.contexts):
         q = base_factor(split.p, d, ell).reduce_mod(mod)
-        yield ctx, q, radical_floor(ctx, mod, bound, q.degree, q)
+        yield ctx, q, radical_floor(ctx, mod, bound, q)
 
 
 def _floor_components(split, mod, bound):
@@ -66,7 +66,7 @@ def _floor_components(split, mod, bound):
         if floor.quotient_size() <= ENUM_BUDGET:
             ideals = enumerate_ideals_between(ctx, mod, base=floor)
         else:
-            ideals = bounded_ideals_local_tree(ctx, mod, bound, q, q.degree)
+            ideals = bounded_ideals_local_tree(ctx, mod, bound, q)
         per.append([i for i in ideals if i.quotient_size() <= bound])
     return per
 
@@ -194,7 +194,7 @@ def test_radical_floor_matches_all_products(p, k, n):
         g = base_factor(p, d, ell).reduce_mod(mod)
         q = p**g.degree
         for s in range(5):
-            got = radical_floor(ctx, mod, q**s, g.degree, g)
+            got = radical_floor(ctx, mod, q**s, g)
             assert got.rows == reference_radical_floor_rows(ctx, mod, s, g), (d, ell, s)
 
 
@@ -235,7 +235,7 @@ def test_row_layer_builds_no_poly(monkeypatch):
     floors = []
     for (d, ell), ctx in zip(split.labels, split.contexts):
         g = base_factor(3, d, ell).reduce_mod(mod)
-        floors.append(radical_floor(ctx, mod, BOUND, g.degree, g))
+        floors.append(radical_floor(ctx, mod, BOUND, g))
     made = []
     init = poly.Poly.__init__
 

@@ -7,6 +7,7 @@ from rbcm.cayley import bounded_admissible_candidates
 from rbcm.errors import ComponentNotAdmissible, DuplicatePrime, TooLarge
 from rbcm.factorlift import base_factor, factor_xn_plus1
 from rbcm.ideals import (
+    ENUM_BUDGET,
     bounded_ideals_local_tree,
     canonical_form,
     closed_form_ideals,
@@ -17,7 +18,6 @@ from rbcm.ideals import (
     enumerate_ideals_containing,
     howell_form,
     is_admissible,
-    is_admissible_type2,
     radical_floor,
     zero_ideal,
 )
@@ -124,23 +124,23 @@ def test_contains_agrees_with_naive_closure():
 
 def test_is_admissible_examples():
     Q = canonical_form([P([-2, 1], Z5)], ctx(2, Z5), Z5)
-    assert is_admissible(Q, 5, 2).ok
+    assert is_admissible(Q, 2).ok
     Q2 = canonical_form([P([-2, 1], Z9), P([3], Z9)], ctx(2, Z9), Z9)
-    a = is_admissible(Q2, 9, 2)
+    a = is_admissible(Q2, 2)
     assert not a.ok and a.clause == "iii"
     # <x+1> over Z_2 contains x^1+1: minimality clause
     Z2 = Modulus(2)
     Q3 = canonical_form([P([1, 1], Z2)], ctx(2, Z2), Z2)
-    a = is_admissible(Q3, 2, 2)
+    a = is_admissible(Q3, 2)
     assert not a.ok and a.clause == "ii"
 
 
 def test_is_admissible_type2():
     Z2 = Modulus(2)
     Q = canonical_form([P([1, 1, 1], Z2)], ctx(3, Z2), Z2)
-    assert is_admissible_type2(Q, 3).ok
+    assert is_admissible(Q, 3, "II").ok
     Q2 = canonical_form([P([1, 0, 1], Z2)], ctx(4, Z2), Z2)
-    a = is_admissible_type2(Q2, 4)
+    a = is_admissible(Q2, 4, "II")
     assert not a.ok and a.clause == "ii"
 
 
@@ -156,10 +156,10 @@ def test_admissibility_row_walk_matches_poly_membership():
             for n in range(1, 9):
                 for Q in bounded_admissible_candidates(p, k, n, 81):
                     for m in range(1, n + 1):
-                        got = is_admissible(Q, N, m)
+                        got = is_admissible(Q, m)
                         assert (got.ok, got.clause) == reference_admissibility(Q, m), (Q, m)
                         if N == 2:
-                            got = is_admissible_type2(Q, m)
+                            got = is_admissible(Q, m, "II")
                             assert (got.ok, got.clause) == reference_admissibility(Q, m, True), (Q, m)
                         pairs += 1
     assert pairs == 3227
@@ -209,7 +209,7 @@ def test_crt_round_trip_exhaustive(p, k, n):
 def test_enumerate_ideals_field_case():
     # x - 1 over Z_5: exactly the zero ideal and the whole ring
     f = P([-1, 1], Z5)
-    out = enumerate_ideals_containing(f, 5, 1)
+    out = enumerate_ideals_containing(f)
     assert len(out) == 2
     sizes = sorted(q.quotient_size() for q in out)
     assert sizes == [1, 5]
@@ -218,7 +218,7 @@ def test_enumerate_ideals_field_case():
 def test_enumerate_ideals_chain_case():
     # lifted quadratic over Z_9: exactly three ideals (f, 3^u)
     lf = [f for f in factor_xn_plus1(3, 2, 2)][0]
-    out = enumerate_ideals_containing(lf.poly, 3, 2, label=lf.label)
+    out = enumerate_ideals_containing(lf.poly, label=lf.label)
     assert len(out) == 3
     assert sorted(q.quotient_size() for q in out) == [1, 9, 81]
 
@@ -226,23 +226,39 @@ def test_enumerate_ideals_chain_case():
 def test_enumerate_ideals_gaussian_case():
     # Z_4[x]/(x^2+1) has exactly 5 ideals
     lf = [f for f in factor_xn_plus1(2, 2, 2)][0]
-    out = enumerate_ideals_containing(lf.poly, 2, 2, label=lf.label)
+    out = enumerate_ideals_containing(lf.poly, label=lf.label)
     assert len(out) == 5
     assert sorted(q.quotient_size() for q in out) == [1, 2, 4, 8, 16]
 
 
+def _closed_form_factors():
+    """Each distinct lifted factor of x^n + 1 (p in {2, 3, 5, 7}, k <= 3,
+    2 <= n <= 12) that has a closed-form lattice and fits the enumeration budget."""
+    seen = set()
+    for p in (2, 3, 5, 7):
+        for k in (1, 2, 3):
+            for n in range(2, 13):
+                for lf in factor_xn_plus1(p, k, n):
+                    key = (p, k, lf.label, lf.poly.coeffs)
+                    if key in seen or (p**k) ** lf.poly.degree > ENUM_BUDGET:
+                        continue
+                    seen.add(key)
+                    closed = closed_form_ideals(lf.poly, lf.label)
+                    if closed is not None:
+                        yield lf, closed
+
+
 def test_closed_form_matches_exhaustive_sweep():
-    for p, k, n in [(2, 2, 2), (2, 2, 4), (2, 1, 4), (3, 1, 6), (3, 2, 2), (5, 1, 2), (5, 2, 2)]:
-        for lf in factor_xn_plus1(p, k, n):
-            size = (p**k) ** lf.poly.degree
-            if size > 1 << 12:
-                continue
-            closed = closed_form_ideals(lf.poly, lf.label, p, k)
-            exhaustive = enumerate_ideals_between(lf.poly, Modulus(p, k))
-            if closed is not None:
-                assert [q.rows for q in closed] == [q.rows for q in exhaustive]
-            for q in exhaustive:
-                assert q.contains(lf.poly)
+    """Closed-form lattices, which enumerate_ideals_containing returns
+    unchecked, against exhaustive enumeration."""
+    compared = 0
+    for lf, closed in _closed_form_factors():
+        exhaustive = enumerate_ideals_between(lf.poly, lf.poly.modulus)
+        assert [q.rows for q in closed] == [q.rows for q in exhaustive], lf
+        for q in exhaustive:
+            assert q.contains(lf.poly)
+        compared += 1
+    assert compared == 150
 
 
 @pytest.mark.parametrize("p,k,n,bound", [(2, 1, 8, 16), (2, 2, 4, 16), (3, 2, 3, 81)])
@@ -252,16 +268,16 @@ def test_local_tree_matches_floor(p, k, n, bound):
     mod = Modulus(p, k)
     for (d, ell), ctx in zip(split.labels, split.contexts):
         q = base_factor(p, d, ell).reduce_mod(mod)
-        floor = radical_floor(ctx, mod, bound, q.degree, q)
+        floor = radical_floor(ctx, mod, bound, q)
         above = enumerate_ideals_between(ctx, mod, base=floor)
         expected = [i.rows for i in above if i.quotient_size() <= bound]
-        tree = bounded_ideals_local_tree(ctx, mod, bound, q, q.degree)
+        tree = bounded_ideals_local_tree(ctx, mod, bound, q)
         assert [i.rows for i in tree] == expected
 
 
 def test_enumerate_too_large():
     with pytest.raises(TooLarge):
-        enumerate_ideals_containing(ctx(9, Z9), 3, 2)
+        enumerate_ideals_containing(ctx(9, Z9))
 
 
 def test_compose_across_primes_example():
@@ -293,7 +309,7 @@ def test_compose_mixed_valences():
     # generators with indices wrapping mod each component valence
     from rbcm.cayley import build_map, is_rbcm
 
-    rec = build_map(Q, 10, 2, "I")
+    rec = build_map(Q, 2, "I")
     assert rec.group.invariants == (10,)
     assert rec.cycle == ((1,), (7,), (9,), (3,))  # 7 = (1 mod 2, 2 mod 5)
     ok, _ = is_rbcm(rec)
@@ -310,7 +326,7 @@ def test_compose_errors():
     # incompatible valences: lcm ratio even for an odd prime
     Z17 = Modulus(17)
     Q17 = canonical_form([P([-2, 1], Z17)], ctx(4, Z17), Z17)
-    assert is_admissible(Q17, 17, 4).ok
+    assert is_admissible(Q17, 4).ok
     with pytest.raises(ComponentNotAdmissible):
         compose_across_primes([(5, 1, Q5, 2), (17, 1, Q17, 4)])
 

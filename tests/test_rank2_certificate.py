@@ -139,3 +139,18 @@ def test_rank2_builds_each_ideal_once(monkeypatch):
     maps = classify_rank2(3, 3, 1, 3)
     assert maps and built
     assert max(built.values()) == 1, max(built.values())
+
+
+def test_rank2_beyond_bound_builds_nothing(monkeypatch):
+    """Every family map lies on Z_{p^k} x Z_{p^k2}: past max_order none fits."""
+    calls = []
+    for name in ("_try_build", "canonical_form"):
+        orig = getattr(classify, name)
+
+        def counting(*args, _orig=orig, **kwargs):
+            calls.append(args)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(classify, name, counting)
+    assert classify_rank2(5, 5, 2, 5, max_order=81) == []
+    assert calls == []

@@ -120,6 +120,22 @@ def test_sigma_mode_matches_full_enumeration(invariants):
             assert [r.canonical_key() for r in again] == got, (valence, map_type)
 
 
+def test_sigma_mode_needs_no_dedup():
+    """brute_force_rbcms returns sigma-mode output as it is: _dedup_classes
+    keeps every record, in the same order, on every sigma-mode p-group of
+    order <= 81."""
+    cases = classes = 0
+    for invariants in _sigma_groups(81):
+        group = AbelianGroupTable(invariants)
+        for valence in range(2, min(16, 2 * group.order) + 1):
+            for n, map_type in map_cases(group, valence):
+                got = _sigma_mode(group, n, map_type)
+                assert _dedup_classes(got) == got, (invariants, valence)
+                cases += 1
+                classes += len(got)
+    assert (cases, classes) == (223, 62)
+
+
 def test_hillar_rhea_known_orders():
     assert aut_order((9, 9)) == 3888
     assert aut_order((3, 3, 3)) == 11232

@@ -91,7 +91,7 @@ def test_exponent_matches_admissibility_clause():
     for Q in cases:
         N = Q.modulus.N
         typ = quotient_group_type(Q)
-        adm = is_admissible(Q, N, 2)
+        adm = is_admissible(Q, 2)
         exponent_full = typ.exponent == N
         clause_iii_ok = adm.ok or adm.clause != "iii"
         assert exponent_full == clause_iii_ok
