@@ -529,11 +529,11 @@ def bounded_admissible_candidates(
     per_component = []
     for (d, ell), ctx in zip(split.labels, split.contexts):
         q = base_factor(p, d, ell).reduce_mod(mod)
-        floor = radical_floor(ctx, mod, bound, q)
+        floor = radical_floor(ctx, bound, q)
         if floor.quotient_size() <= ENUM_BUDGET:
-            ideals = enumerate_ideals_between(ctx, mod, base=floor)
+            ideals = enumerate_ideals_between(ctx, base=floor)
         else:
-            ideals = bounded_ideals_local_tree(ctx, mod, bound, q)
+            ideals = bounded_ideals_local_tree(ctx, bound, q)
         per_component.append([ideal for ideal in ideals if ideal.quotient_size() <= bound])
     cases = ((None, combo) for combo in itertools.product(*per_component))
     found = [Q for _, Q in bounded_combinations(split, cases, bound)]

@@ -150,7 +150,7 @@ def classify_cyclic(p: int, k: int, n: int, max_order=None) -> list[FamilyMap]:
     mod = Modulus(p, k)
     context = Poly.x_pow_plus_const(n, 1, mod)
     cases = (
-        (_params("cyclic", mu=mu), canonical_form([Poly([-mu, 1], mod)], context, mod))
+        (_params("cyclic", mu=mu), canonical_form([Poly([-mu, 1], mod)], context))
         for mu in solve_unit_roots(p, k, n)
     )
     return _family_maps(cases, n, "I", max_order)
@@ -184,7 +184,7 @@ def classify_elementary(p: int, m: int, n: int, map_type: str = "I", max_order=N
             for e, lab in zip(exps, labels):
                 f = f * base_factor(p, lab.d, lab.l) ** e
             K = tuple(((lab.d, lab.l), e) for lab, e in zip(labels, exps))
-            yield _params("elementary" + map_type, K=K), canonical_form([f], context, mod)
+            yield _params("elementary" + map_type, K=K), canonical_form([f], context)
 
     return _family_maps(cases(), n, map_type, max_order)
 
@@ -225,7 +225,7 @@ def classify_2group(k: int, n: int, max_order=None) -> list[FamilyMap]:
             for j in range(k)
             for kk in range(2**r + 1)
         }
-        comps.append({jk: canonical_form(g, ctx, mod) for jk, g in gens.items()})
+        comps.append({jk: canonical_form(g, ctx) for jk, g in gens.items()})
 
     def cases():
         for J in itertools.product(range(k), repeat=len(labels)):
@@ -254,8 +254,7 @@ def classify_coprime(p: int, k: int, n: int, max_order=None) -> list[FamilyMap]:
         raise ValueError("requires odd p coprime to n, n > 1")
     split = crt_split(p, k, n)
     labels = split.labels
-    mod = Modulus(p, k)
-    levels = [[constant_ideal(p**j, ctx, mod) for j in range(k + 1)] for ctx in split.contexts]
+    levels = [[constant_ideal(p**j, ctx) for j in range(k + 1)] for ctx in split.contexts]
     cases = (
         (_params("coprime", J=tuple(zip(labels, J))), [lev[j] for lev, j in zip(levels, J)])
         for J in itertools.product(range(k + 1), repeat=len(labels))
@@ -344,7 +343,7 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
                     (x - Poly.constant(mu1, mod)) * (x - Poly.constant(mu2, mod)),
                     Poly.constant(p**k2, mod) * (x - Poly.constant(mu1, mod)),
                 ]
-                Q = canonical_form(gens, context, mod)
+                Q = canonical_form(gens, context)
                 push(Q, "a", dict(mu1=mu1, mu2=mu2))
 
     # equal precision: a free rank-2 quotient forces a principal ideal on a
@@ -368,23 +367,23 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
                 full = [t for t in unit_roots if f.evaluate(t) == 0]
                 mu1 = next(t for t in full if t % p == roots[0])
                 mu2 = next(t for t in full if t % p == roots[1])
-                push(canonical_form([f], context, mod), "a", dict(mu1=mu1, mu2=mu2))
+                push(canonical_form([f], context), "a", dict(mu1=mu1, mu2=mu2))
             elif not roots:
                 (dl, qlift) = lifts[red.coeffs]
                 diff = qlift - f
                 require(all(c % p == 0 for c in diff.coeffs), "inert lift differs off p")
                 shift = (diff[1] // p, diff[0] // p)
                 push(
-                    canonical_form([f], context, mod),
+                    canonical_form([f], context),
                     "b",
                     dict(label=dl, shift=shift, theta_condition=(p + 1) % dl[0] == 0),
                 )
             elif k == 1:
-                push(canonical_form([f], context, mod), "c", dict(mu=roots[0], alpha=0, beta=0))
+                push(canonical_form([f], context), "c", dict(mu=roots[0], alpha=0, beta=0))
             else:
                 # double root at equal precision k >= 2: outside the four
                 # narrow case tags, surfaced in the diagnostics
-                push(canonical_form([f], context, mod), "c+", dict(mu=roots[0], coeffs=f.coeffs))
+                push(canonical_form([f], context), "c+", dict(mu=roots[0], coeffs=f.coeffs))
 
     # (d) double root mod p: <y^2 - p*beta*y - p*alpha, p^k2*y>, y = x - mu.
     # mu, alpha run mod p^(k-1), since k-1 >= k2 and 2k-2 >= k; alpha steps by
@@ -399,7 +398,7 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
                 for alpha in range(0, box, p ** (k - k2 - 1)):
                     gens = [square - Poly.constant(p * alpha, mod), Poly.constant(p**k2, mod) * y]
                     params = dict(mu=mu, alpha=alpha, beta=beta)
-                    push(canonical_form(gens, context, mod), "d", params)
+                    push(canonical_form(gens, context), "d", params)
 
     for fm in out:
         d = fm.params.as_dict()

@@ -90,11 +90,19 @@ def _emit(args, payload, table_rows=None, table_header=None):
         for r in rows:
             lines.append("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
         text = "\n".join(lines) + "\n"
-    if args.output:
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
+    """Write text to -o PATH, or to stdout without one; a PATH that fails is a usage error."""
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"-o {args.output}: {exc.strerror or exc}") from None
 
 
 def _check(cond: bool, message: str) -> None:
@@ -231,12 +239,7 @@ def cmd_crosscheck(args) -> None:
 def cmd_export_map(args) -> None:
     maps = _run_family(args)
     _check(0 <= args.index < len(maps), f"--index out of range (family has {len(maps)} maps)")
-    text = rotation_system(maps[args.index].record)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, rotation_system(maps[args.index].record))
 
 
 def _add_family_arguments(sub) -> None:

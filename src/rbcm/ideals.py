@@ -2,11 +2,13 @@
 
 An ideal containing the monic context polynomial f is a submodule of
 Z_N^deg(f) (coefficient vectors of residues) closed under multiplication by
-x.  Presentations store the Howell normal form of that submodule: pivot
-entries are divisor-of-N scalars, pivot columns strictly increase (columns
-ordered from the highest degree down), entries above pivots are reduced, and
-the row span contains every annihilator multiple.  Equal ideals have
-identical rows, so uniqueness questions reduce to tuple comparison.
+x.  Z_N is f's ring: every function here reads it from f.modulus, and none
+takes it beside f.  Presentations store the Howell normal form of that
+submodule: pivot entries are divisor-of-N scalars, pivot columns strictly
+increase (columns ordered from the highest degree down), entries above
+pivots are reduced, and the row span contains every annihilator multiple.
+Equal ideals have identical rows, so uniqueness questions reduce to tuple
+comparison.
 
 The hot loops stay on integer rows.  ideal_of_rows closes generator rows
 under x; canonical_form is its adapter for polynomial generators.  Ideals of
@@ -124,32 +126,33 @@ def howell_form(rows, N: int, width: int) -> tuple[tuple[int, ...], ...]:
     return tuple((0,) * col + tuple(t) for col, t in basis)
 
 
-def x_step(row, context_monic: Poly, N: int) -> tuple[int, ...]:
+def x_step(row, context_monic: Poly) -> tuple[int, ...]:
     """x * row mod the monic context, on a coefficient row (highest degree first).
 
     The row shifts one column down; the top coefficient t leaves as t*x^D,
     which the context turns into -t times its lower coefficients.
     """
+    N = context_monic.modulus.N
     top = row[0]
     lower = context_monic.coeffs[-2::-1]
     return tuple((a - top * c) % N for a, c in zip((*row[1:], 0), lower))
 
 
-def x_powers(row, context_monic: Poly, N: int, count: int) -> list:
+def x_powers(row, context_monic: Poly, count: int) -> list:
     """row, x*row, ..., x^(count-1)*row mod the monic context, from one x_step walk."""
     powers = [row] if count > 0 else []
     while len(powers) < count:
-        powers.append(x_step(powers[-1], context_monic, N))
+        powers.append(x_step(powers[-1], context_monic))
     return powers
 
 
 class IdealPresentation(Frozen):
-    """Canonical presentation of an ideal of Z_N[x] containing context_monic."""
+    """Canonical presentation of an ideal of Z_N[x] containing context_monic; Z_N is its ring."""
 
     __slots__ = ("modulus", "context_monic", "rows", "_pivots")
 
-    def __init__(self, modulus: Modulus, context_monic: Poly, rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "modulus", modulus)
+    def __init__(self, context_monic: Poly, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "modulus", context_monic.modulus)
         object.__setattr__(self, "context_monic", context_monic)
         object.__setattr__(self, "rows", rows)
         # built once, in column order: every reduction against this ideal reads it
@@ -229,7 +232,6 @@ class IdealPresentation(Frozen):
 def ideal_of_rows(
     gen_rows,
     context_monic: Poly,
-    modulus: Modulus,
     base_rows: tuple[tuple[int, ...], ...] = (),
 ) -> IdealPresentation:
     """Smallest shift-closed row space containing the rows (and base_rows).
@@ -240,56 +242,50 @@ def ideal_of_rows(
     lower shifts.
     """
     D = context_monic.degree
-    N = modulus.N
     rows = list(base_rows)
     for row in gen_rows:
-        rows += x_powers(row, context_monic, N, D)
-    pres = IdealPresentation(modulus, context_monic, howell_form(rows, N, D))
+        rows += x_powers(row, context_monic, D)
+    pres = IdealPresentation(context_monic, howell_form(rows, context_monic.modulus.N, D))
     _assert_shift_closed(pres)
     return pres
 
 
-def canonical_form(
-    generators,
-    context_monic: Poly,
-    modulus: Modulus,
-    base_rows: tuple[tuple[int, ...], ...] = (),
-) -> IdealPresentation:
+def canonical_form(generators, context_monic: Poly) -> IdealPresentation:
     """ideal_of_rows on polynomial generators, each reduced mod the context."""
     if not context_monic.is_monic() or context_monic.degree < 1:
         raise ValueError("context must be monic of degree >= 1")
     D = context_monic.degree
     gen_rows = []
     for g in generators:
-        g = poly_mod(g.reduce_mod(modulus), context_monic)
+        g = poly_mod(g.reduce_mod(context_monic.modulus), context_monic)
         gen_rows.append(tuple(g[D - 1 - i] for i in range(D)))
-    return ideal_of_rows(gen_rows, context_monic, modulus, base_rows)
+    return ideal_of_rows(gen_rows, context_monic)
 
 
 def _assert_shift_closed(pres: IdealPresentation) -> None:
     for r in pres.rows:
-        shifted = x_step(r, pres.context_monic, pres.modulus.N)
+        shifted = x_step(r, pres.context_monic)
         if not pres.contains_row(shifted):
             raise InvariantViolation("presentation not closed under x")
 
 
-def zero_ideal(context_monic: Poly, modulus: Modulus) -> IdealPresentation:
-    return canonical_form([], context_monic, modulus)
+def zero_ideal(context_monic: Poly) -> IdealPresentation:
+    return canonical_form([], context_monic)
 
 
-def constant_ideal(d: int, context_monic: Poly, modulus: Modulus) -> IdealPresentation:
+def constant_ideal(d: int, context_monic: Poly) -> IdealPresentation:
     """The ideal (d) for a divisor d of N, read off without a Howell reduction.
 
     Its Howell form is d times the identity: d is a divisor pivot, nothing
     sits above it, and the annihilator multiple (N/d)*d is zero.  d = N gives
     the zero ideal.
     """
-    N = modulus.N
+    N = context_monic.modulus.N
     if N % d:
         raise ValueError(f"{d} does not divide {N}")
     D = context_monic.degree
     rows = tuple(tuple(d if c == r else 0 for c in range(D)) for r in range(D)) if d < N else ()
-    return IdealPresentation(modulus, context_monic, rows)
+    return IdealPresentation(context_monic, rows)
 
 
 class Admissibility(Frozen):
@@ -310,7 +306,7 @@ class Admissibility(Frozen):
 def _x_power_plus_one_rows(Q: IdealPresentation, n: int) -> list[list[int]]:
     """Rows of x^m + 1 mod Q's context for 0 <= m <= n, from one x-power walk."""
     one = (0,) * (Q.width - 1) + (1,)
-    powers = x_powers(one, Q.context_monic, Q.modulus.N, n + 1)
+    powers = x_powers(one, Q.context_monic, n + 1)
     return [[a + b for a, b in zip(row, one)] for row in powers]
 
 
@@ -408,7 +404,7 @@ def crt_split(p: int, k: int, n: int) -> CrtSplit:
         e = poly_mod(v * rest, ambient)
         idems.append(e)
         row = tuple(e[n - 1 - c] for c in range(n))
-        embeddings.append(tuple(reversed(x_powers(row, ambient, mod.N, ctx.degree))))
+        embeddings.append(tuple(reversed(x_powers(row, ambient, ctx.degree))))
     split = CrtSplit(p, k, n, labels, contexts, tuple(idems), ambient, tuple(embeddings))
     _certify_embeddings(split)
     require(poly_mod(sum(idems[1:], idems[0]), ambient) == one, "idempotents do not sum to 1")
@@ -457,7 +453,7 @@ def combine_components(split: CrtSplit, parts) -> IdealPresentation:
                 if coef:
                     acc = [a + coef * x for a, x in zip(acc, erow)]
             rows.append(acc)
-    pres = IdealPresentation(ambient.modulus, ambient, howell_form(rows, ambient.modulus.N, n))
+    pres = IdealPresentation(ambient, howell_form(rows, ambient.modulus.N, n))
     _assert_shift_closed(pres)
     require(
         pres.quotient_size() == math.prod(q.quotient_size() for q in parts),
@@ -492,7 +488,6 @@ def bounded_combinations(split: CrtSplit, cases, bound=None):
 
 def enumerate_ideals_between(
     context: Poly,
-    modulus: Modulus,
     base: IdealPresentation | None = None,
 ) -> list[IdealPresentation]:
     """All ideals of Z_N[x]/(context) containing the base ideal.
@@ -509,11 +504,11 @@ def enumerate_ideals_between(
     reduction and no Howell form.
     """
     if base is None:
-        base = zero_ideal(context, modulus)
+        base = zero_ideal(context)
     size = base.quotient_size()
     if size > ENUM_BUDGET:
         raise TooLarge(f"quotient has {size} elements (budget {ENUM_BUDGET})")
-    N = modulus.N
+    N = context.modulus.N
     D = context.degree
     c = base.constant_divisor()
     units = [u for u in range(1, c) if math.gcd(u, c) == 1]
@@ -525,7 +520,7 @@ def enumerate_ideals_between(
     for combo in base.residues():
         if combo in seen or not any(combo):
             continue
-        pres = ideal_of_rows([combo], context, modulus, base.rows)
+        pres = ideal_of_rows([combo], context, base.rows)
         principals.setdefault(pres.rows, (combo, pres))
         # unit multiples (and x-shifts, when allowed) generate the same ideal
         cur = combo
@@ -534,7 +529,7 @@ def enumerate_ideals_between(
                 seen.add(base.reduce_row([u * v for v in cur]))
             if not x_invertible:
                 break
-            cur = x_step(cur, context, N)
+            cur = x_step(cur, context)
             if base.reduce_row(cur) == combo:
                 break
     found: dict[tuple, IdealPresentation] = {base.rows: base}
@@ -549,7 +544,7 @@ def enumerate_ideals_between(
                 continue
             rows = howell_form(list(cur.rows) + list(pr.rows), N, D)
             if rows not in found:
-                pres = IdealPresentation(modulus, context, rows)
+                pres = IdealPresentation(context, rows)
                 found[rows] = pres
                 frontier.append(pres)
     out = list(found.values())
@@ -557,9 +552,7 @@ def enumerate_ideals_between(
     return out
 
 
-def radical_floor(
-    context: Poly, modulus: Modulus, quotient_bound: int, radical_gen: Poly
-) -> IdealPresentation:
+def radical_floor(context: Poly, quotient_bound: int, radical_gen: Poly) -> IdealPresentation:
     """Power of the maximal ideal below every ideal of bounded index.
 
     In the local quotient with maximal ideal (p, g) and residue field of size
@@ -567,15 +560,15 @@ def radical_floor(
     s = floor(log_{p^o} bound): each radical layer of the quotient has at
     least p^o elements.
     """
-    p = modulus.p
+    p = context.modulus.p
     q = p**radical_gen.degree
     s = 0
     while q ** (s + 1) <= quotient_bound:
         s += 1
-    pc = Poly.constant(p, modulus)
-    m = canonical_form([pc, radical_gen], context, modulus)
+    pc = Poly.constant(p, context.modulus)
+    m = canonical_form([pc, radical_gen], context)
     # m^s is generated by the products of s generators of m: p^a * g^(s-a)
-    power = canonical_form([pc**a * radical_gen ** (s - a) for a in range(s + 1)], context, modulus)
+    power = canonical_form([pc**a * radical_gen ** (s - a) for a in range(s + 1)], context)
     if s >= 1:
         require(all(m.contains_row(r) for r in power.rows), "radical power escapes m")
     return power
@@ -583,7 +576,6 @@ def radical_floor(
 
 def bounded_ideals_local_tree(
     context: Poly,
-    modulus: Modulus,
     bound: int,
     radical_gen: Poly,
 ) -> list[IdealPresentation]:
@@ -594,9 +586,10 @@ def bounded_ideals_local_tree(
     in I; they are read off a small enumeration of the module between m*I
     and I.
     """
+    modulus = context.modulus
     p = modulus.p
     q = p**radical_gen.degree
-    full = canonical_form([Poly.one(modulus)], context, modulus)
+    full = canonical_form([Poly.one(modulus)], context)
     out = {full.rows: full}
     frontier = [full]
     while frontier:
@@ -607,8 +600,8 @@ def bounded_ideals_local_tree(
         gens = list(ideal.row_polys()) + [context]
         mi_gens = [Poly.constant(p, modulus) * g for g in gens]
         mi_gens += [radical_gen * g for g in gens]
-        mi = canonical_form(mi_gens, context, modulus)
-        for child in enumerate_ideals_between(context, modulus, base=mi):
+        mi = canonical_form(mi_gens, context)
+        for child in enumerate_ideals_between(context, base=mi):
             if child.quotient_size() != index * q:
                 continue
             if child.rows in out:
@@ -637,9 +630,9 @@ def closed_form_ideals(factor_poly: Poly, label: FactorLabel) -> list[IdealPrese
     if k == 1:
         q = base_factor(p, label.d, label.l)
         e = factor_poly.degree // q.degree
-        out = [canonical_form([q**a], ctx, mod) for a in range(e + 1)]
+        out = [canonical_form([q**a], ctx) for a in range(e + 1)]
     elif label.level == 0:
-        out = [constant_ideal(p**u, ctx, mod) for u in range(k + 1)]
+        out = [constant_ideal(p**u, ctx) for u in range(k + 1)]
     elif p == 2:
         e = 2 ** (label.level - 1)
         tilde = lift_level0_factor(label.d, label.l, p, k).poly
@@ -647,7 +640,7 @@ def closed_form_ideals(factor_poly: Poly, label: FactorLabel) -> list[IdealPrese
         for u in range(k):
             for v in range(e + 1):
                 gens = [Poly.constant(2**u, mod) * tilde**v, Poly.constant(2 ** (u + 1), mod)]
-                out.append(canonical_form(gens, ctx, mod))
+                out.append(canonical_form(gens, ctx))
     else:
         return None
     dedup = {}
@@ -669,7 +662,7 @@ def enumerate_ideals_containing(f: Poly, label: FactorLabel | None = None) -> li
     size = f.modulus.N ** f.degree
     if size > ENUM_BUDGET:
         raise TooLarge(f"quotient has {size} elements and no closed form applies")
-    return enumerate_ideals_between(f, f.modulus)
+    return enumerate_ideals_between(f)
 
 
 # ---------------------------------------------------------------------------
@@ -679,54 +672,59 @@ def enumerate_ideals_containing(f: Poly, label: FactorLabel | None = None) -> li
 def compose_across_primes(components) -> tuple[int, int, IdealPresentation]:
     """Intersection of per-prime preimages: one ideal over the composite modulus.
 
-    components: iterable of (p, k_p, Q_p, n_p).  Verifies x^n+1 membership
-    for n = lcm of the n_p and that projecting back recovers each Q_p.
+    components: iterable of (Q_p, n_p), each Q_p over Z_{p^k_p}, read from its
+    context.  Verifies x^n+1 membership for n = lcm of the n_p and that
+    projecting back recovers each Q_p.
     """
     comps = list(components)
     if not comps:
         raise ValueError("no components")
-    primes = [c[0] for c in comps]
+    for i, (Q_p, _) in enumerate(comps):
+        if not Q_p.modulus.is_prime_power:
+            raise ValueError(f"component {i} is over {Q_p.modulus}, not a prime power")
+    primes = [Q_p.modulus.p for Q_p, _ in comps]
     if len(set(primes)) != len(primes):
         raise DuplicatePrime(f"primes {primes}")
     n = 1
-    for _, _, _, n_p in comps:
+    for _, n_p in comps:
         n = n * n_p // math.gcd(n, n_p)
     N = 1
-    for p, k_p, Q_p, n_p in comps:
+    for Q_p, n_p in comps:
         adm = is_admissible(Q_p, n_p)
         if not adm:
-            raise ComponentNotAdmissible(f"component p={p}: clause {adm.clause} ({adm.detail})")
-        N *= p**k_p
-    for p, k_p, Q_p, n_p in comps:
-        xn1 = Poly.x_pow_plus_const(n, 1, Modulus(p, k_p))
-        if not Q_p.contains(xn1):
             raise ComponentNotAdmissible(
-                f"component p={p}: x^{n}+1 escapes the ideal (valences {n_p} vs lcm {n})"
+                f"component p={Q_p.modulus.p}: clause {adm.clause} ({adm.detail})"
+            )
+        N *= Q_p.modulus.N
+    for Q_p, n_p in comps:
+        if not Q_p.contains(Poly.x_pow_plus_const(n, 1, Q_p.modulus)):
+            raise ComponentNotAdmissible(
+                f"component p={Q_p.modulus.p}: x^{n}+1 escapes the ideal"
+                f" (valences {n_p} vs lcm {n})"
             )
     if len(comps) == 1:
-        p, k_p, Q_p, n_p = comps[0]
-        return p**k_p, n_p, Q_p
+        Q_p, n_p = comps[0]
+        return Q_p.modulus.N, n_p, Q_p
     modN = Modulus.composite(N)
     context = Poly.x_pow_plus_const(n, 1, modN)
     gens = []
-    for p, k_p, Q_p, n_p in comps:
-        m = p**k_p
+    for Q_p, _ in comps:
+        m = Q_p.modulus.N
         rest = N // m
         e_p = (rest * inverse_mod(rest, m)) % N
         for g in list(Q_p.row_polys()) + [Q_p.context_monic]:
             gens.append(Poly([e_p * c for c in g.coeffs], modN))
-    Q = canonical_form(gens, context, modN)
-    for p, k_p, Q_p, n_p in comps:
-        mod_p = Modulus(p, k_p)
+    Q = canonical_form(gens, context)
+    for Q_p, n_p in comps:
+        mod_p = Q_p.modulus
         ctx_p = Poly.x_pow_plus_const(n_p, 1, mod_p)
         proj = canonical_form(
             [g.reduce_mod(mod_p) for g in Q.row_polys()] + [Poly.x_pow_plus_const(n, 1, mod_p)],
             ctx_p,
-            mod_p,
         )
-        expected = canonical_form(
-            list(Q_p.row_polys()) + [Q_p.context_monic], ctx_p, mod_p
-        )
+        expected = canonical_form(list(Q_p.row_polys()) + [Q_p.context_monic], ctx_p)
         if proj.rows != expected.rows:
-            raise ComponentNotAdmissible(f"projection to p={p} does not recover the component")
+            raise ComponentNotAdmissible(
+                f"projection to p={mod_p.p} does not recover the component"
+            )
     return N, n, Q

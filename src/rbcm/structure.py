@@ -163,7 +163,7 @@ class QuotientRing:
         """Reduced rows of x^0, ..., x^(n-1), from one x-power walk."""
         Q = self.ideal
         one = (0,) * (Q.width - 1) + (1,)
-        return [Q.reduce_row(r) for r in x_powers(one, Q.context_monic, Q.modulus.N, n)]
+        return [Q.reduce_row(r) for r in x_powers(one, Q.context_monic, n)]
 
     def x_power_image(self, i: int) -> tuple[int, ...]:
         return self.x_power_images(i + 1)[i]

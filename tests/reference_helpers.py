@@ -151,7 +151,7 @@ def reference_combine(split, generator_lists):
         gens.append(e * ctx)
         for g in part:
             gens.append(e * g)
-    return canonical_form(gens, split.ambient, split.ambient.modulus)
+    return canonical_form(gens, split.ambient)
 
 
 def reference_howell_form(rows, N: int, width: int) -> tuple[tuple[int, ...], ...]:
@@ -197,7 +197,6 @@ def reference_howell_form(rows, N: int, width: int) -> tuple[tuple[int, ...], ..
 
 def reference_enumerate_ideals_between(
     context: Poly,
-    modulus: Modulus,
     base: IdealPresentation | None = None,
 ) -> list[IdealPresentation]:
     """All ideals of Z_N[x]/(context) containing the base ideal.
@@ -208,11 +207,11 @@ def reference_enumerate_ideals_between(
     Howell form for every (ideal, principal) pair.
     """
     if base is None:
-        base = zero_ideal(context, modulus)
+        base = zero_ideal(context)
     size = base.quotient_size()
     if size > ENUM_BUDGET:
         raise TooLarge(f"quotient has {size} elements (budget {ENUM_BUDGET})")
-    N = modulus.N
+    N = context.modulus.N
     D = context.degree
     units = [u for u in range(1, N) if math.gcd(u, N) == 1]
     # x-shifts preserve principal ideals only when x is a unit mod context
@@ -222,7 +221,7 @@ def reference_enumerate_ideals_between(
     for combo in base.residues():
         if combo in seen or not any(combo):
             continue
-        pres = ideal_of_rows([combo], context, modulus, base.rows)
+        pres = ideal_of_rows([combo], context, base.rows)
         principals.setdefault(pres.rows, pres)
         # unit multiples (and x-shifts, when allowed) generate the same ideal
         cur = combo
@@ -231,7 +230,7 @@ def reference_enumerate_ideals_between(
                 seen.add(base.reduce_row([u * v for v in cur]))
             if not x_invertible:
                 break
-            cur = x_step(cur, context, N)
+            cur = x_step(cur, context)
             if base.reduce_row(cur) == combo:
                 break
     found: dict[tuple, IdealPresentation] = {base.rows: base}
@@ -244,7 +243,7 @@ def reference_enumerate_ideals_between(
         for pr in plist:
             rows = howell_form(list(cur.rows) + list(pr.rows), N, D)
             if rows not in found:
-                pres = IdealPresentation(modulus, context, rows)
+                pres = IdealPresentation(context, rows)
                 found[rows] = pres
                 frontier.append(pres)
     out = list(found.values())
@@ -252,13 +251,14 @@ def reference_enumerate_ideals_between(
     return out
 
 
-def reference_radical_floor_rows(context, modulus, s, radical_gen):
+def reference_radical_floor_rows(context, s, radical_gen):
     """Rows of m^s for m = (p, g), from all 2^s products of s generators."""
+    modulus = context.modulus
     gens = [Poly.one(modulus)]
     for _ in range(s):
         gens = [a * b for a in gens for b in [Poly.constant(modulus.p, modulus), radical_gen]]
         gens = list({poly_mod(g, context).coeffs: poly_mod(g, context) for g in gens}.values())
-    return canonical_form(gens, context, modulus).rows
+    return canonical_form(gens, context).rows
 
 
 def reference_quadratic_divisors(N: int, n: int) -> list[tuple[int, int]]:
@@ -351,7 +351,7 @@ def reference_rank2_case_d(p: int, k: int, n: int) -> list[tuple]:
                     y**2 - Poly.constant(p * alpha, mod),
                     Poly.constant(p, mod) * y - Poly.constant(p * p * nu, mod),
                 ]
-                Q = canonical_form(gens, context, mod)
+                Q = canonical_form(gens, context)
                 if Q.rows not in seen:
                     rec = _try_build(Q, n, "I")
                     seen[Q.rows] = rec is not None and rec.group.invariants == (p, N)
@@ -381,7 +381,7 @@ def reference_rank2_case_d_full(p: int, k: int, k2: int, n: int) -> set[tuple]:
                     y**2 - Poly.constant(b, mod) * y - Poly.constant(a, mod),
                     Poly.constant(p**k2, mod) * y,
                 ]
-                Q = canonical_form(gens, context, mod)
+                Q = canonical_form(gens, context)
                 if Q.rows not in seen:
                     rec = _try_build(Q, n, "I")
                     seen[Q.rows] = rec is not None and rec.group.invariants == (p**k2, N)

@@ -116,7 +116,7 @@ def test_criterion_3_ideal_lattice_equivalence():
                     if size > 1 << 12:
                         continue
                     closed = closed_form_ideals(lf.poly, lf.label)
-                    exhaustive = enumerate_ideals_between(lf.poly, mod)
+                    exhaustive = enumerate_ideals_between(lf.poly)
                     for q in exhaustive:
                         assert q.contains(lf.poly)
                     if closed is None:
@@ -329,9 +329,9 @@ def test_criterion_6_map_validity():
 def test_criterion_7_cross_prime_composition():
     t0 = time.time()
     Z5, Z13 = Modulus(5), Modulus(13)
-    Q5 = canonical_form([Poly([-2, 1], Z5)], Poly.x_pow_plus_const(2, 1, Z5), Z5)
-    Q13 = canonical_form([Poly([-5, 1], Z13)], Poly.x_pow_plus_const(2, 1, Z13), Z13)
-    N, n, Q = compose_across_primes([(5, 1, Q5, 2), (13, 1, Q13, 2)])
+    Q5 = canonical_form([Poly([-2, 1], Z5)], Poly.x_pow_plus_const(2, 1, Z5))
+    Q13 = canonical_form([Poly([-5, 1], Z13)], Poly.x_pow_plus_const(2, 1, Z13))
+    N, n, Q = compose_across_primes([(Q5, 2), (Q13, 2)])
     assert (N, n) == (65, 2)
     assert Q.contains(Poly([-57, 1], Q.modulus))
     assert Q.contains(Poly.x_pow_plus_const(2, 1, Q.modulus))

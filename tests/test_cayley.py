@@ -46,7 +46,7 @@ def ctx(n, mod):
 
 def cyclic_map(mu, p, k, n):
     mod = Modulus(p, k)
-    Q = canonical_form([P([-mu, 1], mod)], ctx(n, mod), mod)
+    Q = canonical_form([P([-mu, 1], mod)], ctx(n, mod))
     return build_map(Q, n, "I")
 
 
@@ -59,7 +59,7 @@ def test_build_map_cyclic5():
 
 def test_build_map_z3sq():
     mod = Z3
-    Q = zero_ideal(ctx(2, mod), mod)
+    Q = zero_ideal(ctx(2, mod))
     rec = build_map(Q, 2, "I")
     assert rec.group.invariants == (3, 3)
     assert len(set(rec.cycle)) == 4
@@ -67,7 +67,7 @@ def test_build_map_z3sq():
 
 def test_build_map_not_admissible():
     Z2 = Modulus(2)
-    Q = canonical_form([P([1, 1], Z2)], ctx(2, Z2), Z2)
+    Q = canonical_form([P([1, 1], Z2)], ctx(2, Z2))
     with pytest.raises(NotAdmissible) as e:
         build_map(Q, 2, "I")
     assert e.value.clause == "ii"
@@ -137,7 +137,7 @@ def test_trace_faces_z5():
 
 
 def test_trace_faces_z3sq():
-    Q = zero_ideal(ctx(2, Z3), Z3)
+    Q = zero_ideal(ctx(2, Z3))
     rec = build_map(Q, 2, "I")
     st = trace_faces(rec)
     assert (st.vertices, st.edges) == (9, 18)
@@ -150,7 +150,7 @@ def test_trace_faces_z3sq():
 def test_arc_transitivity_small():
     for rec in [cyclic_map(2, 5, 1, 2), cyclic_map(3, 5, 1, 2)]:
         assert arc_transitive(rec)
-    Q = zero_ideal(ctx(2, Z3), Z3)
+    Q = zero_ideal(ctx(2, Z3))
     assert arc_transitive(build_map(Q, 2, "I"))
 
 
@@ -266,7 +266,7 @@ def test_bounded_candidates_match_full_ring(p, k, n, bound):
     split = crt_split(p, k, n)
     mod = Modulus(p, k)
     per_component = [
-        [q for q in enumerate_ideals_between(c, mod) if q.quotient_size() <= bound]
+        [q for q in enumerate_ideals_between(c) if q.quotient_size() <= bound]
         for c in split.contexts
     ]
     expected = {}
@@ -304,7 +304,7 @@ def test_realize_record_collision():
     from rbcm.errors import DegenerateOmega
 
     Z2 = Modulus(2)
-    Q = zero_ideal(ctx(2, Z2), Z2)
+    Q = zero_ideal(ctx(2, Z2))
     with pytest.raises(DegenerateOmega):
         realize_record(Q, 2, "I")
 

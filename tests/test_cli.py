@@ -256,6 +256,10 @@ def test_usage_error_exit_code():
         ["classify", "elementary", "--p", "3", "--m", "0", "--n", "2"],
         ["export-map", "elementary", "--p", "1", "--n", "2"],
         ["export-map", "elementary", "--p", "2", "--n", "0"],
+        ["-o", "/nonexistent/dir/out.json", "factor", "--p", "2", "--n", "4"],
+        ["-o", ".", "factor", "--p", "2", "--n", "4"],
+        ["-o", "/nonexistent/dir/out.rot", "export-map", "cyclic", "--p", "5", "--n", "2"],
+        ["-o", ".", "export-map", "cyclic", "--p", "5", "--n", "2"],
     ],
 )
 def test_not_prime_usage_error(argv):

@@ -56,7 +56,7 @@ def _component_floors(split, mod, bound):
     """Per label: its context, its radical generator and its radical floor at the bound."""
     for (d, ell), ctx in zip(split.labels, split.contexts):
         q = base_factor(split.p, d, ell).reduce_mod(mod)
-        yield ctx, q, radical_floor(ctx, mod, bound, q)
+        yield ctx, q, radical_floor(ctx, bound, q)
 
 
 def _floor_components(split, mod, bound):
@@ -64,9 +64,9 @@ def _floor_components(split, mod, bound):
     per = []
     for ctx, q, floor in _component_floors(split, mod, bound):
         if floor.quotient_size() <= ENUM_BUDGET:
-            ideals = enumerate_ideals_between(ctx, mod, base=floor)
+            ideals = enumerate_ideals_between(ctx, base=floor)
         else:
-            ideals = bounded_ideals_local_tree(ctx, mod, bound, q)
+            ideals = bounded_ideals_local_tree(ctx, bound, q)
         per.append([i for i in ideals if i.quotient_size() <= bound])
     return per
 
@@ -97,8 +97,8 @@ def test_enumeration_matches_reference_above_floors(p, k):
         for ctx, _, floor in _component_floors(crt_split(p, k, n), mod, BOUND):
             if floor.quotient_size() > ENUM_BUDGET:
                 continue
-            got = enumerate_ideals_between(ctx, mod, base=floor)
-            want = reference_enumerate_ideals_between(ctx, mod, base=floor)
+            got = enumerate_ideals_between(ctx, base=floor)
+            want = reference_enumerate_ideals_between(ctx, base=floor)
             assert [q.rows for q in got] == [q.rows for q in want], (n, ctx, floor.rows)
             compared += 1
     assert compared
@@ -109,8 +109,8 @@ def test_enumeration_matches_reference_above_zero(N, n):
     p, k = factorize(N)[0]
     mod = Modulus(p, k)
     ctx = poly.Poly.x_pow_plus_const(n, 1, mod)
-    got = enumerate_ideals_between(ctx, mod)
-    assert [q.rows for q in got] == [q.rows for q in reference_enumerate_ideals_between(ctx, mod)]
+    got = enumerate_ideals_between(ctx)
+    assert [q.rows for q in got] == [q.rows for q in reference_enumerate_ideals_between(ctx)]
 
 
 @pytest.mark.parametrize("N,max_n", [(6, 4), (10, 4), (12, 4), (18, 3), (27, 3)])
@@ -125,9 +125,9 @@ def test_enumeration_matches_reference_above_constants(N, max_n):
     for n in range(1, max_n + 1):
         ctx = poly.Poly.x_pow_plus_const(n, 1, mod)
         for d in (d for d in range(1, N + 1) if N % d == 0):
-            base = constant_ideal(d, ctx, mod)
-            got = enumerate_ideals_between(ctx, mod, base=base)
-            want = reference_enumerate_ideals_between(ctx, mod, base=base)
+            base = constant_ideal(d, ctx)
+            got = enumerate_ideals_between(ctx, base=base)
+            want = reference_enumerate_ideals_between(ctx, base=base)
             assert [q.rows for q in got] == [q.rows for q in want], (n, d)
             compared += 1
     assert compared == max_n * sum(1 for d in range(1, N + 1) if N % d == 0)
@@ -151,7 +151,7 @@ def test_enumeration_marks_orbits_by_units_mod_base_constant(monkeypatch):
         return reduce_row(self, vec)
 
     monkeypatch.setattr(IdealPresentation, "reduce_row", counting)
-    assert enumerate_ideals_between(ctx, mod, base=floor)
+    assert enumerate_ideals_between(ctx, base=floor)
     monkeypatch.undo()
     assert len(calls) <= 400, len(calls)
 
@@ -159,7 +159,7 @@ def test_enumeration_marks_orbits_by_units_mod_base_constant(monkeypatch):
 def test_combine_rejects_parts_in_other_contexts():
     split = crt_split(3, 1, 4)
     mod = Modulus(3)
-    parts = [enumerate_ideals_between(ctx, mod)[0] for ctx in split.contexts]
+    parts = [enumerate_ideals_between(ctx)[0] for ctx in split.contexts]
     with pytest.raises(ValueError):
         combine_components(split, parts[::-1])
 
@@ -194,8 +194,8 @@ def test_radical_floor_matches_all_products(p, k, n):
         g = base_factor(p, d, ell).reduce_mod(mod)
         q = p**g.degree
         for s in range(5):
-            got = radical_floor(ctx, mod, q**s, g)
-            assert got.rows == reference_radical_floor_rows(ctx, mod, s, g), (d, ell, s)
+            got = radical_floor(ctx, q**s, g)
+            assert got.rows == reference_radical_floor_rows(ctx, s, g), (d, ell, s)
 
 
 def _with_row(split, i, c, row):
@@ -235,7 +235,7 @@ def test_row_layer_builds_no_poly(monkeypatch):
     floors = []
     for (d, ell), ctx in zip(split.labels, split.contexts):
         g = base_factor(3, d, ell).reduce_mod(mod)
-        floors.append(radical_floor(ctx, mod, BOUND, g))
+        floors.append(radical_floor(ctx, BOUND, g))
     made = []
     init = poly.Poly.__init__
 
@@ -244,7 +244,7 @@ def test_row_layer_builds_no_poly(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(poly.Poly, "__init__", counting_init)
-    per = [enumerate_ideals_between(ctx, mod, base=f) for ctx, f in zip(split.contexts, floors)]
+    per = [enumerate_ideals_between(ctx, base=f) for ctx, f in zip(split.contexts, floors)]
     combined = [combine_components(split, list(combo)) for combo in itertools.product(*per)]
     monkeypatch.undo()
     assert len(combined) > 1 and all(len(ideals) > 1 for ideals in per)
@@ -256,10 +256,10 @@ def test_reduce_row_reads_pivots_in_column_order(N, n):
     p, k = factorize(N)[0]
     mod = Modulus(p, k)
     ctx = poly.Poly.x_pow_plus_const(n, 1, mod)
-    ideals = [q for q in enumerate_ideals_between(ctx, mod) if len(q.rows) > 1]
+    ideals = [q for q in enumerate_ideals_between(ctx) if len(q.rows) > 1]
     assert ideals
     for q in ideals:
-        reverse = IdealPresentation(mod, ctx, q.rows[::-1])
+        reverse = IdealPresentation(ctx, q.rows[::-1])
         for vec in itertools.product(range(N), repeat=n):
             assert reverse.reduce_row(vec) == q.reduce_row(vec), (q.rows, vec)
 
@@ -269,9 +269,9 @@ def test_x_powers_walk_matches_poly_powers(N, n):
     p, k = factorize(N)[0]
     mod = Modulus(p, k)
     ctx = poly.Poly.x_pow_plus_const(n, 1, mod)
-    q = enumerate_ideals_between(ctx, mod)[0]  # the zero ideal: rows are reduced mod ctx only
+    q = enumerate_ideals_between(ctx)[0]  # the zero ideal: rows are reduced mod ctx only
     one = (0,) * (n - 1) + (1,)
-    powers = x_powers(one, ctx, N, 3 * n + 1)
-    assert len(powers) == 3 * n + 1 and x_powers(one, ctx, N, 0) == []
+    powers = x_powers(one, ctx, 3 * n + 1)
+    assert len(powers) == 3 * n + 1 and x_powers(one, ctx, 0) == []
     for i, row in enumerate(powers):
         assert tuple(row) == q.poly_to_row(poly.Poly.x(mod) ** i)

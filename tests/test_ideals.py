@@ -1,8 +1,10 @@
+import inspect
 import random
 
 import pytest
 from reference_helpers import crt_backward, crt_forward, reference_admissibility
 
+from rbcm import ideals
 from rbcm.cayley import bounded_admissible_candidates
 from rbcm.errors import ComponentNotAdmissible, DuplicatePrime, TooLarge
 from rbcm.factorlift import base_factor, factor_xn_plus1
@@ -39,19 +41,19 @@ def ctx(n, mod):
 
 def test_canonical_form_examples():
     # <x-2> in Z_5[x]/(x^2+1): single row x+3
-    Q = canonical_form([P([-2, 1], Z5)], ctx(2, Z5), Z5)
+    Q = canonical_form([P([-2, 1], Z5)], ctx(2, Z5))
     assert Q.rows == ((1, 3),)
     assert Q.row_polys() == [P([3, 1], Z5)]
     # <2, x> in Z_4[x]/(x^2+1): shift closure pulls in x*x = -1, so this is
     # the unit ideal
-    Q2 = canonical_form([P([2], Z4), P([0, 1], Z4)], ctx(2, Z4), Z4)
+    Q2 = canonical_form([P([2], Z4), P([0, 1], Z4)], ctx(2, Z4))
     assert Q2.row_polys() == [P([0, 1], Z4), P([1], Z4)]
     assert Q2.quotient_size() == 1
     # a proper two-row presentation: <2x, 2> over Z_4
-    Q3 = canonical_form([P([0, 2], Z4), P([2], Z4)], ctx(2, Z4), Z4)
+    Q3 = canonical_form([P([0, 2], Z4), P([2], Z4)], ctx(2, Z4))
     assert Q3.row_polys() == [P([0, 2], Z4), P([2], Z4)]
     # empty generating set: zero ideal
-    assert zero_ideal(ctx(2, Z5), Z5).rows == ()
+    assert zero_ideal(ctx(2, Z5)).rows == ()
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (3, 2), (5, 2)])
@@ -60,10 +62,10 @@ def test_constant_ideal_matches_canonical_form(p, k):
     contexts = [ctx(n, mod) for n in range(1, 5)] + list(crt_split(p, k, 4).contexts)
     for c in contexts:
         for u in range(k + 1):
-            Q = constant_ideal(p**u, c, mod)
-            assert Q.rows == canonical_form([Poly.constant(p**u, mod)], c, mod).rows
+            Q = constant_ideal(p**u, c)
+            assert Q.rows == canonical_form([Poly.constant(p**u, mod)], c).rows
     with pytest.raises(ValueError):
-        constant_ideal(p + 1, ctx(2, mod), mod)
+        constant_ideal(p + 1, ctx(2, mod))
 
 
 def test_canonical_form_idempotent_and_order_independent():
@@ -75,17 +77,17 @@ def test_canonical_form_idempotent_and_order_independent():
                 P([rng.randrange(mod.N) for _ in range(rng.randrange(1, n + 1))], mod)
                 for _ in range(rng.randrange(1, 4))
             ]
-            Q = canonical_form(gens, context, mod)
-            again = canonical_form(Q.row_polys(), context, mod)
+            Q = canonical_form(gens, context)
+            again = canonical_form(Q.row_polys(), context)
             assert again.rows == Q.rows
             rng.shuffle(gens)
-            assert canonical_form(gens, context, mod).rows == Q.rows
+            assert canonical_form(gens, context).rows == Q.rows
 
 
 def test_contains_examples():
-    Q = canonical_form([P([-2, 1], Z9), P([3], Z9)], ctx(2, Z9), Z9)
+    Q = canonical_form([P([-2, 1], Z9), P([3], Z9)], ctx(2, Z9))
     assert Q.contains(P([1, 1], Z9))
-    Q5 = canonical_form([P([-2, 1], Z5)], ctx(2, Z5), Z5)
+    Q5 = canonical_form([P([-2, 1], Z5)], ctx(2, Z5))
     assert not Q5.contains(P([1, 1], Z5))
     assert Q5.contains(Poly.zero(Z5))
 
@@ -110,10 +112,10 @@ def naive_closure_membership(Q, f):
 def test_contains_agrees_with_naive_closure():
     rng = random.Random(5)
     cases = [
-        canonical_form([P([-2, 1], Z5)], ctx(2, Z5), Z5),
-        canonical_form([P([2, 2], Z4)], ctx(2, Z4), Z4),
-        canonical_form([P([3], Z9)], ctx(2, Z9), Z9),
-        canonical_form([P([1, 1], Modulus(2, 3))], ctx(3, Modulus(2, 3)), Modulus(2, 3)),
+        canonical_form([P([-2, 1], Z5)], ctx(2, Z5)),
+        canonical_form([P([2, 2], Z4)], ctx(2, Z4)),
+        canonical_form([P([3], Z9)], ctx(2, Z9)),
+        canonical_form([P([1, 1], Modulus(2, 3))], ctx(3, Modulus(2, 3))),
     ]
     for Q in cases:
         assert Q.quotient_size() <= 1 << 12
@@ -123,23 +125,23 @@ def test_contains_agrees_with_naive_closure():
 
 
 def test_is_admissible_examples():
-    Q = canonical_form([P([-2, 1], Z5)], ctx(2, Z5), Z5)
+    Q = canonical_form([P([-2, 1], Z5)], ctx(2, Z5))
     assert is_admissible(Q, 2).ok
-    Q2 = canonical_form([P([-2, 1], Z9), P([3], Z9)], ctx(2, Z9), Z9)
+    Q2 = canonical_form([P([-2, 1], Z9), P([3], Z9)], ctx(2, Z9))
     a = is_admissible(Q2, 2)
     assert not a.ok and a.clause == "iii"
     # <x+1> over Z_2 contains x^1+1: minimality clause
     Z2 = Modulus(2)
-    Q3 = canonical_form([P([1, 1], Z2)], ctx(2, Z2), Z2)
+    Q3 = canonical_form([P([1, 1], Z2)], ctx(2, Z2))
     a = is_admissible(Q3, 2)
     assert not a.ok and a.clause == "ii"
 
 
 def test_is_admissible_type2():
     Z2 = Modulus(2)
-    Q = canonical_form([P([1, 1, 1], Z2)], ctx(3, Z2), Z2)
+    Q = canonical_form([P([1, 1, 1], Z2)], ctx(3, Z2))
     assert is_admissible(Q, 3, "II").ok
-    Q2 = canonical_form([P([1, 0, 1], Z2)], ctx(4, Z2), Z2)
+    Q2 = canonical_form([P([1, 0, 1], Z2)], ctx(4, Z2))
     a = is_admissible(Q2, 4, "II")
     assert not a.ok and a.clause == "ii"
 
@@ -253,7 +255,7 @@ def test_closed_form_matches_exhaustive_sweep():
     unchecked, against exhaustive enumeration."""
     compared = 0
     for lf, closed in _closed_form_factors():
-        exhaustive = enumerate_ideals_between(lf.poly, lf.poly.modulus)
+        exhaustive = enumerate_ideals_between(lf.poly)
         assert [q.rows for q in closed] == [q.rows for q in exhaustive], lf
         for q in exhaustive:
             assert q.contains(lf.poly)
@@ -268,10 +270,10 @@ def test_local_tree_matches_floor(p, k, n, bound):
     mod = Modulus(p, k)
     for (d, ell), ctx in zip(split.labels, split.contexts):
         q = base_factor(p, d, ell).reduce_mod(mod)
-        floor = radical_floor(ctx, mod, bound, q)
-        above = enumerate_ideals_between(ctx, mod, base=floor)
+        floor = radical_floor(ctx, bound, q)
+        above = enumerate_ideals_between(ctx, base=floor)
         expected = [i.rows for i in above if i.quotient_size() <= bound]
-        tree = bounded_ideals_local_tree(ctx, mod, bound, q)
+        tree = bounded_ideals_local_tree(ctx, bound, q)
         assert [i.rows for i in tree] == expected
 
 
@@ -282,9 +284,9 @@ def test_enumerate_too_large():
 
 def test_compose_across_primes_example():
     Z13 = Modulus(13)
-    Q5 = canonical_form([P([-2, 1], Z5)], ctx(2, Z5), Z5)
-    Q13 = canonical_form([P([-5, 1], Z13)], ctx(2, Z13), Z13)
-    N, n, Q = compose_across_primes([(5, 1, Q5, 2), (13, 1, Q13, 2)])
+    Q5 = canonical_form([P([-2, 1], Z5)], ctx(2, Z5))
+    Q13 = canonical_form([P([-5, 1], Z13)], ctx(2, Z13))
+    N, n, Q = compose_across_primes([(Q5, 2), (Q13, 2)])
     assert (N, n) == (65, 2)
     mod65 = Q.modulus
     assert Q.contains(P([-57, 1], mod65))
@@ -293,16 +295,16 @@ def test_compose_across_primes_example():
 
 
 def test_compose_single_component_identity():
-    Q5 = canonical_form([P([-2, 1], Z5)], ctx(2, Z5), Z5)
-    N, n, Q = compose_across_primes([(5, 1, Q5, 2)])
+    Q5 = canonical_form([P([-2, 1], Z5)], ctx(2, Z5))
+    N, n, Q = compose_across_primes([(Q5, 2)])
     assert (N, n) == (5, 2) and Q is Q5
 
 
 def test_compose_mixed_valences():
     Z2 = Modulus(2)
-    Q2 = canonical_form([P([1, 1], Z2)], ctx(1, Z2), Z2)
-    Q5 = canonical_form([P([-2, 1], Z5)], ctx(2, Z5), Z5)
-    N, n, Q = compose_across_primes([(2, 1, Q2, 1), (5, 1, Q5, 2)])
+    Q2 = canonical_form([P([1, 1], Z2)], ctx(1, Z2))
+    Q5 = canonical_form([P([-2, 1], Z5)], ctx(2, Z5))
+    N, n, Q = compose_across_primes([(Q2, 1), (Q5, 2)])
     assert (N, n) == (10, 2)
     assert Q.contains(ctx(2, Q.modulus))
     # the composed map exists on Z_10 and its generator cycles the component
@@ -317,18 +319,40 @@ def test_compose_mixed_valences():
 
 
 def test_compose_errors():
-    Q5 = canonical_form([P([-2, 1], Z5)], ctx(2, Z5), Z5)
+    Q5 = canonical_form([P([-2, 1], Z5)], ctx(2, Z5))
     with pytest.raises(DuplicatePrime):
-        compose_across_primes([(5, 1, Q5, 2), (5, 1, Q5, 2)])
-    bad = canonical_form([P([1, 1], Z5)], ctx(2, Z5), Z5)
+        compose_across_primes([(Q5, 2), (Q5, 2)])
+    bad = canonical_form([P([1, 1], Z5)], ctx(2, Z5))
     with pytest.raises(ComponentNotAdmissible):
-        compose_across_primes([(5, 1, bad, 2)])
+        compose_across_primes([(bad, 2)])
     # incompatible valences: lcm ratio even for an odd prime
     Z17 = Modulus(17)
-    Q17 = canonical_form([P([-2, 1], Z17)], ctx(4, Z17), Z17)
+    Q17 = canonical_form([P([-2, 1], Z17)], ctx(4, Z17))
     assert is_admissible(Q17, 4).ok
     with pytest.raises(ComponentNotAdmissible):
-        compose_across_primes([(5, 1, Q5, 2), (17, 1, Q17, 4)])
+        compose_across_primes([(Q5, 2), (Q17, 4)])
+    # a component over a ring that is not a prime power is named, not composed
+    Q10 = zero_ideal(ctx(2, Modulus.composite(10)))
+    with pytest.raises(ValueError, match="component 1 is over Z_10"):
+        compose_across_primes([(Q5, 2), (Q10, 2)])
+
+
+def test_ideal_layer_reads_the_ring_from_the_context():
+    """No signature in rbcm.ideals takes the ring next to the context that carries it."""
+    callables = []
+    for name, obj in vars(ideals).items():
+        if getattr(obj, "__module__", None) != ideals.__name__:
+            continue
+        if inspect.isclass(obj):
+            callables += [(f"{name}.{m}", f) for m, f in vars(obj).items() if inspect.isfunction(f)]
+        elif callable(obj):
+            callables.append((name, obj))
+    assert "x_step" in dict(callables) and "IdealPresentation.__init__" in dict(callables)
+    for name, fn in callables:
+        params = inspect.signature(fn).parameters
+        assert "modulus" not in params, name
+        if any(q.startswith(("context", "ctx")) for q in params):
+            assert "N" not in params, name
 
 
 def test_howell_canonical_under_row_shuffle():
@@ -346,7 +370,7 @@ def test_howell_canonical_under_row_shuffle():
 def test_enumerate_ideals_non_invertible_x():
     """Context with x a zero divisor: the orbit-skip must not over-mark."""
     f = P([0, 2, 1], Z4)  # x^2 + 2x
-    out = enumerate_ideals_between(f, Z4)
+    out = enumerate_ideals_between(f)
     # independent count: closures of all generator pairs in the 16-element ring
     import itertools
 

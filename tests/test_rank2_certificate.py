@@ -105,7 +105,7 @@ def test_rank2_case_d_reaches_recentred_ideal():
     mod = Modulus(3, 4)
     y = Poly.x(mod) - Poly.constant(80, mod)
     gens = [y**2 + Poly.constant(3, mod) * y, Poly.constant(9, mod) * y]
-    Q = canonical_form(gens, Poly.x_pow_plus_const(9, 1, mod), mod)
+    Q = canonical_form(gens, Poly.x_pow_plus_const(9, 1, mod))
     maps = {m.ideal.rows: m for m in rank2_maps(3, 4, 2, 9)}
     assert Q.rows in maps
     assert maps[Q.rows].params.as_dict()["beta"] != 0

@@ -28,7 +28,7 @@ VALUES = {
     "FieldElement": lambda: FieldElement(Poly((0, 1), Modulus(3)), H),
     "FactorLabel": lambda: FactorLabel(4, 1, 2, 2),
     "LabeledFactor": lambda: LabeledFactor(FactorLabel(1, 1, 0, 1), Poly((1, 1), Modulus(3))),
-    "IdealPresentation": lambda: constant_ideal(3, Poly((1, 0, 1), Modulus(3, 2)), Modulus(3, 2)),
+    "IdealPresentation": lambda: constant_ideal(3, Poly((1, 0, 1), Modulus(3, 2))),
     "AbelianType": lambda: AbelianType((3, 9)),
     "MapStats": lambda: MapStats(1, 2, 2, 0, (2, 2)),
     "FamilyParams": lambda: FamilyParams("cyclic", (("a", 1), ("b", 2))),
@@ -43,7 +43,7 @@ OTHER = {
     "FieldElement": lambda: FieldElement(Poly((1, 1), Modulus(3)), H),
     "FactorLabel": lambda: FactorLabel(4, 1, 2, 4),
     "LabeledFactor": lambda: LabeledFactor(FactorLabel(1, 1, 1, 1), Poly((1, 1), Modulus(3))),
-    "IdealPresentation": lambda: constant_ideal(1, Poly((1, 0, 1), Modulus(3, 2)), Modulus(3, 2)),
+    "IdealPresentation": lambda: constant_ideal(1, Poly((1, 0, 1), Modulus(3, 2))),
     "AbelianType": lambda: AbelianType((3, 27)),
     "MapStats": lambda: MapStats(1, 2, 2, 0, (1, 3)),
     "FamilyParams": lambda: FamilyParams("cyclic", (("a", 1), ("b", 3))),
@@ -63,6 +63,15 @@ def test_equal_fields_give_equal_objects_and_hashes(name):
     other = OTHER[name]()
     assert a != other and not a == other
     assert a != (a,)
+
+
+def test_ideal_presentations_over_different_rings_differ():
+    # same context coefficients and rows; only the context's ring differs
+    a = constant_ideal(3, Poly((1, 0, 1), Modulus(3, 2)))
+    b = constant_ideal(3, Poly((1, 0, 1), Modulus(3, 3)))
+    assert (a.context_monic.coeffs, a.rows) == (b.context_monic.coeffs, b.rows)
+    assert a.modulus != b.modulus
+    assert a != b and len({a, b}) == 2
 
 
 def test_residue_is_reduced_on_construction():
