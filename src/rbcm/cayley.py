@@ -182,7 +182,7 @@ def maps_isomorphic(m1: CayleyMapRecord, m2: CayleyMapRecord) -> bool:
     """Group isomorphism carrying one rotation cycle onto the other."""
     if m1.map_type != m2.map_type:
         raise TypeMismatch(f"{m1.map_type} vs {m2.map_type}")
-    if m1.group.invariants != m2.group.invariants or m1.valence != m2.valence:
+    if m1.group != m2.group or m1.valence != m2.valence:
         return False
     L = m1.valence
     s1 = [m1.group.translation(w) for w in m1.cycle]
@@ -252,10 +252,9 @@ def arc_transitive(record: CayleyMapRecord) -> bool:
 def realize_record(Q: IdealPresentation, n: int, map_type: str) -> CayleyMapRecord:
     """Map record of an ideal presentation: generators are images of powers of x."""
     ring = QuotientRing(Q)
-    typ, to_coords = quotient_isomorphism(Q)
-    if not typ.invariant_factors:
+    group, to_coords = quotient_isomorphism(Q)
+    if not group.rank:
         raise DegenerateOmega("trivial quotient")
-    group = AbelianGroupTable(typ.invariant_factors)
     omegas = [to_coords(w) for w in ring.x_power_images(n)]
     if map_type == "I":
         negs = [group.neg(w) for w in omegas]
@@ -267,14 +266,22 @@ def realize_record(Q: IdealPresentation, n: int, map_type: str) -> CayleyMapReco
     return CayleyMapRecord(group, cycle, map_type)
 
 
-def build_map(Q: IdealPresentation, n: int, map_type: str = "I") -> CayleyMapRecord:
-    """Standard map of an admissible ideal (admissibility checked first)."""
+def build_map(
+    Q: IdealPresentation, n: int, map_type: str = "I", group: AbelianGroupTable | None = None
+) -> CayleyMapRecord:
+    """Standard map of an admissible ideal (admissibility checked first).
+
+    Given a group, a map realized on another group raises TypeMismatch
+    before it is validated and certified.
+    """
     if map_type == "I" and n < 2:
         raise ValueError("type I maps need n >= 2")
     adm = is_admissible(Q, n, map_type)
     if not adm:
         raise NotAdmissible(adm.clause or "?", adm.detail or "")
     record = realize_record(Q, n, map_type)
+    if group is not None and record.group != group:
+        raise TypeMismatch(f"quotient is {record.group}, not {group}")
     record.validate()
     ok, _ = is_rbcm(record)
     require(ok, "constructed map is not balanced-regular")
@@ -542,11 +549,8 @@ def bounded_admissible_candidates(
 
 def _lattice_mode(group: AbelianGroupTable, n: int, map_type: str):
     """Oracle via exhaustive relation-lattice enumeration and definitional checks."""
-    facs = factorize(group.exponent)
-    if len(facs) != 1:
-        raise ValueError("lattice mode needs a p-group")
-    p, k = facs[0]
-    candidates = bounded_admissible_candidates(p, k, n, group.order)
+    p, exponents = group.p_type()
+    candidates = bounded_admissible_candidates(p, exponents[-1], n, group.order)
     records = {}
     for Q in candidates:
         if Q.quotient_size() != group.order:
@@ -555,7 +559,7 @@ def _lattice_mode(group: AbelianGroupTable, n: int, map_type: str):
             rec = realize_record(Q, n, map_type)
         except DegenerateOmega:
             continue
-        if rec.group.invariants != group.invariants:
+        if rec.group != group:
             continue
         try:
             rec.validate()

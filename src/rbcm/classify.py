@@ -20,7 +20,14 @@ from .cayley import (
     map_stats,
     maps_isomorphic,
 )
-from .errors import DegenerateOmega, InvariantViolation, NotAdmissible, TooLarge, require
+from .errors import (
+    DegenerateOmega,
+    InvariantViolation,
+    NotAdmissible,
+    TooLarge,
+    TypeMismatch,
+    require,
+)
 from .factorlift import base_factor, lambda_index, lift_level0_factor, split_p_part
 from .ideals import (
     IdealPresentation,
@@ -31,7 +38,7 @@ from .ideals import (
 )
 from .poly import Poly, poly_mod
 from .structure import AbelianGroupTable, QuotientRing
-from .zring import Frozen, Modulus, divisors, factorize, is_prime
+from .zring import Frozen, Modulus, divisors, is_prime
 
 
 class FamilyParams(Frozen):
@@ -112,18 +119,19 @@ def theta_set(p: int, n: int) -> tuple[int, ...]:
     )
 
 
-def _try_build(Q: IdealPresentation, n: int, map_type: str, max_order=None):
+def _try_build(Q: IdealPresentation, n: int, map_type: str, max_order=None, group=None):
+    """build_map's record, or None when the ideal gives no map (on group, if given)."""
     if max_order is not None and Q.quotient_size() > max_order:
         return None
     try:
-        return build_map(Q, n, map_type)
-    except (NotAdmissible, DegenerateOmega, TooLarge):
+        return build_map(Q, n, map_type, group)
+    except (NotAdmissible, DegenerateOmega, TooLarge, TypeMismatch):
         return None
 
 
 def _assert_pairwise_distinct(maps: list[FamilyMap]) -> None:
     for a, b in itertools.combinations(maps, 2):
-        if a.invariants == b.invariants and maps_isomorphic(a.record, b.record):
+        if a.record.group == b.record.group and maps_isomorphic(a.record, b.record):
             raise InvariantViolation(f"family members {a.params} and {b.params} are isomorphic")
 
 
@@ -285,13 +293,12 @@ def _rank2_generator_check(
     N, M = p**k, p**k2
     D = Q.width
     require(Q.residue_bounds() == [1] * (D - 2) + [M, N], "unreduced residue")
-    ring = QuotientRing(Q)
 
     def phi(row) -> tuple[int, int]:
         return (row[D - 2] % M, (row[D - 1] + row[D - 2] * mu) % N)
 
-    images = [phi(w) for w in ring.x_power_images(max(D, n))]
-    require(len({phi(res) for res in ring.residues()}) == M * N, "generator map is not bijective")
+    images = [phi(w) for w in QuotientRing(Q).x_power_images(max(D, n))]
+    require(len({phi(res) for res in Q.residues()}) == M * N, "generator map is not bijective")
     for h in Q.rows:
         first = sum(c * images[D - 1 - j][0] for j, c in enumerate(h)) % M
         second = sum(c * images[D - 1 - j][1] for j, c in enumerate(h)) % N
@@ -314,7 +321,7 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
     mod = Modulus(p, k)
     r, n_prime = split_p_part(n, p)
     context = Poly.x_pow_plus_const(n, 1, mod)
-    target = tuple(sorted((p**k, p**k2)))
+    target = AbelianGroupTable((p**k2, p**k))
     out = []
     # ideal rows -> case of its family map, or None when it gives none
     seen: dict[tuple, str | None] = {}
@@ -324,8 +331,8 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
             if seen[Q.rows] not in (None, case):
                 raise InvariantViolation(f"ideal produced by case {seen[Q.rows]} and case {case}")
             return
-        rec = _try_build(Q, n, "I", max_order)
-        if rec is None or rec.group.invariants != target:
+        rec = _try_build(Q, n, "I", max_order, target)
+        if rec is None:
             seen[Q.rows] = None
             return
         seen[Q.rows] = case
@@ -359,6 +366,7 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
                     lift_level0_factor(lab.d, lab.l, p, k).poly,
                 )
         unit_roots = solve_unit_roots(p, k, n)
+        theta = theta_set(p, n)
         for f in quadratics:
             red = f.reduce_mod(Modulus(p))
             roots = [t for t in range(p) if red.evaluate(t) == 0]
@@ -376,7 +384,7 @@ def classify_rank2(p: int, k: int, k2: int, n: int, max_order=None) -> list[Fami
                 push(
                     canonical_form([f], context),
                     "b",
-                    dict(label=dl, shift=shift, theta_condition=(p + 1) % dl[0] == 0),
+                    dict(label=dl, shift=shift, theta_condition=dl[0] in theta),
                 )
             elif k == 1:
                 push(canonical_form([f], context), "c", dict(mu=roots[0], alpha=0, beta=0))
@@ -446,20 +454,17 @@ def standard_form_maps(group: AbelianGroupTable, valence: int) -> list[FamilyMap
 
     Ideals live over the exponent ring Z_{p^k}, at the n of each case of
     map_cases; type II cases have an elementary 2-group, so (p, k) = (2, 1).
-    build_map checks admissibility before it builds, and a built map is kept
-    when its group is this one.
+    build_map checks admissibility before it builds, and drops a map on
+    another group before it validates and certifies it.
     """
-    facs = factorize(group.exponent)
-    if len(facs) != 1:
-        raise ValueError("standard forms need a p-group")
-    p, k = facs[0]
+    p, exponents = group.p_type()
     out = []
     for n, map_type in map_cases(group, valence):
-        for Q in bounded_admissible_candidates(p, k, n, group.order):
+        for Q in bounded_admissible_candidates(p, exponents[-1], n, group.order):
             if Q.quotient_size() != group.order:
                 continue
-            rec = _try_build(Q, n, map_type)
-            if rec is not None and rec.group.invariants == group.invariants:
+            rec = _try_build(Q, n, map_type, group=group)
+            if rec is not None:
                 out.append(FamilyMap(_params("standard_" + map_type, rows=Q.rows), Q, rec))
     return out
 
@@ -527,8 +532,8 @@ def _applicable_families(group: AbelianGroupTable, valence: int) -> tuple[dict, 
     """Family name -> map list restricted to this group, for every family
     whose hypotheses cover the instance; and the 2-group family's maps on
     every group of order <= |group| (None when that family does not apply)."""
-    p, k = factorize(group.exponent)[0]
-    inv = group.invariants
+    p, exponents = group.p_type()
+    k = exponents[-1]
     cap = group.order
     fams = {}
     two_group_all = None
@@ -536,27 +541,25 @@ def _applicable_families(group: AbelianGroupTable, valence: int) -> tuple[dict, 
         if k == 1:
             fams["elementary" + map_type] = [
                 m
-                for m in classify_elementary(p, len(inv), n, map_type, max_order=cap)
-                if m.invariants == inv
+                for m in classify_elementary(p, group.rank, n, map_type, max_order=cap)
+                if m.record.group == group
             ]
         if map_type == "II":
             continue  # the other families are type I only
-        if len(inv) == 1:
+        if group.rank == 1:
             fams["cyclic"] = classify_cyclic(p, k, n, max_order=cap)
         if p == 2:
             two_group_all = classify_2group(k, n, max_order=cap)
-            fams["two_group"] = [m for m in two_group_all if m.invariants == inv]
+            fams["two_group"] = [m for m in two_group_all if m.record.group == group]
         if p != 2 and n % p != 0:
             fams["coprime"] = [
-                m for m in classify_coprime(p, k, n, max_order=cap) if m.invariants == inv
+                m for m in classify_coprime(p, k, n, max_order=cap) if m.record.group == group
             ]
-        if p != 2 and len(inv) == 2:
-            k2 = factorize(inv[0])[0][1]
-            kbig = factorize(inv[1])[0][1]
+        if p != 2 and group.rank == 2:
             fams["rank2"] = [
                 m
-                for m in classify_rank2(p, kbig, k2, n, max_order=cap)
-                if m.invariants == inv
+                for m in classify_rank2(p, k, exponents[0], n, max_order=cap)
+                if m.record.group == group
             ]
     return fams, two_group_all
 
@@ -564,6 +567,7 @@ def _applicable_families(group: AbelianGroupTable, valence: int) -> tuple[dict, 
 def cross_check(group_spec, valence: int) -> InstanceReport:
     """Reconcile the oracle, the standard ideal list, and every applicable family."""
     group = AbelianGroupTable.from_spec(group_spec)
+    group.p_type()  # a group that is not a p-group fails here, before the oracle runs
     oracle = brute_force_rbcms(group, valence)
     standard = standard_form_maps(group, valence)
     fams, two_group_all = _applicable_families(group, valence)
@@ -601,13 +605,12 @@ def cross_check(group_spec, valence: int) -> InstanceReport:
 
 
 def _instance_diagnostics(group, valence, fams, oracle, two_group_all) -> dict:
-    facs = factorize(group.exponent)
-    p, k = facs[0]
-    inv = group.invariants
+    p, exponents = group.p_type()
+    k = exponents[-1]
     diag = {}
     if "elementaryI" in fams:
         n = valence // 2
-        narrow = family_elementary_narrow_count(p, len(inv), n)
+        narrow = family_elementary_narrow_count(p, group.rank, n)
         implemented = len(fams["elementaryI"])
         diag["elementary_exponent_reading"] = {
             "narrow_range_count": narrow,
@@ -616,7 +619,7 @@ def _instance_diagnostics(group, valence, fams, oracle, two_group_all) -> dict:
             "diverges": narrow != implemented,
         }
     if "elementaryII" in fams:
-        narrow = family_elementary_narrow_count(2, len(inv), valence)
+        narrow = family_elementary_narrow_count(2, group.rank, valence)
         implemented = len(fams["elementaryII"])
         diag["elementary_exponent_reading_involution"] = {
             "narrow_range_count": narrow,

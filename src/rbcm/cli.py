@@ -32,7 +32,7 @@ from .factorlift import (
 )
 from .ideals import enumerate_ideals_containing
 from .structure import AbelianGroupTable
-from .zring import factorize, is_prime
+from .zring import is_prime
 
 
 def factor_to_json(lf) -> dict:
@@ -217,7 +217,10 @@ def cmd_crosscheck(args) -> None:
     else:
         _check(args.group is not None, "--group required without --sweep")
         group = _parse_group(args.group)
-        _check(len(factorize(group.exponent)) == 1, f"--group {args.group} is not a p-group")
+        try:
+            group.p_type()
+        except ValueError as exc:
+            raise ValueError(f"--group {args.group}: {exc}") from None
         r = cross_check(group, args.valence)
         payload, instances = r.to_json(), [r]
     rows = [

@@ -62,7 +62,7 @@ class DegenerateOmega(DomainError):
 
 
 class TypeMismatch(DomainError):
-    """Comparison of maps of different types."""
+    """Comparison of maps of different types, or a map on another group than asked for."""
 
 
 class InvariantViolation(DomainError):

@@ -184,15 +184,6 @@ def poly_mod(f: Poly, g: Poly) -> Poly:
     return divmod_monic(f, g)[1]
 
 
-def poly_gcd_field(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over Z_p (prime modulus required)."""
-    while not g.is_zero():
-        f, g = g, poly_mod(f, g)
-    if f.is_zero():
-        return f
-    return f.scale(inverse_mod(f.leading(), f.modulus.N))
-
-
 def poly_xgcd_field(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     """(d, u, v) with u*f + v*g = d = monic gcd, over Z_p."""
     m = f.modulus
@@ -240,7 +231,7 @@ def is_irreducible_mod_p(h: Poly) -> bool:
     frob = x
     for _ in range(m // 2):
         frob = pow_mod(frob, p, h)
-        g = poly_gcd_field(frob - x, h)
+        g = poly_xgcd_field(frob - x, h)[0]
         if g.degree != 0:
             return False
     return True

@@ -1,4 +1,4 @@
-"""Abelian-group structure of quotients Z_N[x]/Q and residue enumeration.
+"""Finite abelian groups by invariant factors, and the structure of Z_N[x]/Q.
 
 The additive quotient is read off an integer relation lattice (N*e_i plus the
 ideal's canonical rows) via Smith normal form; the column transform gives an
@@ -11,45 +11,11 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import InvariantViolation, TooLarge, require
+from .errors import InvariantViolation, TooLarge
 from .ideals import IdealPresentation, x_powers
-from .zring import Frozen
+from .zring import Frozen, factorize, p_valuation
 
 RESIDUE_BUDGET = 1 << 16
-
-
-class AbelianType(Frozen):
-    """Invariant factors d_1 | d_2 | ... | d_s, each > 1, ascending."""
-
-    __slots__ = ("invariant_factors",)
-
-    def __init__(self, invariant_factors: tuple[int, ...]):
-        for a, b in zip(invariant_factors, invariant_factors[1:]):
-            if b % a:
-                raise InvariantViolation("invariant factors must form a divisibility chain")
-        require(all(d > 1 for d in invariant_factors), "invariant factors must exceed 1")
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-
-    def _key(self) -> tuple:
-        return (self.invariant_factors,)
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
-
-    @property
-    def exponent(self) -> int:
-        return self.invariant_factors[-1] if self.invariant_factors else 1
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
-    def __repr__(self):
-        return " x ".join(f"Z_{d}" for d in self.invariant_factors) or "0"
 
 
 def smith_normal_form(rows: list[list[int]], width: int) -> tuple[list[int], list[list[int]]]:
@@ -127,37 +93,34 @@ def _relation_rows(Q: IdealPresentation) -> list[list[int]]:
     return rows
 
 
-def quotient_group_type(Q: IdealPresentation) -> AbelianType:
-    """Invariant factors of the additive group of Z_N[x]/Q."""
+def quotient_group_type(Q: IdealPresentation) -> AbelianGroupTable:
+    """The additive group of Z_N[x]/Q, by its invariant factors."""
     diag, _ = smith_normal_form(_relation_rows(Q), Q.width)
-    return AbelianType(tuple(d for d in diag if d > 1))
+    return AbelianGroupTable(tuple(d for d in diag if d > 1))
 
 
 def quotient_isomorphism(Q: IdealPresentation):
-    """(AbelianType, map) with map taking a residue row to invariant coordinates."""
+    """(group, map) with map taking a residue row to invariant coordinates."""
     diag, V = smith_normal_form(_relation_rows(Q), Q.width)
     keep = [(i, d) for i, d in enumerate(diag) if d > 1]
-    typ = AbelianType(tuple(d for _, d in keep))
+    group = AbelianGroupTable(tuple(d for _, d in keep))
 
     def to_coords(row) -> tuple[int, ...]:
         return tuple(
             sum(row[i] * V[i][j] for i in range(len(row))) % d for j, d in keep
         )
 
-    return typ, to_coords
+    return group, to_coords
 
 
 class QuotientRing:
-    """Residues and x-power rows of Z_N[x]/Q, within the residue budget."""
+    """x-power rows of Z_N[x]/Q, within the residue budget."""
 
     def __init__(self, Q: IdealPresentation):
         self.ideal = Q
         self.order = Q.quotient_size()
         if self.order > RESIDUE_BUDGET:
             raise TooLarge(f"quotient has {self.order} residues (budget {RESIDUE_BUDGET})")
-
-    def residues(self) -> list[tuple[int, ...]]:
-        return list(self.ideal.residues())
 
     def x_power_images(self, n: int) -> list[tuple[int, ...]]:
         """Reduced rows of x^0, ..., x^(n-1), from one x-power walk."""
@@ -167,11 +130,6 @@ class QuotientRing:
 
     def x_power_image(self, i: int) -> tuple[int, ...]:
         return self.x_power_images(i + 1)[i]
-
-
-def enumerate_residues(Q: IdealPresentation) -> list[tuple[int, ...]]:
-    """Every residue of Z_N[x]/Q exactly once, as canonical reduced rows."""
-    return QuotientRing(Q).residues()
 
 
 def reachable(start: int, steps, size: int) -> int:
@@ -217,22 +175,37 @@ def translation(invariants: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, .
     return tuple(row)
 
 
-class AbelianGroupTable:
-    """Finite abelian group in invariant-factor coordinates.
+class AbelianGroupTable(Frozen):
+    """Finite abelian group Z_{d_1} x ... x Z_{d_r} by its invariant factors
+    d_1 | d_2 | ... | d_r, each > 1; tables compare and hash by them.
 
     Elements are numbered in product order, index 0 the zero.  The closure,
     homomorphism and face-tracing loops run on small integers, through the
     translation row a -> a + g of each element g they add, built once per g.
     """
 
+    __slots__ = ("invariants", "rank", "order", "exponent")
+
     def __init__(self, invariants: tuple[int, ...]):
-        if not all(d > 1 for d in invariants):
-            raise ValueError(f"invariant factors must exceed 1, got {tuple(invariants)}")
-        self.invariants = tuple(invariants)
-        self.rank = len(self.invariants)
+        invariants = tuple(invariants)
+        order = exponent = 1
+        for d in invariants:
+            if d <= 1:
+                raise ValueError(f"invariant factors must exceed 1, got {invariants}")
+            if d % exponent:
+                raise ValueError(f"invariant factors must form a divisibility chain, got {invariants}")
+            order *= d
+            exponent = d
+        object.__setattr__(self, "invariants", invariants)
+        object.__setattr__(self, "rank", len(invariants))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "exponent", exponent)
+
+    def _key(self) -> tuple:
+        return (self.invariants,)
 
     @classmethod
-    def from_spec(cls, spec) -> "AbelianGroupTable":
+    def from_spec(cls, spec) -> AbelianGroupTable:
         """The group Z_{o_1} x ... x Z_{o_r} for any list of cyclic orders o_i > 1.
 
         The orders are brought to invariant factors, so equivalent specs such
@@ -249,6 +222,17 @@ class AbelianGroupTable:
         diag, _ = smith_normal_form(relations, len(orders))
         return cls(tuple(d for d in diag if d > 1))
 
+    def p_type(self) -> tuple[int, tuple[int, ...]]:
+        """(p, (e_1, ..., e_r)) with invariant factors p^e_1 | ... | p^e_r.
+
+        Raises ValueError unless the group is a nontrivial p-group.
+        """
+        facs = factorize(self.exponent)
+        if len(facs) != 1:
+            raise ValueError(f"{self!r} is not a p-group")
+        p = facs[0][0]
+        return p, tuple(p_valuation(d, p) for d in self.invariants)
+
     def tables(self):
         """(elements, index-of), shared by every table of these invariants."""
         return _group_tables(self.invariants)
@@ -256,20 +240,6 @@ class AbelianGroupTable:
     def translation(self, g) -> tuple[int, ...]:
         """Index row of a -> a + g, shared by every table of these invariants."""
         return translation(self.invariants, tuple(g))
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for d in self.invariants:
-            n *= d
-        return n
-
-    @property
-    def exponent(self) -> int:
-        n = 1
-        for d in self.invariants:
-            n = n * d // math.gcd(n, d)
-        return n
 
     def elements(self) -> tuple[tuple[int, ...], ...]:
         return _group_tables(self.invariants)[0]
@@ -294,4 +264,4 @@ class AbelianGroupTable:
         return reachable(0, [self.translation(g) for g in gens], self.order) == self.order
 
     def __repr__(self):
-        return " x ".join(f"Z_{d}" for d in self.invariants)
+        return " x ".join(f"Z_{d}" for d in self.invariants) or "0"

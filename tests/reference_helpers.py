@@ -307,7 +307,7 @@ def reference_rank2_generator_check(
         require(all(poly[i] == 0 for i in range(2, Q.width)), "unreduced residue")
         return (c1 % M, (c0 + c1 * mu) % N)
 
-    residues = ring.residues()
+    residues = list(Q.residues())
     images = {phi(res) for res in residues}
     require(len(images) == ring.order == target.order, "generator map is not bijective")
     for g in ring.x_power_images(2):

@@ -234,3 +234,59 @@ def test_certificates_use_no_assert(module):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statements at {module}.py lines {lines}"
+
+
+def test_only_structure_reads_the_p_type_off_the_exponent():
+    """AbelianGroupTable.p_type is the one reader of a p-group's type: no
+    other rbcm module passes a group's .exponent to factorize."""
+    calls = []
+    for path in sorted(Path(rbcm.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "factorize"
+                and any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "exponent"
+                    for arg in node.args
+                    for sub in ast.walk(arg)
+                )
+            ):
+                calls.append((path.stem, node.lineno))
+    assert {stem for stem, _ in calls} <= {"structure"}, calls
+    assert calls, "structure should read the type through factorize(self.exponent)"
+
+
+def test_cross_check_rejects_a_non_p_group_before_the_oracle(monkeypatch):
+    from rbcm import classify
+
+    calls = []
+    monkeypatch.setattr(classify, "brute_force_rbcms", lambda *a: calls.append(a) or [])
+    with pytest.raises(ValueError, match="not a p-group"):
+        cross_check((2, 3), 4)
+    assert calls == []
+
+
+def test_standard_list_certifies_only_maps_on_its_group(monkeypatch):
+    """A candidate whose quotient is another group of the same order is
+    dropped before validate and is_rbcm run on it."""
+    from rbcm import cayley
+
+    realized, certified = [], []
+    realize_record, is_rbcm = cayley.realize_record, cayley.is_rbcm
+
+    def realize(*args):
+        realized.append(realize_record(*args))
+        return realized[-1]
+
+    def certify(rec):
+        certified.append(rec)
+        return is_rbcm(rec)
+
+    monkeypatch.setattr(cayley, "realize_record", realize)
+    monkeypatch.setattr(cayley, "is_rbcm", certify)
+    group = AbelianGroupTable((9, 9))
+    out = standard_form_maps(group, 6)
+    assert len(out) == 3
+    assert any(rec.group != group for rec in realized)  # an other-group candidate was realized
+    assert len(certified) == len(out)
+    assert all(rec.group == group for rec in certified)

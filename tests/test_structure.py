@@ -3,15 +3,13 @@ import random
 import pytest
 from reference_helpers import definitional_group_tables
 
-from rbcm.errors import InvariantViolation, TooLarge
+from rbcm.errors import TooLarge
 from rbcm.ideals import canonical_form, is_admissible, x_step, zero_ideal
 from rbcm.poly import Poly
 from rbcm.structure import (
     AbelianGroupTable,
-    AbelianType,
     QuotientRing,
     _group_tables,
-    enumerate_residues,
     quotient_group_type,
     quotient_isomorphism,
     smith_normal_form,
@@ -43,20 +41,20 @@ def test_snf_simple():
 
 def test_quotient_group_type_examples():
     Q = canonical_form([P([2, 2], Z4)], ctx(2, Z4))
-    assert quotient_group_type(Q).invariant_factors == (2, 4)
+    assert quotient_group_type(Q) == AbelianGroupTable((2, 4))
     Q5 = canonical_form([P([-2, 1], Z5)], ctx(2, Z5))
-    assert quotient_group_type(Q5).invariant_factors == (5,)
+    assert quotient_group_type(Q5) == AbelianGroupTable((5,))
     Q3 = zero_ideal(ctx(2, Modulus(3)))
-    assert quotient_group_type(Q3).invariant_factors == (3, 3)
+    assert quotient_group_type(Q3) == AbelianGroupTable((3, 3))
 
 
 def test_enumerate_residues_counts():
     Q3 = zero_ideal(ctx(2, Modulus(3)))
-    assert len(enumerate_residues(Q3)) == 9
+    assert len(list(Q3.residues())) == 9
     Q = canonical_form([P([2, 2], Z4)], ctx(2, Z4))
-    assert len(enumerate_residues(Q)) == 8
+    assert len(list(Q.residues())) == 8
     Q5 = zero_ideal(ctx(2, Z5))
-    assert len(enumerate_residues(Q5)) == 25
+    assert len(list(Q5.residues())) == 25
 
 
 def test_residue_count_matches_type():
@@ -68,7 +66,7 @@ def test_residue_count_matches_type():
                 for _ in range(rng.randrange(0, 3))
             ]
             Q = canonical_form(gens, ctx(n, mod))
-            assert len(enumerate_residues(Q)) == quotient_group_type(Q).order
+            assert len(list(Q.residues())) == quotient_group_type(Q).order
 
 
 def test_type_invariant_under_shuffle():
@@ -109,7 +107,7 @@ def test_quotient_ring_ops():
     for Q, size in cases:
         mod = Q.modulus
         ring = QuotientRing(Q)
-        res = ring.residues()
+        res = list(Q.residues())
         assert len(res) == size == ring.order
         zero = (0,) * Q.width
         x = Poly.x(mod)
@@ -139,9 +137,8 @@ def test_quotient_ring_ops():
 
 def test_quotient_isomorphism_is_group_iso():
     Q = canonical_form([P([2, 2], Z4)], ctx(2, Z4))
-    typ, to_coords = quotient_isomorphism(Q)
-    assert typ.invariant_factors == (2, 4)
-    table = AbelianGroupTable(typ.invariant_factors)
+    table, to_coords = quotient_isomorphism(Q)
+    assert table == AbelianGroupTable((2, 4))
     res = list(Q.residues())
     images = [to_coords(a) for a in res]
     assert len(set(images)) == len(images) == table.order
@@ -159,19 +156,19 @@ def test_too_large_guard():
 
 def test_abelian_group_table():
     g = AbelianGroupTable((2, 4))
-    assert g.order == 8 and g.exponent == 4
+    assert (g.order, g.exponent, g.rank) == (8, 4, 2)
     assert g.element_order((1, 2)) == 2
     assert g.element_order((0, 1)) == 4
     assert g.generates([(1, 0), (0, 1)])
     assert not g.generates([(0, 2), (1, 0)])
-    assert AbelianGroupTable.from_spec([4, 2]).invariants == (2, 4)
+    assert AbelianGroupTable.from_spec([4, 2]) == AbelianGroupTable((2, 4))
     assert AbelianGroupTable.from_spec([9, 3]).invariants == (3, 9)
     assert AbelianGroupTable.from_spec([2, 3]).invariants == (6,)
     assert AbelianGroupTable.from_spec(g) is g
     with pytest.raises(ValueError):
         AbelianGroupTable.from_spec([1, 4])
-    with pytest.raises(InvariantViolation):
-        AbelianType((4, 2))
+    with pytest.raises(ValueError, match="divisibility chain"):
+        AbelianGroupTable((4, 2))
     with pytest.raises(ValueError):
         AbelianGroupTable((1, 4))
 
@@ -203,3 +200,12 @@ def test_smith_invariants_match_sympy():
         S = sympy_smith(sympy.Matrix(rows), domain=sympy.ZZ)
         want = [abs(int(S[i, i])) for i in range(min(m, n))]
         assert diag + [0] * (min(m, n) - len(diag)) == want, rows
+
+
+def test_p_type():
+    assert AbelianGroupTable((3, 9, 27)).p_type() == (3, (1, 2, 3))
+    assert AbelianGroupTable((2, 2, 8)).p_type() == (2, (1, 1, 3))
+    assert AbelianGroupTable.from_spec([8, 2]).p_type() == (2, (1, 3))
+    for invariants in [(6,), (2, 6), ()]:
+        with pytest.raises(ValueError, match="not a p-group"):
+            AbelianGroupTable(invariants).p_type()

@@ -15,7 +15,7 @@ from rbcm.classify import FamilyParams
 from rbcm.factorlift import FactorLabel, LabeledFactor
 from rbcm.ideals import Admissibility, constant_ideal, crt_split
 from rbcm.poly import FieldElement, Poly
-from rbcm.structure import AbelianType
+from rbcm.structure import AbelianGroupTable
 from rbcm.zring import Modulus, ResidueInt
 
 H = Poly((2, 2, 1), Modulus(3))  # x^2 + 2x + 2, irreducible over Z_3
@@ -29,7 +29,7 @@ VALUES = {
     "FactorLabel": lambda: FactorLabel(4, 1, 2, 2),
     "LabeledFactor": lambda: LabeledFactor(FactorLabel(1, 1, 0, 1), Poly((1, 1), Modulus(3))),
     "IdealPresentation": lambda: constant_ideal(3, Poly((1, 0, 1), Modulus(3, 2))),
-    "AbelianType": lambda: AbelianType((3, 9)),
+    "AbelianGroupTable": lambda: AbelianGroupTable((3, 9)),
     "MapStats": lambda: MapStats(1, 2, 2, 0, (2, 2)),
     "FamilyParams": lambda: FamilyParams("cyclic", (("a", 1), ("b", 2))),
     "Admissibility": lambda: Admissibility(False, "i", "x^2+1 not in ideal"),
@@ -44,7 +44,7 @@ OTHER = {
     "FactorLabel": lambda: FactorLabel(4, 1, 2, 4),
     "LabeledFactor": lambda: LabeledFactor(FactorLabel(1, 1, 1, 1), Poly((1, 1), Modulus(3))),
     "IdealPresentation": lambda: constant_ideal(1, Poly((1, 0, 1), Modulus(3, 2))),
-    "AbelianType": lambda: AbelianType((3, 27)),
+    "AbelianGroupTable": lambda: AbelianGroupTable((3, 27)),
     "MapStats": lambda: MapStats(1, 2, 2, 0, (1, 3)),
     "FamilyParams": lambda: FamilyParams("cyclic", (("a", 1), ("b", 3))),
     "Admissibility": lambda: Admissibility(False, "ii", "x^2+1 not in ideal"),
