@@ -3,11 +3,12 @@
 Records store the rotation as an explicit cycle of group elements in
 invariant-factor coordinates, so maps built from ideals and maps found by the
 oracle live in one representation.  When the automorphism search space is
-small, the oracle walks every automorphism, as a permutation of element
-indices, from one seed per Aut(G)-orbit and keys each class by its minimal
-image under Aut(G).  Aut(G) is listed as the closure of the elementary
-automorphisms (unit scalings and transvections), certified complete by the
-closed-form |Aut(G)|.  Otherwise the oracle falls back to exhaustive
+small, the oracle grows the least rotation cycle of each class, one position
+at a time, from one seed per Aut(G)-orbit; it reads one automorphism per
+image of the seed and the seed's stabilizer, as permutations of element
+indices.  Aut(G) is listed as the closure of the elementary automorphisms
+(unit scalings and transvections), certified complete by the closed-form
+|Aut(G)|.  Otherwise the oracle falls back to exhaustive
 shift-closed relation-lattice enumeration (realized and validated
 definitionally, deduplicated by explicit isomorphism search).  Sigma mode
 already yields one record per class, so only lattice-mode output is
@@ -55,7 +56,20 @@ AUT_CANDIDATE_LIMIT = 30_000
 
 
 def oracle_budget() -> int:
-    return int(os.environ.get("RBCM_ORACLE_BUDGET", DEFAULT_ORACLE_BUDGET))
+    """RBCM_ORACLE_BUDGET, the largest group order the oracle accepts.
+
+    Raises ValueError, naming the variable, unless it is an integer >= 1.
+    """
+    raw = os.environ.get("RBCM_ORACLE_BUDGET")
+    if raw is None:
+        return DEFAULT_ORACLE_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"RBCM_ORACLE_BUDGET must be an integer >= 1, not {raw!r}")
+    return budget
 
 
 class CayleyMapRecord:
@@ -455,67 +469,146 @@ def automorphism_matrices(invariants: tuple[int, ...]) -> tuple[tuple[tuple[int,
     )
 
 
-def _minimal_image(cycle, stabilizer) -> tuple[int, ...]:
-    """Least a(cycle) over the automorphisms a that fix cycle[0].
+@lru_cache(maxsize=None)
+def _sigma_frame(invariants: tuple[int, ...], seed_order: int):
+    """What sigma mode reads of Aut(G): (m, movers, firsts, stabilizer, neg).
 
-    The tuple is fixed one position at a time, keeping only the
-    automorphisms that reach the least value so far.
+    m is the least element of order seed_order.  movers maps each image of m
+    under Aut(G) to one automorphism that sends m there; those images must
+    be exactly the elements of order seed_order.  stabilizer is Stab(m) as
+    image-index tables, and firsts holds the least seed of each
+    Stab(m)-orbit.  neg is the index table of negation.
     """
-    key = [cycle[0]]
-    for i in range(1, len(cycle)):
-        if len(stabilizer) == 1:
-            key.extend(stabilizer[0][c] for c in cycle[i:])
-            break
-        values = [alpha[cycle[i]] for alpha in stabilizer]
-        best = min(values)
-        stabilizer = [alpha for alpha, v in zip(stabilizer, values) if v == best]
-        key.append(best)
-    return tuple(key)
+    group = AbelianGroupTable(invariants)
+    els, idx = group.tables()
+    seeds = [i for i, e in enumerate(els) if group.element_order(e) == seed_order]
+    perms = automorphism_permutations(invariants)
+    m = seeds[0]
+    movers = {}
+    for perm in perms:
+        movers.setdefault(perm[m], perm)
+    require(sorted(movers) == seeds, "seeds form more than one Aut(G)-orbit")
+    stabilizer = tuple(perm for perm in perms if perm[m] == m)
+    firsts, marked = [], set()
+    for t in seeds:
+        if t not in marked:
+            firsts.append(t)
+            marked.update(s[t] for s in stabilizer)
+    neg = tuple(idx[group.neg(e)] for e in els)
+    return m, movers, tuple(firsts), stabilizer, neg
 
 
 def _sigma_mode(group: AbelianGroupTable, n: int, map_type: str):
-    """One record per isomorphism class, from (automorphism, seed) pairs.
+    """One record per isomorphism class: its least cycle, grown one position
+    at a time.
 
     If (sigma, w) gives a map, (a sigma a^-1, a w) gives an isomorphic one,
     so one seed per Aut(G)-orbit suffices.  The seeds form a single orbit:
     an element of order exp(G) spans a cyclic direct summand, and any two
     such summands have isomorphic complements; type II seeds are the nonzero
-    vectors of an elementary 2-group.  So the smallest seed m is the only one.
-    A class is keyed by its minimal image, the least index tuple a(cycle)
-    over automorphisms a and rotations; index order is coordinate order, so
-    that is the smallest canonical_key in the class.  Every cycle element
-    lies in m's orbit, so the minimum starts at m.  Rotating the cycle by r
-    is applying sigma^r, itself an automorphism, so the minimum is over the
-    a with a(m) = m applied to the cycle as walked from m.
+    vectors of an elementary 2-group.  So every cycle starts at the least
+    seed m.  Rotating a cycle by r applies sigma^r, itself an automorphism,
+    so every isomorphism between two cycles that start at m lies in Stab(m):
+    the classes are the Stab(m)-orbits of those cycles.  Index order is
+    coordinate order, so a class's least index tuple is its smallest
+    canonical_key, and the records come in that order.
+
+    The least member of a Stab(m)-orbit is the greedy minimum taken position
+    by position under pointwise stabilizers.  The search keeps a prefix
+    w_0 = m, ..., w_j, one sigma0 consistent with it, and the pointwise
+    stabilizer P of w_0, ..., w_{j-1}.  The sigma consistent with the prefix
+    are sigma0 s for s in P, so the next values are sigma0(s(w_j)).  The
+    members H of P that fix w_j permute those values, and the longer prefix
+    is least in its orbit exactly when its last value is the least of its
+    H-orbit.  A full prefix that some consistent sigma closes onto -m
+    (type I) or m (type II) is the least cycle of its class.  sigma0 is a
+    chain of tables, applied lazily.  P = H forces the next value and a
+    trivial P fixes sigma, so only branching steps recurse, and P at least
+    halves at each.
     """
-    perms = automorphism_permutations(group.invariants)
-    els, idx = group.tables()
-    neg = [idx[group.neg(e)] for e in els]
-    seed_order = group.exponent if map_type == "I" else 2
-    seeds = [i for i, e in enumerate(els) if group.element_order(e) == seed_order]
-    m = seeds[0]
-    require(len({perm[m] for perm in perms}) == len(seeds), "seeds form more than one Aut(G)-orbit")
-    stabilizer = [perm for perm in perms if perm[m] == m]
-    target = neg[m] if map_type == "I" else m
-    records = {}
-    keys = {}  # walked cycle -> its minimal image; many sigma walk the same cycle
-    for sigma in perms:
-        orbit = [m]
-        for _ in range(n - 1):
-            orbit.append(sigma[orbit[-1]])
-        if sigma[orbit[-1]] != target:
-            continue
-        cycle = tuple(orbit + [neg[c] for c in orbit]) if map_type == "I" else tuple(orbit)
-        if len(set(cycle)) != len(cycle) or 0 in cycle:  # index 0 is the zero
-            continue
-        key = keys.get(cycle)
-        if key is None:
-            key = keys[cycle] = _minimal_image(cycle, stabilizer)
-        if key in records:
-            continue
-        gens = [els[i] for i in key]
-        records[key] = CayleyMapRecord(group, gens, map_type) if group.generates(gens) else None
-    return [records[key] for key in sorted(records) if records[key] is not None]
+    signed = map_type == "I"
+    m, movers, firsts, stabilizer, neg = _sigma_frame(
+        group.invariants, group.exponent if signed else 2
+    )
+    target = neg[m] if signed else m
+    used = bytearray(group.order)  # the cycle so far, negatives included, and the zero
+    used[0] = 1
+    prefix = []
+    leaves = []
+
+    def take(v) -> bool:
+        """Append v unless it collides with the cycle so far."""
+        if used[v] or (signed and neg[v] == v):
+            return False
+        used[v] = 1
+        if signed:
+            used[neg[v]] = 1
+        prefix.append(v)
+        return True
+
+    def drop_to(length: int) -> None:
+        while len(prefix) > length:
+            v = prefix.pop()
+            used[v] = 0
+            if signed:
+                used[neg[v]] = 0
+
+    def image(chain, x):
+        for table in chain:
+            x = table[x]
+        return x
+
+    def grow(chain, P) -> None:
+        """Every least full prefix that extends this one: chain applies
+        sigma0, and P fixes every prefix entry but the last."""
+        if len(P) == 1:  # sigma0 is the only consistent sigma
+            while len(prefix) < n and take(image(chain, prefix[-1])):
+                pass
+            if len(prefix) == n and image(chain, prefix[-1]) == target:
+                leaves.append(tuple(prefix))
+            return
+        while len(prefix) < n:
+            w = prefix[-1]
+            H = [s for s in P if s[w] == w]
+            if len(H) == len(P):  # the next value is forced
+                if take(image(chain, w)):
+                    continue
+                return
+            witness = {}
+            for s in P:
+                witness.setdefault(s[w], s)
+            values = {image(chain, x): s for x, s in witness.items()}
+            marked = set()
+            length = len(prefix)
+            for v in sorted(values):
+                if v in marked:
+                    continue
+                marked.update(h[v] for h in H)
+                if take(v):
+                    grow((values[v], *chain), H)
+                    drop_to(length)
+            return
+        w = prefix[-1]
+        if any(image(chain, s[w]) == target for s in P):
+            leaves.append(tuple(prefix))
+
+    if not take(m):
+        return []
+    if n == 1:  # target is a seed, so some automorphism sends m there
+        leaves.append((m,))
+    else:
+        for t in firsts:
+            if take(t):
+                grow((movers[t],), stabilizer)
+                drop_to(1)
+    els, _ = group.tables()
+    out = []
+    for leaf in sorted(leaves):
+        cycle = leaf + tuple(neg[c] for c in leaf) if signed else leaf
+        gens = [els[i] for i in cycle]
+        if group.generates(gens):
+            out.append(CayleyMapRecord(group, gens, map_type))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 from .cayley import (
     CayleyMapRecord,
@@ -217,16 +218,17 @@ def family_elementary_narrow_count(p: int, m: int, n: int) -> int:
     return count
 
 
-def classify_2group(k: int, n: int, max_order=None) -> list[FamilyMap]:
-    """Maps on abelian 2-groups of exponent 2^k via level/multiplicity functions."""
-    if n < 2:
-        raise ValueError("n must exceed 1")
+@lru_cache(maxsize=None)
+def _two_group_components(k: int, n: int) -> tuple[dict, ...]:
+    """Per CRT label, (j, kk) -> the component ideal (2^j tilde^kk, 2^(j+1)).
+
+    They depend on (k, n) only, so every bound shares them.
+    """
     r, _ = split_p_part(n, 2)
     split = crt_split(2, k, n)
-    labels = split.labels
     mod = Modulus(2, k)
     comps = []
-    for (d, ell), ctx in zip(labels, split.contexts):
+    for (d, ell), ctx in zip(split.labels, split.contexts):
         tilde = lift_level0_factor(d, ell, 2, k).poly
         gens = {
             (j, kk): [Poly.constant(2**j, mod) * tilde**kk, Poly.constant(2 ** (j + 1), mod)]
@@ -234,6 +236,17 @@ def classify_2group(k: int, n: int, max_order=None) -> list[FamilyMap]:
             for kk in range(2**r + 1)
         }
         comps.append({jk: canonical_form(g, ctx) for jk, g in gens.items()})
+    return tuple(comps)
+
+
+def classify_2group(k: int, n: int, max_order=None) -> list[FamilyMap]:
+    """Maps on abelian 2-groups of exponent 2^k via level/multiplicity functions."""
+    if n < 2:
+        raise ValueError("n must exceed 1")
+    r, _ = split_p_part(n, 2)
+    split = crt_split(2, k, n)
+    labels = split.labels
+    comps = _two_group_components(k, n)
 
     def cases():
         for J in itertools.product(range(k), repeat=len(labels)):

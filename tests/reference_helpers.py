@@ -4,7 +4,7 @@ import itertools
 import math
 from functools import lru_cache, reduce
 
-from rbcm.cayley import _rank_mod_p
+from rbcm.cayley import CayleyMapRecord, _rank_mod_p, automorphism_permutations
 from rbcm.classify import _try_build, solve_unit_roots
 from rbcm.errors import InvariantViolation, TooLarge, require
 from rbcm.factorlift import split_p_part
@@ -89,6 +89,58 @@ def reference_automorphism_matrices(invariants):
             continue
         auts.append(tuple(rows))
     return tuple(auts)
+
+
+def _minimal_image(cycle, stabilizer) -> tuple[int, ...]:
+    """Least a(cycle) over the automorphisms a that fix cycle[0].
+
+    The tuple is fixed one position at a time, keeping only the
+    automorphisms that reach the least value so far.
+    """
+    key = [cycle[0]]
+    for i in range(1, len(cycle)):
+        if len(stabilizer) == 1:
+            key.extend(stabilizer[0][c] for c in cycle[i:])
+            break
+        values = [alpha[cycle[i]] for alpha in stabilizer]
+        best = min(values)
+        stabilizer = [alpha for alpha, v in zip(stabilizer, values) if v == best]
+        key.append(best)
+    return tuple(key)
+
+
+def reference_sigma_walk(group: AbelianGroupTable, n: int, map_type: str):
+    """Sigma mode as it was before it grew least cycles: walk the seed's
+    orbit under every automorphism and key each cycle by its minimal image
+    under the seed's stabilizer."""
+    perms = automorphism_permutations(group.invariants)
+    els, idx = group.tables()
+    neg = [idx[group.neg(e)] for e in els]
+    seed_order = group.exponent if map_type == "I" else 2
+    seeds = [i for i, e in enumerate(els) if group.element_order(e) == seed_order]
+    m = seeds[0]
+    require(len({perm[m] for perm in perms}) == len(seeds), "seeds form more than one Aut(G)-orbit")
+    stabilizer = [perm for perm in perms if perm[m] == m]
+    target = neg[m] if map_type == "I" else m
+    records = {}
+    keys = {}  # walked cycle -> its minimal image; many sigma walk the same cycle
+    for sigma in perms:
+        orbit = [m]
+        for _ in range(n - 1):
+            orbit.append(sigma[orbit[-1]])
+        if sigma[orbit[-1]] != target:
+            continue
+        cycle = tuple(orbit + [neg[c] for c in orbit]) if map_type == "I" else tuple(orbit)
+        if len(set(cycle)) != len(cycle) or 0 in cycle:  # index 0 is the zero
+            continue
+        key = keys.get(cycle)
+        if key is None:
+            key = keys[cycle] = _minimal_image(cycle, stabilizer)
+        if key in records:
+            continue
+        gens = [els[i] for i in key]
+        records[key] = CayleyMapRecord(group, gens, map_type) if group.generates(gens) else None
+    return [records[key] for key in sorted(records) if records[key] is not None]
 
 
 @lru_cache(maxsize=None)

@@ -224,6 +224,36 @@ def test_domain_error_exit_code(monkeypatch, capsys):
         assert err.startswith("TooLarge: ") and "RBCM_ORACLE_BUDGET" in err, group
 
 
+@pytest.mark.parametrize("budget", ["abc", "0", "-5", "", "1.5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--group", "3,3", "--valence", "4"],
+        ["crosscheck", "--group", "3,3", "--valence", "4"],
+    ],
+)
+def test_bad_oracle_budget_usage_error(argv, budget, monkeypatch, capsys):
+    """An RBCM_ORACLE_BUDGET that is not an integer >= 1 is a usage error
+    that names the variable."""
+    monkeypatch.setenv("RBCM_ORACLE_BUDGET", budget)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2, err
+    assert err == f"usage error: RBCM_ORACLE_BUDGET must be an integer >= 1, not {budget!r}\n"
+    assert out == ""
+
+
+def test_bad_oracle_budget_exit_status():
+    proc = subprocess.run(
+        [sys.executable, "-m", "rbcm.cli", "oracle", "--group", "3,3", "--valence", "4"],
+        capture_output=True,
+        text=True,
+        env={**_inherited_env(), "RBCM_ORACLE_BUDGET": "abc"},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "usage error: RBCM_ORACLE_BUDGET must be an integer >= 1, not 'abc'\n"
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "rbcm.cli", "classify", "--bogus"],

@@ -14,6 +14,7 @@ import pytest
 from reference_helpers import (
     definitional_group_tables,
     reference_automorphism_matrices,
+    reference_sigma_walk,
     same_prime,
 )
 
@@ -134,6 +135,52 @@ def test_sigma_mode_needs_no_dedup():
                 cases += 1
                 classes += len(got)
     assert (cases, classes) == (223, 62)
+
+
+def _walk_cases():
+    """(invariants, valence) pairs for the least-cycle search against the walk."""
+    cases = []
+    for p in (2, 3, 5, 7):
+        for inv in abelian_p_groups(p, 128):
+            if aut_candidate_count(inv) <= AUT_CANDIDATE_LIMIT:
+                order = AbelianGroupTable(inv).order
+                cases.extend((inv, v) for v in range(2, min(32, 2 * order) + 1))
+    # wide groups, then deep walks that never branch
+    cases += [((5, 125), 10), ((7, 49), 14), ((2, 256), 512), ((2, 256), 1024), ((3, 3, 3), 54)]
+    return cases
+
+
+def test_sigma_mode_matches_walk_over_every_automorphism():
+    """Growing each class's least cycle under the seed's stabilizer gives the
+    records, in the same order, that walking the seed under every automorphism
+    and keying each cycle by its minimal image gives."""
+    checked = 0
+    for inv, valence in _walk_cases():
+        group = AbelianGroupTable(inv)
+        for n, map_type in map_cases(group, valence):
+            got = [r.cycle for r in _sigma_mode(group, n, map_type)]
+            want = [r.cycle for r in reference_sigma_walk(group, n, map_type)]
+            assert got == want, (inv, valence)
+            checked += len(want)
+    assert checked > 0
+
+
+def test_sigma_mode_reads_only_its_frame(monkeypatch):
+    """Once a group's frame is built, sigma mode reads no other part of Aut(G)."""
+    cases = [
+        (AbelianGroupTable(inv), n, map_type)
+        for inv in ((3, 3, 3), (9, 9))
+        for valence in range(4, 17)
+        for n, map_type in map_cases(AbelianGroupTable(inv), valence)
+    ]
+    want = [[r.cycle for r in _sigma_mode(*case)] for case in cases]
+
+    def unavailable(invariants):
+        raise AssertionError(f"sigma mode read every automorphism of {invariants}")
+
+    monkeypatch.setattr(cayley, "automorphism_permutations", unavailable)
+    assert [[r.cycle for r in _sigma_mode(*case)] for case in cases] == want
+    assert any(want)
 
 
 def test_hillar_rhea_known_orders():
