@@ -617,37 +617,37 @@ def _sigma_mode(group: AbelianGroupTable, n: int, map_type: str):
 
 @lru_cache(maxsize=None)
 def bounded_admissible_candidates(
-    p: int, k: int, n: int, bound: int
+    p: int, k: int, n: int, order: int
 ) -> tuple[IdealPresentation, ...]:
-    """All ideals of Z_{p^k}[x] containing x^n+1 with quotient order <= bound.
+    """All ideals of Z_{p^k}[x] containing x^n+1 whose quotient has exactly order elements.
 
-    Every such ideal contains the component's radical floor, so each CRT
-    component is enumerated above that floor and the choices are combined.
+    Each CRT component is enumerated above its radical floor, which every
+    ideal of index <= order contains, or by the local tree when the floor's
+    quotient exceeds ENUM_BUDGET.  Only the component tuples whose quotient
+    sizes multiply to order (by CRT, the quotient size) are combined.
     """
     split = crt_split(p, k, n)
     mod = Modulus(p, k)
     per_component = []
     for (d, ell), ctx in zip(split.labels, split.contexts):
         q = base_factor(p, d, ell).reduce_mod(mod)
-        floor = radical_floor(ctx, bound, q)
+        floor = radical_floor(ctx, order, q)
         if floor.quotient_size() <= ENUM_BUDGET:
             ideals = enumerate_ideals_between(ctx, base=floor)
         else:
-            ideals = bounded_ideals_local_tree(ctx, bound, q)
-        per_component.append([ideal for ideal in ideals if ideal.quotient_size() <= bound])
-    cases = ((None, combo) for combo in itertools.product(*per_component))
-    found = [Q for _, Q in bounded_combinations(split, cases, bound)]
+            ideals = bounded_ideals_local_tree(ctx, order, q)
+        per_component.append([ideal for ideal in ideals if ideal.quotient_size() <= order])
+    combos = itertools.product(*per_component)
+    cases = ((None, c) for c in combos if math.prod(q.quotient_size() for q in c) == order)
+    found = [Q for _, Q in bounded_combinations(split, cases)]
     return tuple(sorted(found, key=lambda q: q.rows))
 
 
 def _lattice_mode(group: AbelianGroupTable, n: int, map_type: str):
     """Oracle via exhaustive relation-lattice enumeration and definitional checks."""
     p, exponents = group.p_type()
-    candidates = bounded_admissible_candidates(p, exponents[-1], n, group.order)
     records = {}
-    for Q in candidates:
-        if Q.quotient_size() != group.order:
-            continue
+    for Q in bounded_admissible_candidates(p, exponents[-1], n, group.order):
         try:
             rec = realize_record(Q, n, map_type)
         except DegenerateOmega:

@@ -474,20 +474,18 @@ def standard_form_maps(group: AbelianGroupTable, valence: int) -> list[FamilyMap
     out = []
     for n, map_type in map_cases(group, valence):
         for Q in bounded_admissible_candidates(p, exponents[-1], n, group.order):
-            if Q.quotient_size() != group.order:
-                continue
             rec = _try_build(Q, n, map_type, group=group)
             if rec is not None:
                 out.append(FamilyMap(_params("standard_" + map_type, rows=Q.rows), Q, rec))
     return out
 
 
-def _match_classes(family: list, oracle: list[CayleyMapRecord]):
+def _match_classes(family: list[FamilyMap], oracle: list[CayleyMapRecord]):
     """Perfect matching between family records and oracle classes, or None."""
     used = set()
     pairs = []
     for i, fm in enumerate(family):
-        rec = fm.record if isinstance(fm, FamilyMap) else fm
+        rec = fm.record
         hits = [
             j
             for j, orc in enumerate(oracle)

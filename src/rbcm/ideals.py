@@ -15,7 +15,8 @@ under x; canonical_form is its adapter for polynomial generators.  Ideals of
 Z_{p^k}[x]/(x^n+1) are combined from CRT component ideals through embedding
 rows: crt_split stores, per component, the ambient rows of e_i*x^j, and
 combine_components maps each component Howell row through them and takes one
-Howell form of at most n rows.
+Howell form of at most n rows.  radical_multiple forms m*I on Howell rows, and
+radical_floor and the local tree build every m^s and m*I with it.
 """
 
 from __future__ import annotations
@@ -163,14 +164,8 @@ class IdealPresentation(Frozen):
     def width(self) -> int:
         return self.context_monic.degree
 
-    def key(self):
+    def _key(self) -> tuple:
         return (self.modulus.N, self.context_monic.coeffs, self.rows)
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __eq__(self, other):
-        return isinstance(other, IdealPresentation) and self.key() == other.key()
 
     def poly_to_row(self, f: Poly) -> tuple[int, ...]:
         f = poly_mod(f, self.context_monic)
@@ -552,26 +547,39 @@ def enumerate_ideals_between(
     return out
 
 
+def radical_multiple(ideal: IdealPresentation, radical_gen: Poly) -> IdealPresentation:
+    """m*I for m = (p, g), g = radical_gen, from the rows p*r and g*r = sum_j g_j*x^j*r.
+
+    I's Howell rows r span I over Z_N, so these rows span p*I + g*I = m*I,
+    which is closed under x because x*(g*a) = g*(x*a).
+    """
+    context = ideal.context_monic
+    g = radical_gen.coeffs
+    rows = []
+    for r in ideal.rows:
+        rows.append([context.modulus.p * v for v in r])
+        shifts = x_powers(r, context, len(g))
+        rows.append([sum(gj * v for gj, v in zip(g, col)) for col in zip(*shifts)])
+    pres = IdealPresentation(context, howell_form(rows, context.modulus.N, ideal.width))
+    _assert_shift_closed(pres)
+    return pres
+
+
 def radical_floor(context: Poly, quotient_bound: int, radical_gen: Poly) -> IdealPresentation:
     """Power of the maximal ideal below every ideal of bounded index.
 
-    In the local quotient with maximal ideal (p, g) and residue field of size
-    p^o, o = deg g, an ideal of index <= quotient_bound contains m^s for
+    In the local quotient with maximal ideal m = (p, g) and residue field of
+    size p^o, o = deg g, an ideal of index <= quotient_bound contains m^s for
     s = floor(log_{p^o} bound): each radical layer of the quotient has at
-    least p^o elements.
+    least p^o elements.  m^s is s radical_multiple steps from the whole ring.
     """
-    p = context.modulus.p
-    q = p**radical_gen.degree
-    s = 0
-    while q ** (s + 1) <= quotient_bound:
-        s += 1
-    pc = Poly.constant(p, context.modulus)
-    m = canonical_form([pc, radical_gen], context)
-    # m^s is generated by the products of s generators of m: p^a * g^(s-a)
-    power = canonical_form([pc**a * radical_gen ** (s - a) for a in range(s + 1)], context)
-    if s >= 1:
-        require(all(m.contains_row(r) for r in power.rows), "radical power escapes m")
-    return power
+    q = context.modulus.p ** radical_gen.degree
+    powers = [constant_ideal(1, context)]
+    while q ** len(powers) <= quotient_bound:
+        powers.append(radical_multiple(powers[-1], radical_gen))
+    m = powers[min(1, len(powers) - 1)]
+    require(all(m.contains_row(r) for r in powers[-1].rows), "radical power escapes m")
+    return powers[-1]
 
 
 def bounded_ideals_local_tree(
@@ -586,10 +594,8 @@ def bounded_ideals_local_tree(
     in I; they are read off a small enumeration of the module between m*I
     and I.
     """
-    modulus = context.modulus
-    p = modulus.p
-    q = p**radical_gen.degree
-    full = canonical_form([Poly.one(modulus)], context)
+    q = context.modulus.p ** radical_gen.degree
+    full = constant_ideal(1, context)
     out = {full.rows: full}
     frontier = [full]
     while frontier:
@@ -597,10 +603,7 @@ def bounded_ideals_local_tree(
         index = ideal.quotient_size()
         if index * q > bound:
             continue
-        gens = list(ideal.row_polys()) + [context]
-        mi_gens = [Poly.constant(p, modulus) * g for g in gens]
-        mi_gens += [radical_gen * g for g in gens]
-        mi = canonical_form(mi_gens, context)
+        mi = radical_multiple(ideal, radical_gen)
         for child in enumerate_ideals_between(context, base=mi):
             if child.quotient_size() != index * q:
                 continue
@@ -610,10 +613,8 @@ def bounded_ideals_local_tree(
                 continue
             out[child.rows] = child
             frontier.append(child)
-    return sorted(
-        (v for v in out.values() if v.quotient_size() <= bound),
-        key=lambda x: x.rows,
-    )
+    # a child enters only when its index, index * q, is within the bound
+    return sorted(out.values(), key=lambda x: x.rows)
 
 
 def closed_form_ideals(factor_poly: Poly, label: FactorLabel) -> list[IdealPresentation] | None:

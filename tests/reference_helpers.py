@@ -4,7 +4,12 @@ import itertools
 import math
 from functools import lru_cache, reduce
 
-from rbcm.cayley import CayleyMapRecord, _rank_mod_p, automorphism_permutations
+from rbcm.cayley import (
+    CayleyMapRecord,
+    _rank_mod_p,
+    automorphism_permutations,
+    bounded_admissible_candidates,
+)
 from rbcm.classify import _try_build, solve_unit_roots
 from rbcm.errors import InvariantViolation, TooLarge, require
 from rbcm.factorlift import split_p_part
@@ -29,6 +34,22 @@ def all_monic(modulus: Modulus, degree: int):
     """All monic polynomials of exact degree over Z_N (test/search helper)."""
     for lower in itertools.product(range(modulus.N), repeat=degree):
         yield Poly(list(lower) + [1], modulus)
+
+
+def candidates_up_to(p: int, k: int, n: int, bound: int) -> list[IdealPresentation]:
+    """bounded_admissible_candidates over every order p^j <= bound, sorted by rows.
+
+    Each call must return quotients of exactly its order, which is checked
+    here; the union is every ideal containing x^n+1 of index <= bound.
+    """
+    out = []
+    order = 1
+    while order <= bound:
+        for Q in bounded_admissible_candidates(p, k, n, order):
+            assert Q.quotient_size() == order, (p, k, n, order, Q.rows)
+            out.append(Q)
+        order *= p
+    return sorted(out, key=lambda Q: Q.rows)
 
 
 def monic_divisors_exhaustive(f: Poly) -> list[Poly]:

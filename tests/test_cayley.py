@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from reference_helpers import reference_combine
+from reference_helpers import candidates_up_to, reference_combine
 
 import rbcm
 from rbcm.cayley import (
@@ -245,7 +245,7 @@ def test_lattice_mode_agrees_with_sigma_mode():
 
 
 def test_bounded_candidates_contain_admissible():
-    cands = bounded_admissible_candidates(3, 1, 2, 9)
+    cands = candidates_up_to(3, 1, 2, 9)
     # over Z_3, x^2+1 is irreducible: ideals are (0) and (1) within bound 9
     sizes = sorted(q.quotient_size() for q in cands)
     assert sizes == [1, 9]
@@ -274,7 +274,7 @@ def test_bounded_candidates_match_full_ring(p, k, n, bound):
         if math.prod(q.quotient_size() for q in combo) <= bound:
             Q = reference_combine(split, [q.row_polys() for q in combo])
             expected.setdefault(Q.rows, Q)
-    got = [Q.rows for Q in bounded_admissible_candidates(p, k, n, bound)]
+    got = [Q.rows for Q in candidates_up_to(p, k, n, bound)]
     assert got == sorted(expected)
 
 
@@ -283,8 +283,10 @@ def test_bounded_candidates_match_full_ring(p, k, n, bound):
 )
 def test_bounded_candidates_local_tree_branch(monkeypatch, p, k, n, bound):
     """With the enumeration budget at 0 every component goes through the
-    local tree, and the candidates are those of the default floor path."""
-    floor_rows = [Q.rows for Q in bounded_admissible_candidates(p, k, n, bound)]
+    local tree, and the candidates of every order p^j <= bound are those of
+    the default floor path."""
+    floor_rows = [Q.rows for Q in candidates_up_to(p, k, n, bound)]
+    orders = len([j for j in range(bound.bit_length()) if p**j <= bound])
     tree = rbcm.cayley.bounded_ideals_local_tree
     calls = []
     monkeypatch.setattr(rbcm.cayley, "ENUM_BUDGET", 0)
@@ -293,10 +295,10 @@ def test_bounded_candidates_local_tree_branch(monkeypatch, p, k, n, bound):
     )
     bounded_admissible_candidates.cache_clear()
     try:
-        tree_rows = [Q.rows for Q in bounded_admissible_candidates(p, k, n, bound)]
+        tree_rows = [Q.rows for Q in candidates_up_to(p, k, n, bound)]
     finally:
         bounded_admissible_candidates.cache_clear()
-    assert len(calls) == len(crt_split(p, k, n).labels)
+    assert len(calls) == orders * len(crt_split(p, k, n).labels)
     assert tree_rows == floor_rows
 
 

@@ -3,8 +3,9 @@
 combine_components maps component Howell rows through the CRT embedding
 rows; reference_combine builds the same ideal from polynomial generators.
 howell_form buckets rows by leading column; reference_howell_form rescans the
-pool for each column.  radical_floor takes the s + 1 products p^a g^(s-a);
-the reference takes all 2^s products.  reduce_row walks the pivots in
+pool for each column.  radical_floor builds m^s for m = (p, g) by s
+radical_multiple steps on Howell rows from the whole ring; the reference
+takes all 2^s polynomial products of p and g.  reduce_row walks the pivots in
 column order, whatever the order of the rows it was given, and x_powers
 walks the same rows as powers of x through Poly.
 """
@@ -22,7 +23,7 @@ from reference_helpers import (
     reference_radical_floor_rows,
 )
 
-from rbcm import poly
+from rbcm import ideals, poly
 from rbcm.errors import InvariantViolation
 from rbcm.factorlift import base_factor
 from rbcm.ideals import (
@@ -31,6 +32,7 @@ from rbcm.ideals import (
     IdealPresentation,
     _certify_embeddings,
     bounded_ideals_local_tree,
+    canonical_form,
     combine_components,
     constant_ideal,
     crt_split,
@@ -196,6 +198,64 @@ def test_radical_floor_matches_all_products(p, k, n):
         for s in range(5):
             got = radical_floor(ctx, q**s, g)
             assert got.rows == reference_radical_floor_rows(ctx, s, g), (d, ell, s)
+
+
+TREE_CASES = [(2, 1, 8, 16), (2, 2, 4, 16), (3, 2, 3, 81), (5, 2, 4, 25), (2, 3, 4, 64)]
+
+
+def _radical_gens(p, k, n):
+    """Per label of crt_split(p, k, n): its context and its radical generator."""
+    split = crt_split(p, k, n)
+    mod = Modulus(p, k)
+    return [
+        (ctx, base_factor(p, d, ell).reduce_mod(mod))
+        for (d, ell), ctx in zip(split.labels, split.contexts)
+    ]
+
+
+@pytest.mark.parametrize("p,k,n,bound", TREE_CASES)
+def test_radical_layer_multiplies_no_poly(monkeypatch, p, k, n, bound):
+    """radical_floor and bounded_ideals_local_tree give the same rows when
+    every Poly product or power raises: m^s and m*I are built on rows."""
+    cases = _radical_gens(p, k, n)
+
+    def run():
+        return [
+            (radical_floor(ctx, bound, g).rows, [q.rows for q in bounded_ideals_local_tree(ctx, bound, g)])
+            for ctx, g in cases
+        ]
+
+    want = run()
+
+    def refuse(*args):
+        raise AssertionError("Poly arithmetic in the radical layer")
+
+    monkeypatch.setattr(poly.Poly, "__mul__", refuse)
+    monkeypatch.setattr(poly.Poly, "__pow__", refuse)
+    assert run() == want
+
+
+@pytest.mark.parametrize("p,k,n,bound", TREE_CASES)
+def test_radical_multiple_matches_poly_products(monkeypatch, p, k, n, bound):
+    """On every ideal the local tree visits, the m*I step is the ideal
+    generated by p*f and g*f over the ideal's row polynomials f."""
+    step = ideals.radical_multiple
+    visited = []
+
+    def recording_step(ideal, g):
+        out = step(ideal, g)
+        visited.append((ideal, g, out))
+        return out
+
+    monkeypatch.setattr(ideals, "radical_multiple", recording_step)
+    for ctx, g in _radical_gens(p, k, n):
+        bounded_ideals_local_tree(ctx, bound, g)
+    monkeypatch.undo()
+    assert visited
+    for ideal, g, got in visited:
+        pc = poly.Poly.constant(p, ideal.modulus)
+        gens = [h * f for f in ideal.row_polys() for h in (pc, g)]
+        assert got.rows == canonical_form(gens, ideal.context_monic).rows, ideal
 
 
 def _with_row(split, i, c, row):

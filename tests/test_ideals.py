@@ -2,10 +2,9 @@ import inspect
 import random
 
 import pytest
-from reference_helpers import crt_backward, crt_forward, reference_admissibility
+from reference_helpers import candidates_up_to, crt_backward, crt_forward, reference_admissibility
 
 from rbcm import ideals
-from rbcm.cayley import bounded_admissible_candidates
 from rbcm.errors import ComponentNotAdmissible, DuplicatePrime, TooLarge
 from rbcm.factorlift import base_factor, factor_xn_plus1
 from rbcm.ideals import (
@@ -156,7 +155,7 @@ def test_admissibility_row_walk_matches_poly_membership():
             if N > 81:
                 break
             for n in range(1, 9):
-                for Q in bounded_admissible_candidates(p, k, n, 81):
+                for Q in candidates_up_to(p, k, n, 81):
                     for m in range(1, n + 1):
                         got = is_admissible(Q, m)
                         assert (got.ok, got.clause) == reference_admissibility(Q, m), (Q, m)

@@ -59,20 +59,23 @@ def _mat_mul(a, b, invariants):
     return tuple(_mat_apply(b, row, invariants) for row in a)
 
 
-def _mat_pow(rows, e, invariants):
+def _mat_power(powers, rows, e, invariants):
+    """rows^e, extending the last power stored in powers for rows one product at a time."""
     n = len(invariants)
-    acc = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    base = rows
-    while e:
-        if e & 1:
-            acc = _mat_mul(acc, base, invariants)
-        base = _mat_mul(base, base, invariants)
-        e >>= 1
+    have, acc = powers.get(rows, (0, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))))
+    assert have <= e, (have, e)
+    for _ in range(e - have):
+        acc = _mat_mul(acc, rows, invariants)
+    powers[rows] = (e, acc)
     return acc
 
 
-def reference_sigma_mode(group, n, map_type):
-    """Every (automorphism, seed) pair; one record per distinct rotation cycle."""
+def reference_sigma_mode(group, n, map_type, powers):
+    """Every (automorphism, seed) pair; one record per distinct rotation cycle.
+
+    powers keeps each automorphism's last power between calls of rising n,
+    so sigma^n extends sigma^(n-1) by one product.
+    """
     invariants = group.invariants
     p = same_prime(invariants)
     sign = 1 if map_type == "I" else -1
@@ -80,7 +83,7 @@ def reference_sigma_mode(group, n, map_type):
     seeds = [w for w in group.elements() if group.element_order(w) == seed_order]
     records = {}
     for rows in reference_automorphism_matrices(invariants):
-        power = _mat_pow(rows, n, invariants)
+        power = _mat_power(powers, rows, n, invariants)
         cond = tuple(
             tuple((x + (sign if i == j else 0)) % d for j, (x, d) in enumerate(zip(r, invariants)))
             for i, r in enumerate(power)
@@ -112,10 +115,11 @@ def test_sigma_mode_matches_full_enumeration(invariants):
     """One seed per orbit and minimal-image keys give the classes, and the
     representatives, of full enumeration followed by pairwise isomorphism tests."""
     group = AbelianGroupTable(invariants)
+    powers = {}
     for valence in range(2, 17):
         for n, map_type in map_cases(group, valence):
             got = [r.canonical_key() for r in _sigma_mode(group, n, map_type)]
-            want = _dedup_classes(reference_sigma_mode(group, n, map_type))
+            want = _dedup_classes(reference_sigma_mode(group, n, map_type, powers))
             assert got == [r.canonical_key() for r in want], (valence, map_type)
             again = _dedup_classes(_sigma_mode(group, n, map_type))
             assert [r.canonical_key() for r in again] == got, (valence, map_type)
