@@ -6,13 +6,14 @@ oracle live in one representation.  When the automorphism search space is
 small, the oracle grows the least rotation cycle of each class, one position
 at a time, from one seed per Aut(G)-orbit; it reads one automorphism per
 image of the seed and the seed's stabilizer, as permutations of element
-indices.  Aut(G) is listed as the closure of the elementary automorphisms
-(unit scalings and transvections), certified complete by the closed-form
-|Aut(G)|.  Otherwise the oracle falls back to exhaustive
-shift-closed relation-lattice enumeration (realized and validated
-definitionally, deduplicated by explicit isomorphism search).  Sigma mode
-already yields one record per class, so only lattice-mode output is
-deduplicated.
+indices.  Aut(G) itself is never listed: the movers are a Schreier tree of
+the seed's orbit under the elementary automorphisms (unit scalings and
+transvections), the stabilizer is the closure of its Schreier generators,
+and |orbit| * |Stab| = |Aut(G)|, the closed form, certifies both.
+Otherwise the oracle falls back to exhaustive shift-closed relation-lattice
+enumeration (realized and validated definitionally, deduplicated by explicit
+isomorphism search).  Sigma mode already yields one record per class, so only
+lattice-mode output is deduplicated.
 """
 
 from __future__ import annotations
@@ -408,52 +409,85 @@ def _image_table(images, group: AbelianGroupTable) -> list[int]:
     return table
 
 
+def _elementary_tables(group: AbelianGroupTable) -> list[list[int]]:
+    """The elementary automorphisms as image-index tables, each checked to be
+    well defined (every generator image has an order dividing its
+    generator's) and a bijection.
+
+    Past AUT_CANDIDATE_LIMIT it raises TooLarge instead: sigma mode does not
+    run there, and |G| may not fit a 16-bit table.
+    """
+    count = aut_candidate_count(group.invariants)
+    if count > AUT_CANDIDATE_LIMIT:
+        raise TooLarge(f"{count} automorphism candidates")
+    tables = []
+    for images in _elementary_automorphisms(group.invariants):
+        require(
+            all(d % group.element_order(img) == 0 for img, d in zip(images, group.invariants)),
+            "elementary image order does not divide its generator's order",
+        )
+        table = _image_table(images, group)
+        require(len(set(table)) == group.order, "elementary automorphism is not a bijection")
+        tables.append(table)
+    return tables
+
+
+def _identity(order: int) -> bytes | array:
+    """The identity table: bytes when |G| <= 256, else a 16-bit array."""
+    return bytes(range(order)) if order <= 256 else array("H", range(order))
+
+
+def _as_generator(table, order: int) -> bytes | tuple:
+    """table in the form composition reads: bytes padded to 256 entries when
+    |G| <= 256 (bytes.translate wants a 256-byte table; entries past |G| are
+    never read), else a tuple, which itemgetter reads faster than an array."""
+    if order <= 256:
+        return bytes(table[:order]) + bytes(256 - order)
+    return tuple(table)
+
+
+def _compose(g, perm) -> bytes | array:
+    """g o perm, for a table perm and a generator g in _as_generator form."""
+    if isinstance(perm, bytes):
+        return perm.translate(g)
+    return array("H", operator.itemgetter(*perm)(g))
+
+
+def _close(perms: list, seen: set, gens: list, settled: int = 0) -> None:
+    """Grow perms, in place, to its closure under left composition by gens.
+
+    perms[:settled] is already closed under every generator but the last, so
+    those members meet only the last.  seen holds the members' bytes.
+    """
+    for i, perm in enumerate(perms):  # breadth first: perms grows while it is walked
+        for g in gens if i >= settled else gens[-1:]:
+            new = _compose(g, perm)
+            key = bytes(new)
+            if key not in seen:
+                seen.add(key)
+                perms.append(new)
+
+
 @lru_cache(maxsize=None)
 def automorphism_permutations(invariants: tuple[int, ...]) -> tuple[bytes | array, ...]:
     """Every automorphism of the group as an image-index table.
 
     Entry i is the index of the image of element i, in the product order of
     AbelianGroupTable.elements().  A table is bytes when |G| <= 256, else a
-    16-bit array: |G| is at most aut_candidate_count, which sigma mode keeps
-    within AUT_CANDIDATE_LIMIT.
+    16-bit array: |G| is at most aut_candidate_count, which is kept within
+    AUT_CANDIDATE_LIMIT.
 
     The tables are the breadth-first closure, under composition, of the
-    elementary automorphisms, each walked from its generator images along
-    translation rows.  The closure lies inside Aut(G); the count certificate
-    against aut_order makes it all of Aut(G).
+    elementary automorphisms.  The closure lies inside Aut(G); the count
+    certificate against aut_order makes it all of Aut(G).  No production
+    path calls it: sigma mode reads only _sigma_frame, and the tests and the
+    tracer's automorphism_matrices read this full list.
     """
-    count = aut_candidate_count(invariants)
-    if count > AUT_CANDIDATE_LIMIT:
-        raise TooLarge(f"{count} automorphism candidates")
     group = AbelianGroupTable(invariants)
-    order = group.order
-    gens = []
-    for images in _elementary_automorphisms(invariants):
-        require(
-            all(d % group.element_order(img) == 0 for img, d in zip(images, invariants)),
-            "elementary image order does not divide its generator's order",
-        )
-        table = _image_table(images, group)
-        require(len(set(table)) == order, "elementary automorphism is not a bijection")
-        gens.append(table)
-    narrow = order <= 256
-    if narrow:
-        # bytes.translate wants a 256-byte table; entries past |G| are never read
-        gens = [bytes(t) + bytes(256 - order) for t in gens]
-        identity = bytes(range(order))
-    else:
-        identity = array("H", range(order))
+    gens = [_as_generator(t, group.order) for t in _elementary_tables(group)]
+    identity = _identity(group.order)
     perms = [identity]
-    seen = {identity if narrow else identity.tobytes()}
-    for perm in perms:  # breadth first: perms grows while it is walked
-        # g o perm is get(g): one C-level lookup per entry, set up once per perm
-        get = None if narrow else operator.itemgetter(*perm)
-        for g in gens:
-            new = perm.translate(g) if narrow else array("H", get(g))
-            key = new if narrow else new.tobytes()
-            if key not in seen:
-                seen.add(key)
-                perms.append(new)
+    _close(perms, {bytes(identity)}, gens)
     require(len(perms) == aut_order(invariants), "elementary automorphisms do not generate Aut(G)")
     return tuple(perms)
 
@@ -478,24 +512,57 @@ def _sigma_frame(invariants: tuple[int, ...], seed_order: int):
     be exactly the elements of order seed_order.  stabilizer is Stab(m) as
     image-index tables, and firsts holds the least seed of each
     Stab(m)-orbit.  neg is the index table of negation.
+
+    Aut(G) itself is never listed.  The orbit of m under the elementary
+    automorphisms is walked breadth first, and each new image g(t) gets the
+    mover g o movers[t]: the movers form a Schreier tree.  By Schreier's
+    lemma the elements movers[g(t)]^-1 o g o movers[t] generate the
+    stabilizer of m in the group the elementary automorphisms generate; H
+    is the closure of those met so far, and the walk over them stops once
+    |orbit| * |H| = |Aut(G)|.  The certificate is that count.  H lies in
+    Stab(m) and the orbit in Aut(G)m, so |orbit| * |H| <= |Aut(G)m| *
+    |Stab(m)| = |Aut(G)|, with equality only when the orbit is all of
+    Aut(G)m and H all of Stab(m).  Short generators cannot reach the
+    count, and the require raises.
     """
     group = AbelianGroupTable(invariants)
+    order = group.order
+    gens = [_as_generator(t, order) for t in _elementary_tables(group)]
     els, idx = group.tables()
     seeds = [i for i, e in enumerate(els) if group.element_order(e) == seed_order]
-    perms = automorphism_permutations(invariants)
     m = seeds[0]
-    movers = {}
-    for perm in perms:
-        movers.setdefault(perm[m], perm)
-    require(sorted(movers) == seeds, "seeds form more than one Aut(G)-orbit")
-    stabilizer = tuple(perm for perm in perms if perm[m] == m)
+    identity = _identity(order)
+    movers = {m: identity}
+    orbit = [m]
+    for t in orbit:  # breadth first: orbit grows while it is walked
+        for g in gens:
+            if g[t] not in movers:
+                orbit.append(g[t])
+                movers[g[t]] = _compose(g, movers[t])
+    want = aut_order(invariants)
+    stabilizer, seen, hgens = [identity], {bytes(identity)}, []
+    inverses = {}
+    for t, g in ((t, g) for t in orbit for g in gens):
+        if len(orbit) * len(stabilizer) >= want:
+            break
+        s, moved = g[t], _compose(g, movers[t])
+        if moved == movers[s]:  # a tree edge, or an edge that agrees with one
+            continue
+        if s not in inverses:
+            inverses[s] = _as_generator(sorted(range(order), key=movers[s].__getitem__), order)
+        h = _compose(inverses[s], moved)  # a Schreier generator: it fixes m
+        if bytes(h) not in seen:
+            hgens.append(_as_generator(h, order))
+            _close(stabilizer, seen, hgens, len(stabilizer))
+    require(len(orbit) * len(stabilizer) == want, "elementary automorphisms do not generate Aut(G)")
+    require(sorted(orbit) == seeds, "seeds form more than one Aut(G)-orbit")
     firsts, marked = [], set()
     for t in seeds:
         if t not in marked:
             firsts.append(t)
             marked.update(s[t] for s in stabilizer)
     neg = tuple(idx[group.neg(e)] for e in els)
-    return m, movers, tuple(firsts), stabilizer, neg
+    return m, movers, tuple(firsts), tuple(stabilizer), neg
 
 
 def _sigma_mode(group: AbelianGroupTable, n: int, map_type: str):

@@ -112,6 +112,29 @@ def reference_automorphism_matrices(invariants):
     return tuple(auts)
 
 
+def reference_sigma_frame(invariants, seed_order):
+    """_sigma_frame as it was before it walked a Schreier tree: read off the
+    full closure automorphism_permutations, keeping the first automorphism
+    that sends m to each seed and every one that fixes m."""
+    group = AbelianGroupTable(invariants)
+    els, idx = group.tables()
+    seeds = [i for i, e in enumerate(els) if group.element_order(e) == seed_order]
+    perms = automorphism_permutations(invariants)
+    m = seeds[0]
+    movers = {}
+    for perm in perms:
+        movers.setdefault(perm[m], perm)
+    require(sorted(movers) == seeds, "seeds form more than one Aut(G)-orbit")
+    stabilizer = tuple(perm for perm in perms if perm[m] == m)
+    firsts, marked = [], set()
+    for t in seeds:
+        if t not in marked:
+            firsts.append(t)
+            marked.update(s[t] for s in stabilizer)
+    neg = tuple(idx[group.neg(e)] for e in els)
+    return m, movers, tuple(firsts), stabilizer, neg
+
+
 def _minimal_image(cycle, stabilizer) -> tuple[int, ...]:
     """Least a(cycle) over the automorphisms a that fix cycle[0].
 

@@ -8,12 +8,14 @@ to _dedup_classes.
 
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
 from reference_helpers import (
     definitional_group_tables,
     reference_automorphism_matrices,
+    reference_sigma_frame,
     reference_sigma_walk,
     same_prime,
 )
@@ -25,6 +27,7 @@ from rbcm.cayley import (
     CayleyMapRecord,
     _dedup_classes,
     _rank_mod_p,
+    _sigma_frame,
     _sigma_mode,
     aut_candidate_count,
     aut_order,
@@ -33,7 +36,7 @@ from rbcm.cayley import (
     map_cases,
 )
 from rbcm.classify import abelian_p_groups
-from rbcm.errors import InvariantViolation
+from rbcm.errors import InvariantViolation, TooLarge
 from rbcm.structure import AbelianGroupTable
 
 
@@ -185,6 +188,115 @@ def test_sigma_mode_reads_only_its_frame(monkeypatch):
     monkeypatch.setattr(cayley, "automorphism_permutations", unavailable)
     assert [[r.cycle for r in _sigma_mode(*case)] for case in cases] == want
     assert any(want)
+
+
+def _frame_cases():
+    """(invariants, seed order) of every frame sigma mode asks for on the
+    groups of _walk_cases, and on (3, 243)."""
+    groups = {inv for inv, _ in _walk_cases()} | {(3, 243)}
+    return sorted((inv, AbelianGroupTable(inv).exponent) for inv in groups)
+
+
+def _table_key(table, order):
+    """The first |G| entries of a table, as bytes."""
+    return bytes(table[:order])
+
+
+def test_sigma_frame_matches_full_closure():
+    """The Schreier-tree frame gives the seed, seeds, least seeds, stabilizer
+    and negation table that reading the full closure of Aut(G) gives, and
+    each of its movers is an automorphism that sends m to its key."""
+    for invariants, seed_order in _frame_cases():
+        order = AbelianGroupTable(invariants).order
+        m, movers, firsts, stabilizer, neg = _sigma_frame(invariants, seed_order)
+        ref_m, ref_movers, ref_firsts, ref_stabilizer, ref_neg = reference_sigma_frame(
+            invariants, seed_order
+        )
+        case = (invariants, seed_order)
+        assert (m, sorted(movers), firsts, neg) == (
+            ref_m, sorted(ref_movers), ref_firsts, ref_neg
+        ), case
+        assert {_table_key(s, order) for s in stabilizer} == {
+            _table_key(s, order) for s in ref_stabilizer
+        }, case
+        assert len(stabilizer) == len(ref_stabilizer), case
+        every = {_table_key(perm, order) for perm in automorphism_permutations(invariants)}
+        kind = bytes if order <= 256 else array
+        for seed, mover in movers.items():
+            assert mover[m] == seed, case
+            assert _table_key(mover, order) in every, case
+            assert type(mover) is kind, case
+        assert all(type(s) is kind for s in stabilizer), case
+
+
+def test_sigma_frame_lists_no_automorphism_group(monkeypatch):
+    """Frames are built without the full list of Aut(G)."""
+
+    def unavailable(invariants):
+        raise AssertionError(f"the frame listed every automorphism of {invariants}")
+
+    _sigma_frame.cache_clear()
+    monkeypatch.setattr(cayley, "automorphism_permutations", unavailable)
+    try:
+        for invariants in ((3, 3, 3), (9, 9), (5, 125)):
+            _, movers, _, stabilizer, _ = _sigma_frame(invariants, max(invariants))
+            assert len(movers) * len(stabilizer) == aut_order(invariants)
+    finally:
+        _sigma_frame.cache_clear()
+
+
+def test_sigma_frame_refuses_past_candidate_limit():
+    """Past AUT_CANDIDATE_LIMIT neither the frame nor the full list is built:
+    Stab(m) of (Z_2)^8 alone has |GL(8, 2)| / 255 members."""
+    invariants = (2,) * 8
+    assert aut_candidate_count(invariants) > AUT_CANDIDATE_LIMIT
+    with pytest.raises(TooLarge, match="automorphism candidates"):
+        _sigma_frame.__wrapped__(invariants, 2)
+    with pytest.raises(TooLarge, match="automorphism candidates"):
+        automorphism_permutations.__wrapped__(invariants)
+
+
+def test_sigma_frame_short_generating_set_fails_certificate(monkeypatch):
+    """A Schreier tree and stabilizer that miss part of Aut(G) raise instead
+    of returning a frame."""
+    build = _sigma_frame.__wrapped__
+    units = cayley._unit_generators
+    monkeypatch.setattr(cayley, "_unit_generators", lambda d: [3] if d == 8 else units(d))
+    with pytest.raises(InvariantViolation, match="do not generate"):
+        build((8,), 8)
+    monkeypatch.undo()
+    elementary = cayley._elementary_automorphisms
+
+    def scalings_only(invariants):
+        r = len(invariants)
+        return [
+            rows for rows in elementary(invariants)
+            if all(rows[i][j] == 0 for i in range(r) for j in range(r) if i != j)
+        ]
+
+    monkeypatch.setattr(cayley, "_elementary_automorphisms", scalings_only)
+    with pytest.raises(InvariantViolation, match="do not generate"):
+        build((3, 3), 3)
+
+
+def test_sigma_frame_short_generating_set_fails_certificate_under_O():
+    """The frame's count certificate is a require, so python -O keeps it."""
+    child = (
+        "from rbcm import cayley\n"
+        "from rbcm.errors import InvariantViolation\n"
+        "units = cayley._unit_generators\n"
+        "cayley._unit_generators = lambda d: [3] if d == 8 else units(d)\n"
+        "try:\n"
+        "    cayley._sigma_frame((8,), 8)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(rbcm.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False elementary automorphisms do not generate Aut(G)\n"
 
 
 def test_hillar_rhea_known_orders():
