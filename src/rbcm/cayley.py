@@ -14,6 +14,11 @@ Otherwise the oracle falls back to exhaustive shift-closed relation-lattice
 enumeration (realized and validated definitionally, deduplicated by explicit
 isomorphism search).  Sigma mode already yields one record per class, so only
 lattice-mode output is deduplicated.
+
+A standard map depends only on its ideal, n and map type, so build_map
+realizes each (Q, n, map_type) once per process through a bounded cache, and
+validates and certifies each record once.  The lattice-mode oracle realizes
+its candidates itself and does not share that cache.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from functools import lru_cache
 
 from .errors import (
     DegenerateOmega,
+    DomainError,
     InvariantViolation,
     NotAdmissible,
     TooLarge,
@@ -54,6 +60,7 @@ from .zring import Frozen, Modulus, factorize
 
 DEFAULT_ORACLE_BUDGET = 128
 AUT_CANDIDATE_LIMIT = 30_000
+BUILD_CACHE_SIZE = 4096  # realized standard maps kept per process
 
 
 def oracle_budget() -> int:
@@ -82,6 +89,7 @@ class CayleyMapRecord:
         self.map_type = map_type
         self.valence = len(self.cycle)
         self._stats = None
+        self.certified = False  # set by build_map once validate and is_rbcm pass
 
     @property
     def omega(self) -> tuple[tuple[int, ...], ...]:
@@ -281,25 +289,48 @@ def realize_record(Q: IdealPresentation, n: int, map_type: str) -> CayleyMapReco
     return CayleyMapRecord(group, cycle, map_type)
 
 
+@lru_cache(maxsize=BUILD_CACHE_SIZE)
+def _realized(Q: IdealPresentation, n: int, map_type: str) -> CayleyMapRecord | DomainError:
+    """The ideal's realized record, or the exception that stops it.
+
+    The standard map depends on (Q, n, map_type) only, so a sweep builds
+    each one once.  The outcome is NotAdmissible (with the first failing
+    clause), DegenerateOmega or TooLarge; any other exception propagates
+    and is not kept.
+    """
+    adm = is_admissible(Q, n, map_type)
+    if not adm:
+        return NotAdmissible(adm.clause or "?", adm.detail or "")
+    try:
+        return realize_record(Q, n, map_type)
+    except (DegenerateOmega, TooLarge) as exc:
+        return exc.with_traceback(None)  # a kept traceback would keep its frames
+
+
 def build_map(
     Q: IdealPresentation, n: int, map_type: str = "I", group: AbelianGroupTable | None = None
 ) -> CayleyMapRecord:
     """Standard map of an admissible ideal (admissibility checked first).
 
     Given a group, a map realized on another group raises TypeMismatch
-    before it is validated and certified.
+    before it is validated and certified.  Equal inputs share one record,
+    validated and certified once; a kept failure is raised again as a fresh
+    copy, with the class and attributes of the first.
     """
     if map_type == "I" and n < 2:
         raise ValueError("type I maps need n >= 2")
-    adm = is_admissible(Q, n, map_type)
-    if not adm:
-        raise NotAdmissible(adm.clause or "?", adm.detail or "")
-    record = realize_record(Q, n, map_type)
+    record = _realized(Q, n, map_type)
+    if isinstance(record, DomainError):
+        fresh = type(record)(*record.args)
+        fresh.__dict__.update(vars(record))
+        raise fresh
     if group is not None and record.group != group:
         raise TypeMismatch(f"quotient is {record.group}, not {group}")
-    record.validate()
-    ok, _ = is_rbcm(record)
-    require(ok, "constructed map is not balanced-regular")
+    if not record.certified:
+        record.validate()
+        ok, _ = is_rbcm(record)
+        require(ok, "constructed map is not balanced-regular")
+        record.certified = True
     return record
 
 

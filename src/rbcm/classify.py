@@ -480,8 +480,21 @@ def standard_form_maps(group: AbelianGroupTable, valence: int) -> list[FamilyMap
     return out
 
 
-def _match_classes(family: list[FamilyMap], oracle: list[CayleyMapRecord]):
-    """Perfect matching between family records and oracle classes, or None."""
+def _match_classes(family: list[FamilyMap], oracle: list[CayleyMapRecord], verdicts: dict):
+    """Perfect matching between family records and oracle classes, or None.
+
+    verdicts maps (id of a record, oracle index) to maps_isomorphic's answer.
+    build_map hands the standard list and the families one record per
+    ideal, so one dict per cross_check tests each pair once; the lists hold
+    the records, so their ids stay theirs while it runs.
+    """
+
+    def isomorphic(rec, j) -> bool:
+        key = (id(rec), j)
+        if key not in verdicts:
+            verdicts[key] = maps_isomorphic(rec, oracle[j])
+        return verdicts[key]
+
     used = set()
     pairs = []
     for i, fm in enumerate(family):
@@ -489,9 +502,7 @@ def _match_classes(family: list[FamilyMap], oracle: list[CayleyMapRecord]):
         hits = [
             j
             for j, orc in enumerate(oracle)
-            if j not in used
-            and rec.map_type == orc.map_type
-            and maps_isomorphic(rec, orc)
+            if j not in used and rec.map_type == orc.map_type and isomorphic(rec, j)
         ]
         if len(hits) != 1:
             return None
@@ -582,12 +593,13 @@ def cross_check(group_spec, valence: int) -> InstanceReport:
     oracle = brute_force_rbcms(group, valence)
     standard = standard_form_maps(group, valence)
     fams, two_group_all = _applicable_families(group, valence)
-    matching = _match_classes(standard, oracle)
+    verdicts = {}
+    matching = _match_classes(standard, oracle, verdicts)
     ok = len(standard) == len(oracle) and matching is not None
     family_counts = {}
     for name, maps in fams.items():
         family_counts[name] = len(maps)
-        if len(maps) != len(oracle) or _match_classes(maps, oracle) is None:
+        if len(maps) != len(oracle) or _match_classes(maps, oracle, verdicts) is None:
             ok = False
     diagnostics = _instance_diagnostics(group, valence, fams, oracle, two_group_all)
     summaries = []

@@ -55,6 +55,7 @@ class NotAdmissible(DomainError):
     def __init__(self, clause: str, message: str = ""):
         super().__init__(message or clause)
         self.clause = clause
+        self.detail = message
 
 
 class DegenerateOmega(DomainError):

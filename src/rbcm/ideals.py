@@ -17,6 +17,11 @@ rows: crt_split stores, per component, the ambient rows of e_i*x^j, and
 combine_components maps each component Howell row through them and takes one
 Howell form of at most n rows.  radical_multiple forms m*I on Howell rows, and
 radical_floor and the local tree build every m^s and m*I with it.
+
+Two results are kept per process in bounded caches, because a sweep asks
+for them again and again: each combined ideal, keyed by (p, k, n) and its
+component rows, and each enumeration, keyed by (context, base) and returned
+as a tuple that every caller shares.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from .poly import Poly, poly_mod
 from .zring import Frozen, Modulus, divisors, inverse_mod
 
 ENUM_BUDGET = 1 << 16
+COMBINE_CACHE_SIZE = 4096  # combined ideals kept per process
+ENUM_CACHE_SIZE = 128  # enumerations kept per process, one per (context, base)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -474,18 +481,36 @@ def bounded_combinations(split: CrtSplit, cases, bound=None):
         seen.add(key)
         if bound is not None and math.prod(q.quotient_size() for q in parts) > bound:
             continue
-        yield tag, combine_components(split, parts)
+        if [q.context_monic for q in parts] != list(split.contexts):
+            raise ValueError("parts must be ideals in the split's component contexts, in order")
+        yield tag, _combined(split.p, split.k, split.n, key)
+
+
+@lru_cache(maxsize=COMBINE_CACHE_SIZE)
+def _combined(p: int, k: int, n: int, rows: tuple) -> IdealPresentation:
+    """combine_components of the component ideals with these Howell rows.
+
+    Keyed by (p, k, n) and the rows, not by the CrtSplit: hashing a split
+    hashes every embedding row.  The rows are canonical in crt_split(p, k,
+    n)'s contexts, so they rebuild the parts exactly.
+    """
+    split = crt_split(p, k, n)
+    parts = [IdealPresentation(ctx, r) for ctx, r in zip(split.contexts, rows)]
+    return combine_components(split, parts)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive enumeration of shift-closed submodules
 
 
+@lru_cache(maxsize=ENUM_CACHE_SIZE)
 def enumerate_ideals_between(
     context: Poly,
     base: IdealPresentation | None = None,
-) -> list[IdealPresentation]:
-    """All ideals of Z_N[x]/(context) containing the base ideal.
+) -> tuple[IdealPresentation, ...]:
+    """All ideals of Z_N[x]/(context) containing the base ideal, sorted by rows.
+
+    The result is a tuple, kept per (context, base): every caller shares it.
 
     Exhaustive over shift-closed row spans: computes the principal closure of
     every residue (modulo unit scaling and x-shifts), then closes the set
@@ -542,9 +567,7 @@ def enumerate_ideals_between(
                 pres = IdealPresentation(context, rows)
                 found[rows] = pres
                 frontier.append(pres)
-    out = list(found.values())
-    out.sort(key=lambda q: q.rows)
-    return out
+    return tuple(sorted(found.values(), key=lambda q: q.rows))
 
 
 def radical_multiple(ideal: IdealPresentation, radical_gen: Poly) -> IdealPresentation:
@@ -663,7 +686,7 @@ def enumerate_ideals_containing(f: Poly, label: FactorLabel | None = None) -> li
     size = f.modulus.N ** f.degree
     if size > ENUM_BUDGET:
         raise TooLarge(f"quotient has {size} elements and no closed form applies")
-    return enumerate_ideals_between(f)
+    return list(enumerate_ideals_between(f))
 
 
 # ---------------------------------------------------------------------------

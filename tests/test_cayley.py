@@ -21,7 +21,7 @@ from rbcm.cayley import (
     realize_record,
     trace_faces,
 )
-from rbcm.errors import NotAdmissible, TooLarge, TypeMismatch
+from rbcm.errors import DegenerateOmega, InvariantViolation, NotAdmissible, TooLarge, TypeMismatch
 from rbcm.ideals import (
     canonical_form,
     crt_split,
@@ -71,6 +71,81 @@ def test_build_map_not_admissible():
     with pytest.raises(NotAdmissible) as e:
         build_map(Q, 2, "I")
     assert e.value.clause == "ii"
+
+
+def test_build_map_replays_failures_exactly():
+    """A kept failure comes back as a fresh exception with the first one's
+    class and attributes, on every call."""
+    rbcm.cayley._realized.cache_clear()
+    Z2 = Modulus(2)
+    not_admissible = canonical_form([P([1, 1], Z2)], ctx(2, Z2))
+    degenerate = zero_ideal(ctx(2, Z2))  # x^0 and x^1 are their own negatives
+    for Q, exc in [(not_admissible, NotAdmissible), (degenerate, DegenerateOmega)]:
+        raised = []
+        for _ in range(2):
+            with pytest.raises(exc) as e:
+                build_map(Q, 2, "I")
+            raised.append(e.value)
+        first, second = raised
+        assert first is not second
+        assert type(first) is type(second)
+        assert (first.args, vars(first)) == (second.args, vars(second))
+        if exc is NotAdmissible:
+            assert (first.clause, first.detail, str(first)) == ("ii", "x^1+1 in ideal", "x^1+1 in ideal")
+    assert (first.args, vars(first)) == (("collisions among signed generators (n=2)",), {})
+    assert rbcm.cayley._realized.cache_info().misses == 2
+
+
+def test_build_map_group_check_after_cached_success():
+    """A record kept from a call without a group still meets the group check."""
+    rbcm.cayley._realized.cache_clear()
+    mod = Modulus(5)
+    Q = canonical_form([P([-2, 1], mod)], ctx(2, mod))
+    rec = build_map(Q, 2, "I")
+    assert rec.group.invariants == (5,)
+    with pytest.raises(TypeMismatch):
+        build_map(Q, 2, "I", AbelianGroupTable((25,)))
+    assert build_map(Q, 2, "I", AbelianGroupTable((5,))) is rec
+
+
+def test_build_map_certifies_each_record_once(monkeypatch):
+    """validate and is_rbcm run once per record, however often it is built."""
+    from rbcm import cayley
+
+    cayley._realized.cache_clear()
+    validated, certified = [], []
+    validate, is_rbcm_ = CayleyMapRecord.validate, cayley.is_rbcm
+
+    def counted_validate(rec):
+        validated.append(rec)
+        return validate(rec)
+
+    def counted_is_rbcm(rec):
+        certified.append(rec)
+        return is_rbcm_(rec)
+
+    monkeypatch.setattr(CayleyMapRecord, "validate", counted_validate)
+    monkeypatch.setattr(cayley, "is_rbcm", counted_is_rbcm)
+    mod = Modulus(5)
+    Q = canonical_form([P([-2, 1], mod)], ctx(2, mod))
+    records = [build_map(Q, 2, "I") for _ in range(3)]
+    records.append(build_map(Q, 2, "I", AbelianGroupTable((5,))))
+    assert all(rec is records[0] for rec in records)
+    assert validated == [records[0]] and certified == [records[0]]
+
+
+def test_build_map_certifies_only_after_both_checks(monkeypatch):
+    """A record whose certificate fails is not flagged, so the next call
+    checks it again and fails again."""
+    from rbcm import cayley
+
+    cayley._realized.cache_clear()
+    monkeypatch.setattr(cayley, "is_rbcm", lambda rec: (False, None))
+    mod = Modulus(5)
+    Q = canonical_form([P([-2, 1], mod)], ctx(2, mod))
+    for _ in range(2):
+        with pytest.raises(InvariantViolation):
+            build_map(Q, 2, "I")
 
 
 def test_is_rbcm_and_witness():

@@ -1,4 +1,6 @@
 import ast
+import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -268,9 +270,13 @@ def test_cross_check_rejects_a_non_p_group_before_the_oracle(monkeypatch):
 
 def test_standard_list_certifies_only_maps_on_its_group(monkeypatch):
     """A candidate whose quotient is another group of the same order is
-    dropped before validate and is_rbcm run on it."""
+    dropped before validate and is_rbcm run on it.
+
+    Realized and certified records are kept per process, so the counts
+    start from empty caches."""
     from rbcm import cayley
 
+    _clear_rbcm_caches()
     realized, certified = [], []
     realize_record, is_rbcm = cayley.realize_record, cayley.is_rbcm
 
@@ -290,3 +296,26 @@ def test_standard_list_certifies_only_maps_on_its_group(monkeypatch):
     assert any(rec.group != group for rec in realized)  # an other-group candidate was realized
     assert len(certified) == len(out)
     assert all(rec.group == group for rec in certified)
+
+
+def _report_bytes(report) -> str:
+    return json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+def test_warm_caches_change_no_report():
+    """Every abelian 3-group of order <= 27 at each valence 2n, n <= 8:
+    from empty caches, then forward and in reverse in the same process,
+    where every build, combination and enumeration is a cache hit."""
+    instances = [
+        (inv, 2 * n)
+        for inv in abelian_p_groups(3, 27)
+        for n in range(2, 9)
+        if n <= math.prod(inv)
+    ]
+    _clear_rbcm_caches()
+    cold = [_report_bytes(cross_check(inv, v)) for inv, v in instances]
+    forward = [_report_bytes(cross_check(inv, v)) for inv, v in instances]
+    backward = [_report_bytes(cross_check(inv, v)) for inv, v in reversed(instances)][::-1]
+    assert len(instances) == 37
+    assert forward == cold
+    assert backward == cold

@@ -152,6 +152,7 @@ def test_enumeration_marks_orbits_by_units_mod_base_constant(monkeypatch):
         calls.append(1)
         return reduce_row(self, vec)
 
+    enumerate_ideals_between.cache_clear()  # count a fresh enumeration, not a kept one
     monkeypatch.setattr(IdealPresentation, "reduce_row", counting)
     assert enumerate_ideals_between(ctx, base=floor)
     monkeypatch.undo()
@@ -303,6 +304,7 @@ def test_row_layer_builds_no_poly(monkeypatch):
         made.append(1)
         init(self, *args, **kwargs)
 
+    enumerate_ideals_between.cache_clear()
     monkeypatch.setattr(poly.Poly, "__init__", counting_init)
     per = [enumerate_ideals_between(ctx, base=f) for ctx, f in zip(split.contexts, floors)]
     combined = [combine_components(split, list(combo)) for combo in itertools.product(*per)]
