@@ -41,14 +41,11 @@ from .errors import (
 )
 from .factorlift import base_factor
 from .ideals import (
-    ENUM_BUDGET,
     IdealPresentation,
     bounded_combinations,
     bounded_ideals_local_tree,
     crt_split,
-    enumerate_ideals_between,
     is_admissible,
-    radical_floor,
 )
 from .structure import (
     AbelianGroupTable,
@@ -719,24 +716,25 @@ def bounded_admissible_candidates(
 ) -> tuple[IdealPresentation, ...]:
     """All ideals of Z_{p^k}[x] containing x^n+1 whose quotient has exactly order elements.
 
-    Each CRT component is enumerated above its radical floor, which every
-    ideal of index <= order contains, or by the local tree when the floor's
-    quotient exceeds ENUM_BUDGET.  Only the component tuples whose quotient
-    sizes multiply to order (by CRT, the quotient size) are combined.
+    Each CRT component is a local ring whose ideals of index <= order come
+    from the descent (bounded_ideals_local_tree), level by level and each
+    level once per process.  Only the component tuples whose quotient sizes
+    multiply to order (by CRT, the quotient size) are combined.
     """
     split = crt_split(p, k, n)
     mod = Modulus(p, k)
     per_component = []
     for (d, ell), ctx in zip(split.labels, split.contexts):
-        q = base_factor(p, d, ell).reduce_mod(mod)
-        floor = radical_floor(ctx, order, q)
-        if floor.quotient_size() <= ENUM_BUDGET:
-            ideals = enumerate_ideals_between(ctx, base=floor)
-        else:
-            ideals = bounded_ideals_local_tree(ctx, order, q)
-        per_component.append([ideal for ideal in ideals if ideal.quotient_size() <= order])
-    combos = itertools.product(*per_component)
-    cases = ((None, c) for c in combos if math.prod(q.quotient_size() for q in c) == order)
+        by_size: dict[int, list[IdealPresentation]] = {}
+        for ideal in bounded_ideals_local_tree(ctx, order, base_factor(p, d, ell).reduce_mod(mod)):
+            by_size.setdefault(ideal.quotient_size(), []).append(ideal)
+        per_component.append(by_size)
+    cases = (
+        (None, combo)
+        for sizes in itertools.product(*per_component)
+        if math.prod(sizes) == order
+        for combo in itertools.product(*(by[s] for by, s in zip(per_component, sizes)))
+    )
     found = [Q for _, Q in bounded_combinations(split, cases)]
     return tuple(sorted(found, key=lambda q: q.rows))
 

@@ -15,13 +15,24 @@ under x; canonical_form is its adapter for polynomial generators.  Ideals of
 Z_{p^k}[x]/(x^n+1) are combined from CRT component ideals through embedding
 rows: crt_split stores, per component, the ambient rows of e_i*x^j, and
 combine_components maps each component Howell row through them and takes one
-Howell form of at most n rows.  radical_multiple forms m*I on Howell rows, and
-radical_floor and the local tree build every m^s and m*I with it.
+Howell form of at most n rows.
+
+Each CRT component is a local ring R with maximal ideal m = (p, g) and
+residue field F_q, q = p^deg g; its ideals are listed by one exhaustive
+descent.  Level j holds the ideals of index q^j, and level j+1 is the union
+of the maximal subideals of the level-j ideals.  Those of I are the
+hyperplanes of the F_q-space I/m*I: radical_multiple forms m*I on Howell
+rows, I's Howell rows give an F_q-basis of I/m*I, and each hyperplane is
+m*I plus t-1 rows read off that basis (t = dim I/m*I).  When t = 1 the only
+child is m*I, with no search at all.  Three certificates hold under -O: the
+context is a power of g mod p, |I/m*I| is a power q^t, and I has exactly
+(q^t-1)/(q-1) distinct children, each of index q in I.
 
 Two results are kept per process in bounded caches, because a sweep asks
-for them again and again: each combined ideal, keyed by (p, k, n) and its
-component rows, and each enumeration, keyed by (context, base) and returned
-as a tuple that every caller shares.
+for them again and again: each descent level, keyed by (context, g, j) and
+built from the level above it, so a component asked for at several orders
+builds each level once; and each combined ideal, keyed by (p, k, n) and its
+component rows.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ from .zring import Frozen, Modulus, divisors, inverse_mod
 
 ENUM_BUDGET = 1 << 16
 COMBINE_CACHE_SIZE = 4096  # combined ideals kept per process
-ENUM_CACHE_SIZE = 128  # enumerations kept per process, one per (context, base)
+LEVEL_CACHE_SIZE = 512  # descent levels kept per process, one per (context, g, j)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -235,18 +246,21 @@ def ideal_of_rows(
     gen_rows,
     context_monic: Poly,
     base_rows: tuple[tuple[int, ...], ...] = (),
+    shifts: int | None = None,
 ) -> IdealPresentation:
     """Smallest shift-closed row space containing the rows (and base_rows).
 
     Each generator row is a coefficient row already reduced mod the context,
     highest degree first.  The span of x^j*g mod f for 0 <= j < deg f is
     already closed under x, because x*(x^(D-1) g) reduces to a combination of
-    lower shifts.
+    lower shifts.  A caller whose base ideal holds h*g for a monic h of
+    degree s and every generator g passes shifts=s: x^s*g is then a
+    combination of lower shifts modulo the base.
     """
     D = context_monic.degree
     rows = list(base_rows)
     for row in gen_rows:
-        rows += x_powers(row, context_monic, D)
+        rows += x_powers(row, context_monic, D if shifts is None else shifts)
     pres = IdealPresentation(context_monic, howell_form(rows, context_monic.modulus.N, D))
     _assert_shift_closed(pres)
     return pres
@@ -503,14 +517,11 @@ def _combined(p: int, k: int, n: int, rows: tuple) -> IdealPresentation:
 # exhaustive enumeration of shift-closed submodules
 
 
-@lru_cache(maxsize=ENUM_CACHE_SIZE)
 def enumerate_ideals_between(
     context: Poly,
     base: IdealPresentation | None = None,
-) -> tuple[IdealPresentation, ...]:
+) -> list[IdealPresentation]:
     """All ideals of Z_N[x]/(context) containing the base ideal, sorted by rows.
-
-    The result is a tuple, kept per (context, base): every caller shares it.
 
     Exhaustive over shift-closed row spans: computes the principal closure of
     every residue (modulo unit scaling and x-shifts), then closes the set
@@ -567,7 +578,13 @@ def enumerate_ideals_between(
                 pres = IdealPresentation(context, rows)
                 found[rows] = pres
                 frontier.append(pres)
-    return tuple(sorted(found.values(), key=lambda q: q.rows))
+    return sorted(found.values(), key=lambda q: q.rows)
+
+
+def _times(row, coeffs, context: Poly) -> list[int]:
+    """h*row mod the context for h = sum_j coeffs[j]*x^j, from one x-power walk."""
+    shifts = x_powers(row, context, len(coeffs))
+    return [sum(c * v for c, v in zip(coeffs, col)) for col in zip(*shifts)]
 
 
 def radical_multiple(ideal: IdealPresentation, radical_gen: Poly) -> IdealPresentation:
@@ -577,12 +594,11 @@ def radical_multiple(ideal: IdealPresentation, radical_gen: Poly) -> IdealPresen
     which is closed under x because x*(g*a) = g*(x*a).
     """
     context = ideal.context_monic
-    g = radical_gen.coeffs
+    p = context.modulus.p
     rows = []
     for r in ideal.rows:
-        rows.append([context.modulus.p * v for v in r])
-        shifts = x_powers(r, context, len(g))
-        rows.append([sum(gj * v for gj, v in zip(g, col)) for col in zip(*shifts)])
+        rows.append([p * v for v in r])
+        rows.append(_times(r, radical_gen.coeffs, context))
     pres = IdealPresentation(context, howell_form(rows, context.modulus.N, ideal.width))
     _assert_shift_closed(pres)
     return pres
@@ -595,6 +611,9 @@ def radical_floor(context: Poly, quotient_bound: int, radical_gen: Poly) -> Idea
     size p^o, o = deg g, an ideal of index <= quotient_bound contains m^s for
     s = floor(log_{p^o} bound): each radical layer of the quotient has at
     least p^o elements.  m^s is s radical_multiple steps from the whole ring.
+    No production path calls it since the descent replaced enumeration above
+    the floor; the tests' reference path does, and perfbench/tracer.py wraps
+    it by name.
     """
     q = context.modulus.p ** radical_gen.degree
     powers = [constant_ideal(1, context)]
@@ -605,39 +624,106 @@ def radical_floor(context: Poly, quotient_bound: int, radical_gen: Poly) -> Idea
     return powers[-1]
 
 
+def _certify_local(context: Poly, radical_gen: Poly) -> None:
+    """context = g^e mod p for g = radical_gen, read on rows: deg g divides
+    deg context and g^e lies in (p).  Both are monic, so g^e = context mod p."""
+    D, f = context.degree, radical_gen.degree
+    row = (0,) * (D - 1) + (1,)
+    for _ in range(D // f):
+        row = _times(row, radical_gen.coeffs, context)
+    require(
+        D % f == 0 and not any(v % context.modulus.p for v in row),
+        f"context {context} is not a power of {radical_gen} mod p",
+    )
+
+
+def maximal_subideals(ideal: IdealPresentation, radical_gen: Poly) -> list[IdealPresentation]:
+    """The maximal subideals of an ideal I of a local quotient with maximal ideal m = (p, g).
+
+    They are the hyperplanes of V = I/m*I over the residue field F_q,
+    q = p^f, f = deg g, on which Z_N[x] acts through F_q = F_p[x]/(g).  I's
+    Howell rows span V, so adding them greedily to m*I gives an F_q-basis
+    v_0..v_(t-1).  The hyperplane with normal (0, .., 0, 1, c_(i+1), ..,
+    c_(t-1)) is spanned by v_j for j < i and v_j - c_j*v_i for j > i, each
+    c_j = sum_l c_jl*x^l with c_jl in F_p and l < f: one per point of
+    P^(t-1)(F_q).  When t = 1 the only child is m*I.  Every span here
+    contains m*I, so g*v lies in it for each generator v, and f shifts of v
+    suffice.
+    """
+    context = ideal.context_monic
+    p, f = context.modulus.p, radical_gen.degree
+    q = p**f
+    mi = radical_multiple(ideal, radical_gen)
+    size = mi.quotient_size() // ideal.quotient_size()
+    if size > ENUM_BUDGET:
+        raise TooLarge(f"I/mI has {size} elements (budget {ENUM_BUDGET})")
+    t = 0
+    while q**t < size:
+        t += 1
+    require(q**t == size, f"|I/mI| = {size} is not a power of the residue field size {q}")
+    children = {mi.rows: mi} if t == 1 else {}
+    if t > 1:
+        basis = []
+        span = mi
+        for r in ideal.rows:
+            if not span.contains_row(r):
+                basis.append(r)
+                span = ideal_of_rows([r], context, span.rows, shifts=f)
+        require(len(basis) == t, "I's rows do not give a basis of I/mI")
+        N = context.modulus.N
+        scalars = list(itertools.product(range(p), repeat=f))
+        for i in range(t):
+            multiples = [_times(basis[i], cs, context) for cs in scalars]
+            for normal in itertools.product(multiples, repeat=t - 1 - i):
+                gens = basis[:i] + [
+                    [(a - b) % N for a, b in zip(v, cv)] for v, cv in zip(basis[i + 1 :], normal)
+                ]
+                child = ideal_of_rows(gens, context, mi.rows, shifts=f)
+                children.setdefault(child.rows, child)
+    index = ideal.quotient_size() * q
+    require(
+        len(children) == (size - 1) // (q - 1)
+        and all(c.quotient_size() == index for c in children.values()),
+        f"I has {len(children)} children, not one of index {index} per hyperplane of I/mI",
+    )
+    return list(children.values())
+
+
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+def descent_level(context: Poly, radical_gen: Poly, j: int) -> tuple[IdealPresentation, ...]:
+    """The ideals of index q^j of the local quotient, q = p^deg(radical_gen), sorted by rows.
+
+    Level 0 is the whole ring, after the locality certificate; level j is the
+    union of the maximal subideals of level j-1, every ideal of index q^j
+    being one of some ideal of index q^(j-1).
+    """
+    if j == 0:
+        _certify_local(context, radical_gen)
+        return (constant_ideal(1, context),)
+    found: dict[tuple, IdealPresentation] = {}
+    for ideal in descent_level(context, radical_gen, j - 1):
+        for child in maximal_subideals(ideal, radical_gen):
+            found.setdefault(child.rows, child)
+    return tuple(sorted(found.values(), key=lambda x: x.rows))
+
+
 def bounded_ideals_local_tree(
     context: Poly,
     bound: int,
     radical_gen: Poly,
 ) -> list[IdealPresentation]:
-    """Ideals of index <= bound in a local quotient, by descending maximal chains.
+    """Ideals of index <= bound in a local quotient, sorted by rows.
 
-    Children of an ideal I are its maximal subideals, all of which contain
-    m*I and have index p^deg(radical_gen), the size of the residue field,
-    in I; they are read off a small enumeration of the module between m*I
-    and I.
+    The local ring's ideals have index q^j, q = p^deg(radical_gen), so these
+    are descent levels 0..s for the largest s with q^s <= bound.
     """
     q = context.modulus.p ** radical_gen.degree
-    full = constant_ideal(1, context)
-    out = {full.rows: full}
-    frontier = [full]
-    while frontier:
-        ideal = frontier.pop()
-        index = ideal.quotient_size()
-        if index * q > bound:
-            continue
-        mi = radical_multiple(ideal, radical_gen)
-        for child in enumerate_ideals_between(context, base=mi):
-            if child.quotient_size() != index * q:
-                continue
-            if child.rows in out:
-                continue
-            if not all(ideal.contains_row(r) for r in child.rows):
-                continue
-            out[child.rows] = child
-            frontier.append(child)
-    # a child enters only when its index, index * q, is within the bound
-    return sorted(out.values(), key=lambda x: x.rows)
+    out = []
+    j = 0
+    while q**j <= bound:
+        out += descent_level(context, radical_gen, j)
+        j += 1
+    return sorted(out, key=lambda x: x.rows)
 
 
 def closed_form_ideals(factor_poly: Poly, label: FactorLabel) -> list[IdealPresentation] | None:
@@ -686,7 +772,7 @@ def enumerate_ideals_containing(f: Poly, label: FactorLabel | None = None) -> li
     size = f.modulus.N ** f.degree
     if size > ENUM_BUDGET:
         raise TooLarge(f"quotient has {size} elements and no closed form applies")
-    return list(enumerate_ideals_between(f))
+    return enumerate_ideals_between(f)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,22 @@ from rbcm.cayley import (
 )
 from rbcm.classify import _try_build, solve_unit_roots
 from rbcm.errors import InvariantViolation, TooLarge, require
-from rbcm.factorlift import split_p_part
+from rbcm.factorlift import base_factor, split_p_part
 from rbcm.ideals import (
     ENUM_BUDGET,
     IdealPresentation,
     _ext_gcd,
     _leading,
     _normalizing_unit,
+    bounded_combinations,
     canonical_form,
+    constant_ideal,
+    crt_split,
+    enumerate_ideals_between,
     howell_form,
     ideal_of_rows,
+    radical_floor,
+    radical_multiple,
     x_step,
     zero_ideal,
 )
@@ -50,6 +56,63 @@ def candidates_up_to(p: int, k: int, n: int, bound: int) -> list[IdealPresentati
             out.append(Q)
         order *= p
     return sorted(out, key=lambda Q: Q.rows)
+
+
+def component_radicals(p: int, k: int, n: int) -> list[tuple[Poly, Poly]]:
+    """Per label of crt_split(p, k, n): its context and its radical generator."""
+    split = crt_split(p, k, n)
+    mod = Modulus(p, k)
+    return [
+        (ctx, base_factor(p, d, ell).reduce_mod(mod))
+        for (d, ell), ctx in zip(split.labels, split.contexts)
+    ]
+
+
+@lru_cache(maxsize=None)
+def reference_floor_ideals(context: Poly, bound: int, radical_gen: Poly) -> tuple[IdealPresentation, ...]:
+    """The ideals of index <= bound of a local component, sorted by rows: the
+    path the descent replaced.  Kept per argument tuple, because several tests
+    compare against the same components.
+
+    Exhaustive enumeration above the radical floor m^s, which each of them
+    contains; when the floor's quotient exceeds ENUM_BUDGET, the old local
+    tree, which reads each ideal's maximal subideals off an enumeration of
+    the module between m*I and I.
+    """
+    floor = radical_floor(context, bound, radical_gen)
+    if floor.quotient_size() > ENUM_BUDGET:
+        return tuple(_reference_local_tree(context, bound, radical_gen))
+    return tuple(q for q in enumerate_ideals_between(context, base=floor) if q.quotient_size() <= bound)
+
+
+def _reference_local_tree(context: Poly, bound: int, radical_gen: Poly) -> list[IdealPresentation]:
+    q = context.modulus.p ** radical_gen.degree
+    full = constant_ideal(1, context)
+    out = {full.rows: full}
+    frontier = [full]
+    while frontier:
+        ideal = frontier.pop()
+        index = ideal.quotient_size()
+        if index * q > bound:
+            continue
+        for child in enumerate_ideals_between(context, base=radical_multiple(ideal, radical_gen)):
+            if child.quotient_size() != index * q or child.rows in out:
+                continue
+            if all(ideal.contains_row(r) for r in child.rows):
+                out[child.rows] = child
+                frontier.append(child)
+    return sorted(out.values(), key=lambda x: x.rows)
+
+
+def reference_bounded_candidates(p: int, k: int, n: int, order: int) -> list[IdealPresentation]:
+    """bounded_admissible_candidates with each component read from
+    reference_floor_ideals: every tuple of component ideals whose quotient
+    sizes multiply to order, combined, sorted by rows."""
+    split = crt_split(p, k, n)
+    per = [reference_floor_ideals(ctx, order, g) for ctx, g in component_radicals(p, k, n)]
+    combos = itertools.product(*per)
+    cases = ((None, c) for c in combos if math.prod(q.quotient_size() for q in c) == order)
+    return sorted((Q for _, Q in bounded_combinations(split, cases)), key=lambda Q: Q.rows)
 
 
 def monic_divisors_exhaustive(f: Poly) -> list[Poly]:

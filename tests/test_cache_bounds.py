@@ -54,8 +54,8 @@ def test_new_caches_are_bounded():
 
 
 def test_shared_builds_are_bounded():
-    """The per-process memos of map builds, combinations and enumerations."""
+    """The per-process memos of map builds, combinations and descent levels."""
     caches = rbcm_caches()
-    for name in ("cayley._realized", "ideals._combined", "ideals.enumerate_ideals_between"):
+    for name in ("cayley._realized", "ideals._combined", "ideals.descent_level"):
         maxsize = caches[name].cache_parameters()["maxsize"]
         assert maxsize is not None and 0 < maxsize <= 1 << 16, (name, maxsize)

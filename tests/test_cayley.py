@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from reference_helpers import candidates_up_to, reference_combine
+from reference_helpers import candidates_up_to, reference_bounded_candidates, reference_combine
 
 import rbcm
 from rbcm.cayley import (
@@ -357,14 +357,13 @@ def test_bounded_candidates_match_full_ring(p, k, n, bound):
     "p,k,n,bound", [(2, 1, 8, 16), (2, 2, 4, 16), (3, 2, 3, 81), (5, 2, 4, 25), (2, 3, 4, 64)]
 )
 def test_bounded_candidates_local_tree_branch(monkeypatch, p, k, n, bound):
-    """With the enumeration budget at 0 every component goes through the
-    local tree, and the candidates of every order p^j <= bound are those of
-    the default floor path."""
-    floor_rows = [Q.rows for Q in candidates_up_to(p, k, n, bound)]
-    orders = len([j for j in range(bound.bit_length()) if p**j <= bound])
+    """Every component goes through the descent, once per order, and the
+    candidates of every order p^j <= bound are those of the floor path the
+    descent replaced."""
+    orders = [p**j for j in range(bound.bit_length()) if p**j <= bound]
+    floor_rows = sorted(Q.rows for order in orders for Q in reference_bounded_candidates(p, k, n, order))
     tree = rbcm.cayley.bounded_ideals_local_tree
     calls = []
-    monkeypatch.setattr(rbcm.cayley, "ENUM_BUDGET", 0)
     monkeypatch.setattr(
         rbcm.cayley, "bounded_ideals_local_tree", lambda *a: calls.append(a) or tree(*a)
     )
@@ -373,7 +372,7 @@ def test_bounded_candidates_local_tree_branch(monkeypatch, p, k, n, bound):
         tree_rows = [Q.rows for Q in candidates_up_to(p, k, n, bound)]
     finally:
         bounded_admissible_candidates.cache_clear()
-    assert len(calls) == orders * len(crt_split(p, k, n).labels)
+    assert len(calls) == len(orders) * len(crt_split(p, k, n).labels)
     assert tree_rows == floor_rows
 
 

@@ -4,8 +4,9 @@ combine_components maps component Howell rows through the CRT embedding
 rows; reference_combine builds the same ideal from polynomial generators.
 howell_form buckets rows by leading column; reference_howell_form rescans the
 pool for each column.  radical_floor builds m^s for m = (p, g) by s
-radical_multiple steps on Howell rows from the whole ring; the reference
-takes all 2^s polynomial products of p and g.  reduce_row walks the pivots in
+radical_multiple steps on Howell rows from the whole ring, and the descent
+builds every m*I and every child on rows too; the reference for m^s takes
+all 2^s polynomial products of p and g.  reduce_row walks the pivots in
 column order, whatever the order of the rows it was given, and x_powers
 walks the same rows as powers of x through Poly.
 """
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_helpers import (
+    component_radicals,
     reference_combine,
     reference_enumerate_ideals_between,
     reference_howell_form,
@@ -36,6 +38,7 @@ from rbcm.ideals import (
     combine_components,
     constant_ideal,
     crt_split,
+    descent_level,
     enumerate_ideals_between,
     howell_form,
     radical_floor,
@@ -62,15 +65,8 @@ def _component_floors(split, mod, bound):
 
 
 def _floor_components(split, mod, bound):
-    """Per label, the ideals of index <= bound above the component's radical floor."""
-    per = []
-    for ctx, q, floor in _component_floors(split, mod, bound):
-        if floor.quotient_size() <= ENUM_BUDGET:
-            ideals = enumerate_ideals_between(ctx, base=floor)
-        else:
-            ideals = bounded_ideals_local_tree(ctx, bound, q)
-        per.append([i for i in ideals if i.quotient_size() <= bound])
-    return per
+    """Per label, the ideals of index <= bound of the component, from the descent."""
+    return [bounded_ideals_local_tree(ctx, bound, q) for ctx, q, _ in _component_floors(split, mod, bound)]
 
 
 @pytest.mark.parametrize("p,k", list(_prime_powers()))
@@ -152,7 +148,6 @@ def test_enumeration_marks_orbits_by_units_mod_base_constant(monkeypatch):
         calls.append(1)
         return reduce_row(self, vec)
 
-    enumerate_ideals_between.cache_clear()  # count a fresh enumeration, not a kept one
     monkeypatch.setattr(IdealPresentation, "reduce_row", counting)
     assert enumerate_ideals_between(ctx, base=floor)
     monkeypatch.undo()
@@ -204,23 +199,14 @@ def test_radical_floor_matches_all_products(p, k, n):
 TREE_CASES = [(2, 1, 8, 16), (2, 2, 4, 16), (3, 2, 3, 81), (5, 2, 4, 25), (2, 3, 4, 64)]
 
 
-def _radical_gens(p, k, n):
-    """Per label of crt_split(p, k, n): its context and its radical generator."""
-    split = crt_split(p, k, n)
-    mod = Modulus(p, k)
-    return [
-        (ctx, base_factor(p, d, ell).reduce_mod(mod))
-        for (d, ell), ctx in zip(split.labels, split.contexts)
-    ]
-
-
 @pytest.mark.parametrize("p,k,n,bound", TREE_CASES)
 def test_radical_layer_multiplies_no_poly(monkeypatch, p, k, n, bound):
-    """radical_floor and bounded_ideals_local_tree give the same rows when
-    every Poly product or power raises: m^s and m*I are built on rows."""
-    cases = _radical_gens(p, k, n)
+    """radical_floor and the descent give the same rows when every Poly
+    product or power raises: m^s, m*I and the children are built on rows."""
+    cases = component_radicals(p, k, n)
 
     def run():
+        descent_level.cache_clear()  # rebuild every level, not read a kept one
         return [
             (radical_floor(ctx, bound, g).rows, [q.rows for q in bounded_ideals_local_tree(ctx, bound, g)])
             for ctx, g in cases
@@ -238,7 +224,7 @@ def test_radical_layer_multiplies_no_poly(monkeypatch, p, k, n, bound):
 
 @pytest.mark.parametrize("p,k,n,bound", TREE_CASES)
 def test_radical_multiple_matches_poly_products(monkeypatch, p, k, n, bound):
-    """On every ideal the local tree visits, the m*I step is the ideal
+    """On every ideal the descent expands, the m*I step is the ideal
     generated by p*f and g*f over the ideal's row polynomials f."""
     step = ideals.radical_multiple
     visited = []
@@ -248,8 +234,9 @@ def test_radical_multiple_matches_poly_products(monkeypatch, p, k, n, bound):
         visited.append((ideal, g, out))
         return out
 
+    descent_level.cache_clear()
     monkeypatch.setattr(ideals, "radical_multiple", recording_step)
-    for ctx, g in _radical_gens(p, k, n):
+    for ctx, g in component_radicals(p, k, n):
         bounded_ideals_local_tree(ctx, bound, g)
     monkeypatch.undo()
     assert visited
@@ -304,12 +291,15 @@ def test_row_layer_builds_no_poly(monkeypatch):
         made.append(1)
         init(self, *args, **kwargs)
 
-    enumerate_ideals_between.cache_clear()
+    radicals = component_radicals(3, 2, 4)
+    descent_level.cache_clear()
     monkeypatch.setattr(poly.Poly, "__init__", counting_init)
     per = [enumerate_ideals_between(ctx, base=f) for ctx, f in zip(split.contexts, floors)]
     combined = [combine_components(split, list(combo)) for combo in itertools.product(*per)]
+    levels = [bounded_ideals_local_tree(ctx, BOUND, g) for ctx, g in radicals]
     monkeypatch.undo()
     assert len(combined) > 1 and all(len(ideals) > 1 for ideals in per)
+    assert all(len(ideals) > 1 for ideals in levels)
     assert not made
 
 

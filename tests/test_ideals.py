@@ -1,12 +1,24 @@
 import inspect
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from reference_helpers import candidates_up_to, crt_backward, crt_forward, reference_admissibility
+from reference_helpers import (
+    candidates_up_to,
+    component_radicals,
+    crt_backward,
+    crt_forward,
+    reference_admissibility,
+    reference_bounded_candidates,
+    reference_floor_ideals,
+)
 
 from rbcm import ideals
-from rbcm.errors import ComponentNotAdmissible, DuplicatePrime, TooLarge
-from rbcm.factorlift import base_factor, factor_xn_plus1
+from rbcm.cayley import bounded_admissible_candidates
+from rbcm.errors import ComponentNotAdmissible, DuplicatePrime, InvariantViolation, TooLarge
+from rbcm.factorlift import factor_xn_plus1
 from rbcm.ideals import (
     ENUM_BUDGET,
     bounded_ideals_local_tree,
@@ -15,11 +27,11 @@ from rbcm.ideals import (
     compose_across_primes,
     constant_ideal,
     crt_split,
+    descent_level,
     enumerate_ideals_between,
     enumerate_ideals_containing,
     howell_form,
     is_admissible,
-    radical_floor,
     zero_ideal,
 )
 from rbcm.poly import Poly, poly_mod
@@ -264,16 +276,108 @@ def test_closed_form_matches_exhaustive_sweep():
 
 @pytest.mark.parametrize("p,k,n,bound", [(2, 1, 8, 16), (2, 2, 4, 16), (3, 2, 3, 81)])
 def test_local_tree_matches_floor(p, k, n, bound):
-    """The local-tree fallback lists the same bounded ideals as enumeration above the floor."""
-    split = crt_split(p, k, n)
-    mod = Modulus(p, k)
-    for (d, ell), ctx in zip(split.labels, split.contexts):
-        q = base_factor(p, d, ell).reduce_mod(mod)
-        floor = radical_floor(ctx, bound, q)
-        above = enumerate_ideals_between(ctx, base=floor)
-        expected = [i.rows for i in above if i.quotient_size() <= bound]
+    """The descent lists the same bounded ideals as enumeration above the floor."""
+    for ctx, q in component_radicals(p, k, n):
+        expected = [i.rows for i in reference_floor_ideals(ctx, bound, q)]
         tree = bounded_ideals_local_tree(ctx, bound, q)
         assert [i.rows for i in tree] == expected
+
+
+def _descent_grid(p):
+    """The largest p^j <= 625, and each distinct (context, radical generator)
+    of Z_{p^k}[x]/(x^n+1) for k <= 4 and n <= 12, with its first (k, n)."""
+    bound = p
+    while bound * p <= 625:
+        bound *= p
+    components = {}
+    for k in range(1, 5):
+        for n in range(1, 13):
+            for ctx, g in component_radicals(p, k, n):
+                components.setdefault((ctx, g), (k, n))
+    return bound, components
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_descent_matches_floor_enumeration(p):
+    """Per component, the descent's ideals of index <= the largest p^j <= 625
+    are those the floor path finds (the old local tree where the floor's
+    quotient exceeds ENUM_BUDGET: (3, 4, 9), (5, 4, 5) and (5, 4, 10))."""
+    bound, components = _descent_grid(p)
+    for (ctx, g), (k, n) in components.items():
+        got = [q.rows for q in bounded_ideals_local_tree(ctx, bound, g)]
+        assert got == [q.rows for q in reference_floor_ideals(ctx, bound, g)], (k, n, ctx)
+
+
+@pytest.mark.parametrize("p,k,n,order", [(3, 3, 9, 243), (5, 3, 10, 625)])
+def test_descent_candidates_match_floor_path(p, k, n, order):
+    got = [Q.rows for Q in bounded_admissible_candidates(p, k, n, order)]
+    assert got == [Q.rows for Q in reference_bounded_candidates(p, k, n, order)]
+    assert got
+
+
+def test_descent_builds_each_level_once(monkeypatch):
+    """Order 27 and then order 81 over Z_9[x]/(x^5+1), whose components have
+    residue fields of 3 and 81 elements: each (component, level) is built
+    once, and each ideal's children are found once."""
+    descent_level.cache_clear()
+    bounded_admissible_candidates.cache_clear()
+    expanded = []
+    step = ideals.maximal_subideals
+
+    def recording_step(ideal, g):
+        expanded.append((ideal.context_monic, ideal.rows))
+        return step(ideal, g)
+
+    monkeypatch.setattr(ideals, "maximal_subideals", recording_step)
+    try:
+        bounded_admissible_candidates(3, 2, 5, 27)
+        assert descent_level.cache_info().misses == 4 + 1  # q = 3: j <= 3; q = 81: j = 0
+        bounded_admissible_candidates(3, 2, 5, 81)
+        assert descent_level.cache_info().misses == 5 + 2
+    finally:
+        bounded_admissible_candidates.cache_clear()
+    assert len(expanded) == len(set(expanded))
+    above = {
+        (ctx, q.rows)
+        for ctx, g in component_radicals(3, 2, 5)
+        for j in range(4 if g.degree == 1 else 1)
+        for q in descent_level(ctx, g, j)
+    }
+    assert set(expanded) == above
+
+
+def _shifted_radical(p, k, n):
+    """A component context and g + 1 in place of its radical generator g."""
+    ctx, g = component_radicals(p, k, n)[0]
+    return ctx, Poly([g[0] + 1, *g.coeffs[1:]], g.modulus)
+
+
+@pytest.mark.parametrize("p,k,n", [(3, 2, 3), (2, 3, 4), (5, 1, 5), (3, 2, 4)])
+def test_descent_certifies_locality(p, k, n):
+    """A radical generator whose power is not the context mod p is refused."""
+    ctx, wrong = _shifted_radical(p, k, n)
+    with pytest.raises(InvariantViolation, match="is not a power of"):
+        bounded_ideals_local_tree(ctx, p**4, wrong)
+
+
+def test_descent_certifies_locality_under_optimize():
+    """The locality certificate is a require, so python -O keeps it."""
+    child = (
+        "from rbcm.errors import InvariantViolation\n"
+        "from rbcm.ideals import bounded_ideals_local_tree, crt_split\n"
+        "from rbcm.poly import Poly\n"
+        "ctx = crt_split(3, 2, 3).contexts[0]\n"
+        "try:\n"
+        "    bounded_ideals_local_tree(ctx, 81, Poly([2, 1], ctx.modulus))\n"
+        "except InvariantViolation as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(ideals.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False context x^3 + 1 is not a power of x + 2 mod p\n"
 
 
 def test_enumerate_too_large():
