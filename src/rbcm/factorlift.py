@@ -1,8 +1,15 @@
 """Labeled factorization of x^n - 1, x^n + 1 and radical sums over Z_{p^k}.
 
-Base factors over Z_p come from splitting-field minimal polynomials; factors
-over Z_{p^k} are produced by quadratic Hensel lifting with cofactor tracking
-and a final exact-division check.  Labels (d, l, level) order the output.
+Base factors over Z_p are minimal polynomials of powers of the lex-least
+primitive d-th root of unity in a splitting field.  One Hensel lifter,
+_lift_coprime_block, turns a block coprime to its cofactor mod p into the
+unique monic divisor g of the target over Z_{p^k}, by precision-doubling
+updates of the factor, its cofactor h and the inverse t of h mod g,
+certified by exact division.  It runs on ascending integer coefficient
+lists and returns (g, h, t), so a caller that needs the CRT idempotent t*h
+(ideals.crt_split) gets it from the same lift.  The functions below wrap it
+and return Poly only at their boundary.  Labels (d, l, level) order the
+output.
 """
 
 from __future__ import annotations
@@ -14,10 +21,13 @@ from .errors import InvariantViolation, NotCoprime, NotSimpleFactor, require
 from .poly import (
     Poly,
     build_splitting_field,
+    coeffs_add,
+    coeffs_divmod,
+    coeffs_mul,
+    coeffs_sub,
+    coeffs_xgcd,
     cyclotomic,
-    divmod_monic,
     minimal_polynomial,
-    poly_mod,
     poly_xgcd_field,
 )
 from .zring import Frozen, Modulus, divisors, multiplicative_order
@@ -146,59 +156,54 @@ def factor_mod_p(n: int, p: int) -> list[LabeledFactor]:
     return out
 
 
-def _lift_coprime_block(gbar: Poly, target: Poly, p: int, k: int) -> Poly:
-    """Unique monic divisor of target over Z_{p^k} reducing to gbar mod p.
+def _lift_coprime_block(gbar, target, p: int, k: int) -> tuple[list[int], list[int], list[int]]:
+    """(g, h, t) over Z_{p^k}: g the unique monic divisor of target reducing to
+    gbar mod p, h = target / g, and t with t*h = 1 mod g, deg t < deg g.
 
-    gbar must be coprime to its cofactor in the reduction of target.  Uses
-    precision-doubling updates of the factor, cofactor and Bezout pair,
-    then certifies by exact division.
+    gbar and target are ascending coefficient lists, gbar monic over Z_p,
+    target monic over Z_{p^k}; gbar must be coprime to its cofactor in the
+    reduction of target.  Uses precision-doubling updates of the factor,
+    cofactor and Bezout pair, then certifies by exact division.
     """
-    modp = Modulus(p)
-    modk = target.modulus
-    red = target.reduce_mod(modp)
-    hbar, rem = divmod_monic(red, gbar)
-    if not rem.is_zero():
-        raise ValueError(f"{gbar} does not divide the reduction of the target")
-    gcd, u, v = poly_xgcd_field(gbar, hbar)
-    if gcd.degree != 0:
-        raise NotSimpleFactor(f"{gbar} is not coprime to its cofactor")
+    N = p**k
+    hbar, rem = coeffs_divmod(target, gbar, p)
+    if rem:
+        raise ValueError(f"{Poly(gbar, Modulus(p))} does not divide the reduction of the target")
+    gcd, s, t = coeffs_xgcd(gbar, hbar, p)
+    if len(gcd) != 1:
+        raise NotSimpleFactor(f"{Poly(gbar, Modulus(p))} is not coprime to its cofactor")
+    g, h = list(gbar), hbar
+    # only t mod g enters the updates (s*g vanishes mod g), so keep it reduced
+    t = coeffs_divmod(t, g, p)[1]
     if k == 1:
-        return gbar
-    g = gbar.reduce_mod(modk)
-    h = hbar.reduce_mod(modk)
-    s = u.reduce_mod(modk)
-    t = v.reduce_mod(modk)
+        return g, h, t
     prec = 1
-    one = Poly.one(modk)
     while prec < k:
         prec = min(2 * prec, k)
         cap = p**prec
-        e = target - g * h
-        _, delta = divmod_monic(t * e, g)
-        g = g + delta
-        h, r = divmod_monic(target, g)
-        require(all(c % cap == 0 for c in r.coeffs), "Hensel step: factor does not divide target")
-        b = s * g + t * h - one
-        _, t = divmod_monic(t - t * b, g)
-        s, r3 = divmod_monic(one - t * h, g)
-        require(all(c % cap == 0 for c in r3.coeffs), "Hensel step: Bezout pair not updated")
-    quot, rem = divmod_monic(target, g)
-    require(rem.is_zero(), "lift failed the exact-division certificate")
-    return g
+        e = coeffs_sub(target, coeffs_mul(g, h, N), N)
+        g = coeffs_add(g, coeffs_divmod(coeffs_mul(t, e, N), g, N)[1], N)
+        h, r = coeffs_divmod(target, g, N)
+        require(all(c % cap == 0 for c in r), "Hensel step: factor does not divide target")
+        b = coeffs_sub(coeffs_add(coeffs_mul(s, g, N), coeffs_mul(t, h, N), N), [1], N)
+        t = coeffs_divmod(coeffs_sub(t, coeffs_mul(t, b, N), N), g, N)[1]
+        s, r3 = coeffs_divmod(coeffs_sub([1], coeffs_mul(t, h, N), N), g, N)
+        require(all(c % cap == 0 for c in r3), "Hensel step: Bezout pair not updated")
+    h, rem = coeffs_divmod(target, g, N)
+    require(not rem, "lift failed the exact-division certificate")
+    return g, h, t
 
 
 def hensel_lift_factor(q: Poly, p: int, k: int, target: Poly) -> Poly:
     """Lift a simple monic irreducible factor of the target's reduction mod p."""
-    modp = Modulus(p)
-    red = target.reduce_mod(modp)
-    quot, rem = divmod_monic(red, q)
-    if not rem.is_zero():
+    quot, rem = coeffs_divmod(target.coeffs, q.coeffs, p)
+    if rem:
         raise ValueError(f"{q} does not divide the reduction of the target")
-    if poly_mod(quot, q).is_zero():
+    if not coeffs_divmod(quot, q.coeffs, p)[1]:
         raise NotSimpleFactor(f"{q} divides the reduction of the target twice")
     if k == 1:
         return q
-    return _lift_coprime_block(q, target, p, k)
+    return Poly(_lift_coprime_block(q.coeffs, target.coeffs, p, k)[0], target.modulus)
 
 
 def radical_sum(p: int, k: int, base_exp: int) -> Poly:
@@ -210,20 +215,31 @@ def radical_sum(p: int, k: int, base_exp: int) -> Poly:
     return Poly(coeffs, mod)
 
 
+def frobenius_power(f, j: int) -> list[int]:
+    """f^j mod p for a power j of p, as f(x^j): Frobenius on F_p[x]."""
+    out = [0] * (j * (len(f) - 1) + 1)
+    out[::j] = f
+    return out
+
+
 def lift_radical_factor(d: int, ell: int, level: int, p: int, k: int) -> LabeledFactor:
     """Factor at radical level >= 1: reduction is base_factor^(p^(level-1)(p-1))."""
     if level < 1:
         raise ValueError(f"radical level must be >= 1, got {level}")
     o = multiplicative_order(p, d)
     scale = p ** (level - 1) * (p - 1)
-    block = base_factor(p, d, ell) ** scale
+    base = base_factor(p, d, ell)
+    block = [1]
+    for _ in range(p - 1):
+        block = coeffs_mul(block, base.coeffs, p)
+    block = frobenius_power(block, p ** (level - 1))
     label = FactorLabel(d, ell, level, o * scale)
     if k == 1:
-        return LabeledFactor(label, block)
+        return LabeledFactor(label, Poly(block, base.modulus))
     target = radical_sum(p, k, d * p ** (level - 1))
-    lifted = _lift_coprime_block(block, target, p, k)
-    require(lifted.degree == o * scale, "lifted radical factor has the wrong degree")
-    return LabeledFactor(label, lifted)
+    lifted = _lift_coprime_block(block, target.coeffs, p, k)[0]
+    require(len(lifted) - 1 == o * scale, "lifted radical factor has the wrong degree")
+    return LabeledFactor(label, Poly(lifted, target.modulus))
 
 
 def lift_level0_factor(d: int, ell: int, p: int, k: int) -> LabeledFactor:
@@ -307,7 +323,11 @@ def _assert_product(factors: list[LabeledFactor], expected: Poly) -> None:
 
 
 def bezout_certificate(f1: Poly, f2: Poly) -> tuple[Poly, Poly]:
-    """(u, v) with u*f1 + v*f2 = 1 over Z_{p^k}; f1, f2 coprime mod p."""
+    """(u, v) with u*f1 + v*f2 = 1 over Z_{p^k}; f1, f2 coprime mod p.
+
+    No production path calls it since crt_split reads its idempotents off
+    the Hensel lift; the tests and the benchmark's tracer still do.
+    """
     mod = f1.modulus
     p = mod.p
     modp = Modulus(p)

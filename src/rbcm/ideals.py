@@ -17,6 +17,14 @@ rows: crt_split stores, per component, the ambient rows of e_i*x^j, and
 combine_components maps each component Howell row through them and takes one
 Howell form of at most n rows.
 
+crt_split runs on integer coefficient lists.  For n = p^r*n', the label
+(d, l) owns the block base_factor^(p^r) mod p, and one Hensel lift of it
+against x^n+1 gives the component's context g, its cofactor h and t with
+t*h = 1 mod g; the idempotent is t*h, the unique polynomial of degree below
+n that is 1 mod g and 0 mod h.  Three certificates hold under -O: the
+contexts multiply to x^n+1, the idempotents sum to 1, and every embedding
+row is its unit column on its own component and zero on the others.
+
 Each CRT component is a local ring R with maximal ideal m = (p, g) and
 residue field F_q, q = p^deg g; its ideals are listed by one exhaustive
 descent.  Level j holds the ideals of index q^j, and level j+1 is the union
@@ -44,12 +52,14 @@ from functools import lru_cache
 from .errors import ComponentNotAdmissible, DuplicatePrime, InvariantViolation, TooLarge, require
 from .factorlift import (
     FactorLabel,
+    _lift_coprime_block,
     base_factor,
-    bezout_certificate,
-    factor_xn_plus1,
+    frobenius_power,
+    lambda_index,
     lift_level0_factor,
+    split_p_part,
 )
-from .poly import Poly, poly_mod
+from .poly import Poly, coeffs_add, coeffs_divmod, coeffs_mul, poly_mod
 from .zring import Frozen, Modulus, divisors, inverse_mod
 
 ENUM_BUDGET = 1 << 16
@@ -401,29 +411,42 @@ class CrtSplit(Frozen):
 
 @lru_cache(maxsize=None)
 def crt_split(p: int, k: int, n: int) -> CrtSplit:
-    """Component contexts and element maps for Z_{p^k}[x]/(x^n+1)."""
+    """Component contexts and element maps for Z_{p^k}[x]/(x^n+1).
+
+    With n = p^r*n', x^n + 1 is (x^n' + 1)^(p^r) mod p, so the label (d, l)
+    owns the block base_factor^(p^r) mod p.  One Hensel lift of that block
+    against x^n + 1 gives the context g, its cofactor h and t with
+    t*h = 1 mod g; the idempotent is t*h, of degree below n, since it is 1
+    mod g and 0 mod h.  All of it runs on coefficient lists.
+    """
     mod = Modulus(p, k)
-    one = Poly.one(mod)
-    by_lambda: dict[tuple[int, int], Poly] = {}
-    for f in factor_xn_plus1(p, k, n):
-        key = (f.label.d, f.label.l)
-        by_lambda[key] = by_lambda.get(key, one) * f.poly
-    labels = tuple(sorted(by_lambda))
-    contexts = tuple(by_lambda[key] for key in labels)
-    ambient = Poly.x_pow_plus_const(n, 1, mod)
-    require(math.prod(contexts, start=one) == ambient, "contexts do not multiply to x^n+1")
-    idems = []
-    embeddings = []
-    for i, ctx in enumerate(contexts):
-        rest = math.prod((c for j, c in enumerate(contexts) if j != i), start=one)
-        _, v = bezout_certificate(ctx, rest)
-        e = poly_mod(v * rest, ambient)
+    N = mod.N
+    r, n_prime = split_p_part(n, p)
+    target = [1] + [0] * (n - 1) + [1]
+    labels, contexts, idems, embeddings = [], [], [], []
+    ambient = Poly(target, mod)
+    for lab in lambda_index(p, n_prime):
+        block = frobenius_power(base_factor(p, lab.d, lab.l).coeffs, p**r)
+        g, h, t = _lift_coprime_block(block, target, p, k)
+        e = coeffs_mul(t, h, N)
+        labels.append((lab.d, lab.l))
+        contexts.append(g)
         idems.append(e)
-        row = tuple(e[n - 1 - c] for c in range(n))
-        embeddings.append(tuple(reversed(x_powers(row, ambient, ctx.degree))))
-    split = CrtSplit(p, k, n, labels, contexts, tuple(idems), ambient, tuple(embeddings))
+        row = (0,) * (n - len(e)) + tuple(reversed(e))
+        embeddings.append(tuple(reversed(x_powers(row, ambient, len(g) - 1))))
+    prod = [1]
+    for g in contexts:
+        prod = coeffs_mul(prod, g, N)
+    require(prod == target, "contexts do not multiply to x^n+1")
+    split = CrtSplit(
+        p, k, n, tuple(labels), tuple(Poly(g, mod) for g in contexts),
+        tuple(Poly(e, mod) for e in idems), ambient, tuple(embeddings),
+    )
     _certify_embeddings(split)
-    require(poly_mod(sum(idems[1:], idems[0]), ambient) == one, "idempotents do not sum to 1")
+    total = []
+    for e in idems:
+        total = coeffs_add(total, e, N)
+    require(total == [1], "idempotents do not sum to 1")
     return split
 
 
@@ -433,17 +456,16 @@ def _certify_embeddings(split: CrtSplit) -> None:
     Row D_i-1 of component i is e_i itself, so this also certifies that the
     idempotents are orthogonal and 1 on their own components.
     """
-    mod = split.ambient.modulus
+    N = split.ambient.modulus.N
     for i, emb in enumerate(split.embeddings):
         require(len(emb) == split.contexts[i].degree, f"component {i}: wrong embedding row count")
         for c, row in enumerate(emb):
-            f = Poly(row[::-1], mod)
+            f = row[::-1]
             for j, ctx in enumerate(split.contexts):
                 D = ctx.degree
-                got = poly_mod(f, ctx)
-                want = [int(i == j and col == c) for col in range(D)]
+                want = [0] * (D - c - 1) + [1] if i == j else []
                 require(
-                    [got[D - 1 - col] for col in range(D)] == want,
+                    coeffs_divmod(f, ctx.coeffs, N)[1] == want,
                     f"embedding row {c} of component {i} is wrong on component {j}",
                 )
 

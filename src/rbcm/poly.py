@@ -1,7 +1,10 @@
 """Polynomials over Z_N, division by monic divisors, and splitting fields.
 
 Coefficients are stored ascending by degree as least non-negative residues,
-with trailing zeros trimmed.  Splitting-field elements live in
+with trailing zeros trimmed.  The arithmetic runs in the coeffs_* kernels on
+plain integer lists in that layout: Poly wraps them, and the factor lifts,
+the CRT split and the splitting-field search call them directly.
+Splitting-field elements live in
 F_{p^m} = Z_p[y]/(h) for the lexicographically least monic irreducible h of
 degree m, so every derived label downstream is reproducible.
 """
@@ -13,14 +16,85 @@ import math
 from functools import lru_cache
 
 from .errors import NonUnitLeading, NotCoprime, NotInBaseField, require
-from .zring import Frozen, Modulus, divisors, factorize, inverse_mod, multiplicative_order
+from .zring import Frozen, Modulus, divisors, factorize, multiplicative_order
 
 
-def _trim(coeffs: list[int]) -> tuple[int, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
+def _trimmed(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def coeffs_add(a, b, N: int) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    return _trimmed([(x + y) % N for x, y in zip(a, b)] + [x % N for x in a[len(b) :]])
+
+
+def coeffs_sub(a, b, N: int) -> list[int]:
+    out = [x % N for x in a] + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] = (out[i] - y) % N
+    return _trimmed(out)
+
+
+def coeffs_mul(a, b, N: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _trimmed([c % N for c in out])
+
+
+def coeffs_divmod(f, g, N: int) -> tuple[list[int], list[int]]:
+    """(q, r) with f = q*g + r and deg r < deg g over Z_N; g's leading
+    coefficient must be a unit mod N."""
+    dg = len(g) - 1
+    rem = [c % N for c in f]
+    if len(rem) <= dg:
+        return [], _trimmed(rem)
+    inv = 1 if g[-1] == 1 else pow(g[-1], -1, N)
+    low = g[:-1]
+    quot = [0] * (len(rem) - dg)
+    for i in range(len(rem) - 1 - dg, -1, -1):
+        c = rem[i + dg] * inv % N
+        if c:
+            quot[i] = c
+            for j, y in enumerate(low, i):
+                rem[j] -= c * y
+    return _trimmed(quot), _trimmed([c % N for c in rem[:dg]])
+
+
+def coeffs_xgcd(f, g, p: int) -> tuple[list[int], list[int], list[int]]:
+    """(d, u, v) with u*f + v*g = d = monic gcd, over Z_p."""
+    r0, r1 = _trimmed([c % p for c in f]), _trimmed([c % p for c in g])
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = coeffs_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, coeffs_sub(s0, coeffs_mul(q, s1, p), p)
+        t0, t1 = t1, coeffs_sub(t0, coeffs_mul(q, t1, p), p)
+    if not r0:
+        return r0, s0, t0
+    c = pow(r0[-1], -1, p)
+    return tuple([x * c % p for x in v] for v in (r0, s0, t0))
+
+
+def coeffs_powmod(base, e: int, h, N: int) -> list[int]:
+    """base^e modulo the monic h over Z_N."""
+    acc = [1]
+    base = coeffs_divmod(base, h, N)[1]
+    while e:
+        if e & 1:
+            acc = coeffs_divmod(coeffs_mul(acc, base, N), h, N)[1]
+        e >>= 1
+        if e:
+            base = coeffs_divmod(coeffs_mul(base, base, N), h, N)[1]
+    return acc
 
 
 class Poly(Frozen):
@@ -30,7 +104,7 @@ class Poly(Frozen):
 
     def __init__(self, coeffs, modulus: Modulus):
         N = modulus.N
-        object.__setattr__(self, "coeffs", _trim([c % N for c in coeffs]))
+        object.__setattr__(self, "coeffs", tuple(_trimmed([c % N for c in coeffs])))
         object.__setattr__(self, "modulus", modulus)
 
     @classmethod
@@ -94,16 +168,7 @@ class Poly(Frozen):
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._same(other)
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.modulus)
-        N = self.modulus.N
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % N
-        return Poly(out, self.modulus)
+        return Poly(coeffs_mul(self.coeffs, other.coeffs, self.modulus.N), self.modulus)
 
     def scale(self, c: int) -> "Poly":
         return Poly([c * a for a in self.coeffs], self.modulus)
@@ -165,19 +230,8 @@ def divmod_monic(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     N = f.modulus.N
     if math.gcd(g.leading(), N) != 1:
         raise NonUnitLeading(f"leading coefficient {g.leading()} is not a unit mod {N}")
-    inv = inverse_mod(g.leading(), N)
-    rem = list(f.coeffs)
-    dg = g.degree
-    if f.degree < dg:
-        return Poly.zero(f.modulus), f
-    quot = [0] * (f.degree - dg + 1)
-    for i in range(f.degree - dg, -1, -1):
-        c = (rem[i + dg] * inv) % N
-        if c:
-            quot[i] = c
-            for j, b in enumerate(g.coeffs):
-                rem[i + j] = (rem[i + j] - c * b) % N
-    return Poly(quot, f.modulus), Poly(rem[:dg], f.modulus)
+    quot, rem = coeffs_divmod(f.coeffs, g.coeffs, N)
+    return Poly(quot, f.modulus), Poly(rem, f.modulus)
 
 
 def poly_mod(f: Poly, g: Poly) -> Poly:
@@ -187,30 +241,12 @@ def poly_mod(f: Poly, g: Poly) -> Poly:
 def poly_xgcd_field(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     """(d, u, v) with u*f + v*g = d = monic gcd, over Z_p."""
     m = f.modulus
-    r0, r1 = f, g
-    s0, s1 = Poly.one(m), Poly.zero(m)
-    t0, t1 = Poly.zero(m), Poly.one(m)
-    while not r1.is_zero():
-        q, r = divmod_monic(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    c = inverse_mod(r0.leading(), m.N)
-    return r0.scale(c), s0.scale(c), t0.scale(c)
+    return tuple(Poly(c, m) for c in coeffs_xgcd(f.coeffs, g.coeffs, m.N))
 
 
 def pow_mod(base: Poly, e: int, h: Poly) -> Poly:
     """base^e reduced modulo the monic polynomial h."""
-    acc = Poly.one(base.modulus)
-    base = poly_mod(base, h)
-    while e:
-        if e & 1:
-            acc = poly_mod(acc * base, h)
-        base = poly_mod(base * base, h)
-        e >>= 1
-    return acc
+    return Poly(coeffs_powmod(base.coeffs, e, h.coeffs, base.modulus.N), base.modulus)
 
 
 def is_irreducible_mod_p(h: Poly) -> bool:
@@ -219,20 +255,22 @@ def is_irreducible_mod_p(h: Poly) -> bool:
     Certified through gcd(x^(p^j) - x, h) = 1 for 1 <= j <= deg/2, which rules
     out every irreducible divisor of degree j.
     """
-    p = h.modulus.N
-    m = h.degree
+    return _irreducible(h.coeffs, h.modulus.N)
+
+
+def _irreducible(h, p: int) -> bool:
+    """is_irreducible_mod_p on a monic coefficient list."""
+    m = len(h) - 1
     if m <= 0:
         return False
     if m == 1:
         return True
-    if h.coeffs[0] == 0:
+    if h[0] == 0:
         return False
-    x = Poly.x(h.modulus)
-    frob = x
+    frob = [0, 1]
     for _ in range(m // 2):
-        frob = pow_mod(frob, p, h)
-        g = poly_xgcd_field(frob - x, h)[0]
-        if g.degree != 0:
+        frob = coeffs_powmod(frob, p, h, p)
+        if len(coeffs_xgcd(coeffs_sub(frob, [0, 1], p), h, p)[0]) != 1:
             return False
     return True
 
@@ -249,9 +287,9 @@ def least_irreducible(p: int, m: int) -> Poly:
     # constant term 0 forces the factor y; skip that whole block
     for c0 in range(1, p):
         for rest in itertools.product(range(p), repeat=m - 1):
-            h = Poly([c0, *rest, 1], mod)
-            if is_irreducible_mod_p(h):
-                return h
+            h = (c0, *rest, 1)
+            if _irreducible(h, p):
+                return Poly(h, mod)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -319,16 +357,15 @@ def field_one(h: Poly) -> FieldElement:
     return FieldElement(Poly.one(h.modulus), h)
 
 
-def field_constant(c: int, h: Poly) -> FieldElement:
-    return FieldElement(Poly.constant(c, h.modulus), h)
-
-
 @lru_cache(maxsize=None)
 def build_splitting_field(p: int, d: int) -> tuple[FieldElement, Poly]:
     """Primitive d-th root of unity in F_{p^m}, m = multiplicative order of p mod d.
 
     Returns the lexicographically least element of multiplicative order d
-    together with the field modulus.
+    together with the field modulus.  The search runs on coefficient lists:
+    the first candidate, in lex order, whose (q-1)/d-th power w has order
+    exactly d (w^(d/r) != 1 for each prime r | d; w^d = 1 always), then the
+    least w^s over s coprime to d.
     """
     if d < 1 or (d > 1 and math.gcd(p, d) != 1):
         raise NotCoprime(f"gcd({p}, {d}) > 1")
@@ -339,51 +376,57 @@ def build_splitting_field(p: int, d: int) -> tuple[FieldElement, Poly]:
     q = p**m
     require((q - 1) % d == 0, "root order does not divide the field's unit group order")
     cofactor = (q - 1) // d
-    # find one element of order d by powering candidates in lex order
-    mod = Modulus(p)
+    hc = h.coeffs
+    cuts = [d // r for r, _ in factorize(d)]
     witness = None
     for rep in itertools.product(range(p), repeat=m):
-        cand = FieldElement(Poly(rep, mod), h)
-        if cand.is_zero():
+        cand = _trimmed(list(rep))
+        if not cand:
             continue
-        w = cand**cofactor
-        if not w.is_zero() and w.multiplicative_order() == d:
+        w = coeffs_powmod(cand, cofactor, hc, p)
+        if all(coeffs_powmod(w, c, hc, p) != [1] for c in cuts):
             witness = w
             break
     if witness is None:
         raise AssertionError("no element of the requested order")  # unreachable
     # all elements of order d are powers w^s with gcd(s, d) = 1
-    best = min(
-        (witness**s for s in range(1, d + 1) if math.gcd(s, d) == 1),
-        key=FieldElement.lex_key,
-    )
-    return best, h
+    best = None
+    power = witness
+    for s in range(1, d + 1):
+        if math.gcd(s, d) == 1:
+            key = power + [0] * (m - len(power))
+            if best is None or key < best:
+                best = key
+        power = coeffs_divmod(coeffs_mul(power, witness, p), hc, p)[1]
+    return FieldElement(Poly(best, Modulus(p)), h), h
 
 
 def minimal_polynomial(eta_power: FieldElement, p: int, d: int, ell: int) -> Poly:
     """Monic minimal polynomial over Z_p of a primitive d-th root's ell-th power.
 
-    Expands prod_j (x - eta^(ell * p^j)) over the splitting field; every
-    coefficient must land in the prime subfield.
+    Expands prod_j (x - eta^(ell * p^j)) over the splitting field, on
+    coefficient lists; every coefficient must land in the prime subfield.
     """
     m = multiplicative_order(p, d)
     h = eta_power.field_modulus
-    # product of (x - conjugate) over the Frobenius orbit
-    coeffs: list[FieldElement] = [field_one(h)]
-    conj = eta_power
+    hc = h.coeffs
+    root = list(eta_power.rep.coeffs)
+    # product of (x - conjugate) over the Frobenius orbit, each coefficient in F_{p^m}
+    coeffs: list[list[int]] = [[1]]
+    conj = root
     for _ in range(m):
-        nxt = [field_constant(0, h)] * (len(coeffs) + 1)
+        nxt: list[list[int]] = [[] for _ in range(len(coeffs) + 1)]
         for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * conj
+            nxt[i + 1] = coeffs_add(nxt[i + 1], c, p)
+            nxt[i] = coeffs_sub(nxt[i], coeffs_divmod(coeffs_mul(c, conj, p), hc, p)[1], p)
         coeffs = nxt
-        conj = conj**p
-    require(conj.lex_key() == eta_power.lex_key(), "Frobenius conjugates did not close up")
+        conj = coeffs_powmod(conj, p, hc, p)
+    require(conj == root, "Frobenius conjugates did not close up")
     out = []
     for c in coeffs:
-        if c.rep.degree > 0:
-            raise NotInBaseField(f"coefficient {c} outside Z_{p}")
-        out.append(c.rep[0])
+        if len(c) > 1:
+            raise NotInBaseField(f"coefficient {FieldElement(Poly(c, h.modulus), h)} outside Z_{p}")
+        out.append(c[0] if c else 0)
     return Poly(out, Modulus(p))
 
 

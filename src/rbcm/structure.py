@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from functools import lru_cache
 
 from .errors import InvariantViolation, TooLarge
@@ -164,15 +165,21 @@ def _group_tables(invariants: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def translation(invariants: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+def translation(invariants: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...] | array:
     """Index row of a -> a + g: entry i is the index of element i plus g.
 
     Built one coordinate at a time; the first is the most significant digit.
+    The cache keeps one row per element a run adds, so a row of more than 256
+    entries is kept as an array of 16-bit entries (32-bit past 65,536), not
+    a tuple of pointers to ints; a shorter one stays a tuple, which Python
+    subscripts faster.
     """
     row = [0]
     for x, d in zip(g, invariants):
         row = [t * d + (j + x) % d for t in row for j in range(d)]
-    return tuple(row)
+    if len(row) <= 256:
+        return tuple(row)
+    return array("H" if len(row) <= 1 << 16 else "L", row)
 
 
 class AbelianGroupTable(Frozen):
@@ -237,7 +244,7 @@ class AbelianGroupTable(Frozen):
         """(elements, index-of), shared by every table of these invariants."""
         return _group_tables(self.invariants)
 
-    def translation(self, g) -> tuple[int, ...]:
+    def translation(self, g) -> tuple[int, ...] | array:
         """Index row of a -> a + g, shared by every table of these invariants."""
         return translation(self.invariants, tuple(g))
 

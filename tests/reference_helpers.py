@@ -11,10 +11,19 @@ from rbcm.cayley import (
     bounded_admissible_candidates,
 )
 from rbcm.classify import _try_build, solve_unit_roots
-from rbcm.errors import InvariantViolation, TooLarge, require
-from rbcm.factorlift import base_factor, split_p_part
+from rbcm.errors import InvariantViolation, NotSimpleFactor, TooLarge, require
+from rbcm.factorlift import (
+    FactorLabel,
+    LabeledFactor,
+    base_factor,
+    bezout_certificate,
+    lambda_index,
+    radical_sum,
+    split_p_part,
+)
 from rbcm.ideals import (
     ENUM_BUDGET,
+    CrtSplit,
     IdealPresentation,
     _ext_gcd,
     _leading,
@@ -28,12 +37,13 @@ from rbcm.ideals import (
     ideal_of_rows,
     radical_floor,
     radical_multiple,
+    x_powers,
     x_step,
     zero_ideal,
 )
-from rbcm.poly import Poly, poly_mod
+from rbcm.poly import FieldElement, Poly, divmod_monic, poly_mod, poly_xgcd_field
 from rbcm.structure import AbelianGroupTable, QuotientRing
-from rbcm.zring import Modulus, divisors, factorize
+from rbcm.zring import Modulus, divisors, factorize, multiplicative_order
 
 
 def all_monic(modulus: Modulus, degree: int):
@@ -545,3 +555,171 @@ def reference_rank2_case_d_full(p: int, k: int, k2: int, n: int) -> set[tuple]:
                     rec = _try_build(Q, n, "I")
                     seen[Q.rows] = rec is not None and rec.group.invariants == (p**k2, N)
     return {rows for rows, kept in seen.items() if kept}
+
+
+# ---------------------------------------------------------------------------
+# the Poly path the coefficient-list lifter and CRT split replaced
+
+
+def reference_lift_coprime_block(gbar: Poly, target: Poly, p: int, k: int) -> Poly:
+    """Unique monic divisor of target over Z_{p^k} reducing to gbar mod p, by
+    precision-doubling updates of the factor, cofactor and Bezout pair on Poly
+    objects, certified by exact division."""
+    modp = Modulus(p)
+    modk = target.modulus
+    red = target.reduce_mod(modp)
+    hbar, rem = divmod_monic(red, gbar)
+    if not rem.is_zero():
+        raise ValueError(f"{gbar} does not divide the reduction of the target")
+    gcd, u, v = poly_xgcd_field(gbar, hbar)
+    if gcd.degree != 0:
+        raise NotSimpleFactor(f"{gbar} is not coprime to its cofactor")
+    if k == 1:
+        return gbar
+    g, h, s, t = (f.reduce_mod(modk) for f in (gbar, hbar, u, v))
+    prec = 1
+    one = Poly.one(modk)
+    while prec < k:
+        prec = min(2 * prec, k)
+        cap = p**prec
+        _, delta = divmod_monic(t * (target - g * h), g)
+        g = g + delta
+        h, r = divmod_monic(target, g)
+        require(all(c % cap == 0 for c in r.coeffs), "Hensel step: factor does not divide target")
+        b = s * g + t * h - one
+        _, t = divmod_monic(t - t * b, g)
+        s, r3 = divmod_monic(one - t * h, g)
+        require(all(c % cap == 0 for c in r3.coeffs), "Hensel step: Bezout pair not updated")
+    require(poly_mod(target, g).is_zero(), "lift failed the exact-division certificate")
+    return g
+
+
+def reference_lift_level0_factor(d: int, ell: int, p: int, k: int) -> LabeledFactor:
+    """The factor of x^d - 1 over Z_{p^k} reducing to base_factor(p, d, ell)."""
+    q = reference_base_factor(p, d, ell)
+    label = FactorLabel(d, ell, 0, q.degree)
+    if k == 1:
+        return LabeledFactor(label, q)
+    target = Poly.x_pow_plus_const(d, -1, Modulus(p, k))
+    quot, rem = divmod_monic(target.reduce_mod(Modulus(p)), q)
+    require(rem.is_zero() and not poly_mod(quot, q).is_zero(), "base factor is not simple")
+    return LabeledFactor(label, reference_lift_coprime_block(q, target, p, k))
+
+
+def reference_lift_radical_factor(d: int, ell: int, level: int, p: int, k: int) -> LabeledFactor:
+    """The factor at radical level >= 1, reducing to base^(p^(level-1)(p-1))."""
+    scale = p ** (level - 1) * (p - 1)
+    block = reference_base_factor(p, d, ell) ** scale
+    label = FactorLabel(d, ell, level, block.degree)
+    if k == 1:
+        return LabeledFactor(label, block)
+    target = radical_sum(p, k, d * p ** (level - 1))
+    return LabeledFactor(label, reference_lift_coprime_block(block, target, p, k))
+
+
+def reference_factor_xn_plus1(p: int, k: int, n: int) -> tuple[LabeledFactor, ...]:
+    """Labeled factors of x^n + 1 over Z_{p^k}, one lift per label and level."""
+    r, n_prime = split_p_part(n, p)
+    out = []
+    for lab in lambda_index(p, n_prime):
+        if p == 2:
+            out.append(reference_lift_radical_factor(lab.d, lab.l, r + 1, p, k))
+            continue
+        out.append(reference_lift_level0_factor(lab.d, lab.l, p, k))
+        out += [reference_lift_radical_factor(lab.d, lab.l, b, p, k) for b in range(1, r + 1)]
+    out.sort(key=lambda f: f.label.as_tuple())
+    mod = Modulus(p, k)
+    prod = math.prod((f.poly for f in out), start=Poly.one(mod))
+    require(prod == Poly.x_pow_plus_const(n, 1, mod), "factor product is not x^n + 1")
+    return tuple(out)
+
+
+def reference_crt_split(p: int, k: int, n: int) -> CrtSplit:
+    """crt_split from the per-level factors: each context the product of its
+    label's levels, each idempotent v*rest from a Bezout pair (u, v) of the
+    context and the product of the others, every embedding row checked."""
+    mod = Modulus(p, k)
+    one = Poly.one(mod)
+    by_lambda: dict[tuple[int, int], Poly] = {}
+    for f in reference_factor_xn_plus1(p, k, n):
+        key = (f.label.d, f.label.l)
+        by_lambda[key] = by_lambda.get(key, one) * f.poly
+    labels = tuple(sorted(by_lambda))
+    contexts = tuple(by_lambda[key] for key in labels)
+    ambient = Poly.x_pow_plus_const(n, 1, mod)
+    require(math.prod(contexts, start=one) == ambient, "contexts do not multiply to x^n+1")
+    idems, embeddings = [], []
+    for i, ctx in enumerate(contexts):
+        rest = math.prod((c for j, c in enumerate(contexts) if j != i), start=one)
+        _, v = bezout_certificate(ctx, rest)
+        e = poly_mod(v * rest, ambient)
+        idems.append(e)
+        row = tuple(e[n - 1 - c] for c in range(n))
+        embeddings.append(tuple(reversed(x_powers(row, ambient, ctx.degree))))
+        for c, erow in enumerate(embeddings[-1]):
+            f = Poly(erow[::-1], mod)
+            for j, other in enumerate(contexts):
+                D = other.degree
+                got = poly_mod(f, other)
+                want = [int(i == j and col == c) for col in range(D)]
+                require([got[D - 1 - col] for col in range(D)] == want, "embedding row is wrong")
+    require(poly_mod(sum(idems[1:], idems[0]), ambient) == one, "idempotents do not sum to 1")
+    return CrtSplit(p, k, n, labels, contexts, tuple(idems), ambient, tuple(embeddings))
+
+
+def reference_least_irreducible(p: int, m: int) -> Poly:
+    """The least monic irreducible of degree m over Z_p, coefficient tuples
+    compared low degree first: h is irreducible when gcd(x^(p^j) - x, h) = 1
+    for every j <= m/2, with x^(p^j) mod h raised on Poly objects."""
+    mod = Modulus(p)
+    x = Poly.x(mod)
+    if m == 1:
+        return x
+    for c0 in range(1, p):
+        for rest in itertools.product(range(p), repeat=m - 1):
+            h = Poly([c0, *rest, 1], mod)
+            frob = x
+            for _ in range(m // 2):
+                frob = FieldElement(frob, h) ** p
+                frob = frob.rep
+                if poly_xgcd_field(frob - x, h)[0].degree != 0:
+                    break
+            else:
+                return h
+    raise AssertionError("no irreducible polynomial found")
+
+
+@lru_cache(maxsize=None)
+def reference_base_factor(p: int, d: int, ell: int) -> Poly:
+    """base_factor by the FieldElement search: the lex-least element eta of
+    order d in F_{p^m}, the first in lex order whose (q-1)/d-th power has
+    order d, then the least of its powers coprime to d; then the product of
+    x - eta^(ell*p^j) over the Frobenius orbit."""
+    m = multiplicative_order(p, d)
+    h = reference_least_irreducible(p, m)
+    mod = Modulus(p)
+    one = FieldElement(Poly.one(mod), h)
+    eta = one
+    if d > 1:
+        cofactor = (p**m - 1) // d
+        for rep in itertools.product(range(p), repeat=m):
+            cand = FieldElement(Poly(rep, mod), h)
+            if cand.is_zero():
+                continue
+            w = cand**cofactor
+            if w.multiplicative_order() == d:
+                break
+        eta = min((w**s for s in range(1, d + 1) if math.gcd(s, d) == 1), key=FieldElement.lex_key)
+    root = eta**ell
+    coeffs = [one]
+    conj = root
+    for _ in range(m):
+        nxt = [FieldElement(Poly.zero(mod), h)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - c * conj
+        coeffs = nxt
+        conj = conj**p
+    require(conj == root, "Frobenius conjugates did not close up")
+    require(all(c.rep.degree <= 0 for c in coeffs), "minimal polynomial outside Z_p")
+    return Poly([c.rep[0] for c in coeffs], mod)

@@ -1,10 +1,16 @@
 import itertools
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from rbcm import factorlift
 from rbcm.errors import NotCoprime, NotSimpleFactor
 from rbcm.factorlift import (
     FactorLabel,
+    _lift_coprime_block,
     base_factor,
     bezout_certificate,
     coset_reps,
@@ -14,14 +20,19 @@ from rbcm.factorlift import (
     factor_xn_plus1,
     hensel_lift_factor,
     lambda_index,
+    lift_level0_factor,
     lift_radical_factor,
     radical_sum,
     split_p_part,
 )
 from rbcm.poly import Poly, poly_mod
-from rbcm.zring import Modulus
+from rbcm.zring import Modulus, multiplicative_order
 
-from reference_helpers import monic_divisors_exhaustive
+from reference_helpers import (
+    monic_divisors_exhaustive,
+    reference_base_factor,
+    reference_factor_xn_plus1,
+)
 
 
 def P(coeffs, p, k=1):
@@ -213,3 +224,69 @@ def test_factorizations_match_sympy(p):
             continue
         assert sorted(f.poly.coeffs for f in factor_mod_p(n, p)) == sympy_factors(x**n - 1), n
         assert sorted(f.poly.coeffs for f in factor_xn_plus1(p, 1, n)) == sympy_factors(x**n + 1), n
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_lifts_match_reference(p):
+    """The coefficient-list lifter gives the Poly path's factors: all of
+    factor_xn_plus1, and lift_level0_factor / lift_radical_factor at each of
+    its labels and levels, for k <= 4 and n <= 12."""
+    for k in range(1, 5):
+        for n in range(1, 13):
+            want = reference_factor_xn_plus1(p, k, n)
+            assert factor_xn_plus1.__wrapped__(p, k, n) == want, (p, k, n)
+            for f in want:
+                lab = f.label
+                if lab.level == 0:
+                    got = lift_level0_factor(lab.d, lab.l, p, k)
+                else:
+                    got = lift_radical_factor(lab.d, lab.l, lab.level, p, k)
+                assert got == f, (p, k, n, lab)
+
+
+def test_base_factor_matches_reference():
+    """The coefficient-tuple search gives the FieldElement search's base
+    factors on every (p, d, l) with p <= 13, d <= 40 and p^m <= 20000."""
+    cases = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for d in range(1, 41):
+            if math.gcd(p, d) != 1 or p ** multiplicative_order(p, d) > 20000:
+                continue
+            for ell in coset_reps(p, d):
+                assert base_factor.__wrapped__(p, d, ell) == reference_base_factor(p, d, ell), (p, d, ell)
+                cases += 1
+    assert cases == 280
+
+
+# (gbar, target, p, k) the lifter must refuse, with the exact error
+LIFT_REFUSALS = [
+    # x^2 - 1 = (x + 1)^2 mod 2: the block shares its factor with its cofactor
+    (([1, 1], [3, 0, 1], 2, 2), NotSimpleFactor, "x + 1 is not coprime to its cofactor"),
+    # x does not divide x^2 + 1 mod 3
+    (([0, 1], [1, 0, 1], 3, 2), ValueError, "x does not divide the reduction of the target"),
+]
+
+
+@pytest.mark.parametrize("args,cls,message", LIFT_REFUSALS)
+def test_lifter_refuses_bad_blocks(args, cls, message):
+    with pytest.raises(cls) as info:
+        _lift_coprime_block(*args)
+    assert type(info.value) is cls and str(info.value) == message
+
+
+def test_lifter_refuses_bad_blocks_under_optimize():
+    """The lifter's checks raise, so python -O keeps them, with the same class and message."""
+    child = (
+        "from rbcm.factorlift import _lift_coprime_block\n"
+        f"for args in {[args for args, _, _ in LIFT_REFUSALS]!r}:\n"
+        "    try:\n"
+        "        _lift_coprime_block(*args)\n"
+        "    except Exception as exc:\n"
+        "        print(__debug__, type(exc).__name__, exc)\n"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(factorlift.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(f"False {cls.__name__} {message}\n" for _, cls, message in LIFT_REFUSALS)

@@ -12,10 +12,11 @@ from reference_helpers import (
     crt_forward,
     reference_admissibility,
     reference_bounded_candidates,
+    reference_crt_split,
     reference_floor_ideals,
 )
 
-from rbcm import ideals
+from rbcm import factorlift, ideals
 from rbcm.cayley import bounded_admissible_candidates
 from rbcm.errors import ComponentNotAdmissible, DuplicatePrime, InvariantViolation, TooLarge
 from rbcm.factorlift import factor_xn_plus1
@@ -192,6 +193,35 @@ def test_crt_split_examples():
     assert split31.idempotents == (Poly.one(Modulus(3)),)
     x3 = Poly.x(Modulus(3))
     assert crt_forward(split31, x3) == [x3]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_crt_split_matches_reference(p):
+    """One lift per label gives the split the per-level factors and Bezout
+    pairs give: labels, contexts, idempotents and embedding rows, for every
+    p^k <= 2401 and n <= 18."""
+    k = 1
+    while p**k <= 2401:
+        for n in range(1, 19):
+            assert crt_split.__wrapped__(p, k, n) == reference_crt_split(p, k, n), (p, k, n)
+        k += 1
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 3, 12), (3, 2, 18), (5, 4, 10), (7, 1, 14)])
+def test_crt_split_lifts_once_per_label(p, k, n, monkeypatch):
+    """The split makes one Hensel lift per label and no per-level factor, product or Bezout pair."""
+
+    def refuse(*args):
+        raise AssertionError("crt_split must not call this")
+
+    for name in ("factor_xn_plus1", "bezout_certificate", "lift_level0_factor", "lift_radical_factor"):
+        monkeypatch.setattr(factorlift, name, refuse)
+    lifts = []
+    lift = ideals._lift_coprime_block
+    monkeypatch.setattr(ideals, "_lift_coprime_block", lambda *a: lifts.append(a) or lift(*a))
+    split = crt_split.__wrapped__(p, k, n)
+    assert len(lifts) == len(split.labels) > 0
+    assert split == reference_crt_split(p, k, n)
 
 
 @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 1, 4), (5, 1, 2), (2, 2, 3), (3, 2, 2)])

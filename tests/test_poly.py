@@ -7,6 +7,9 @@ from rbcm.errors import InvariantViolation, NonUnitLeading
 from rbcm.poly import (
     Poly,
     build_splitting_field,
+    coeffs_divmod,
+    coeffs_mul,
+    coeffs_xgcd,
     cyclotomic,
     divmod_monic,
     int_poly_divmod_exact,
@@ -172,3 +175,42 @@ def test_int_poly_divmod_exact_checks():
         int_poly_divmod_exact([1, 0, 1], [1, 1])
     with pytest.raises(InvariantViolation):
         int_poly_divmod_exact([1], [1, 1])
+
+
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def test_coefficient_kernels_match_definitions():
+    """coeffs_mul is the integer product mod N; coeffs_divmod gives f = q*g + r
+    with deg r < deg g for a unit leading coefficient; coeffs_xgcd gives a
+    monic gcd with its Bezout pair over Z_p.  Random trimmed lists."""
+    rng = random.Random(23)
+    for N in (2, 4, 7, 9, 25, 2401):
+        for _ in range(150):
+            a = _trim(rng.randrange(N) for _ in range(rng.randrange(0, 9)))
+            b = _trim(rng.randrange(N) for _ in range(rng.randrange(0, 9)))
+            assert coeffs_mul(a, b, N) == _trim(c % N for c in int_poly_mul(a, b))
+            unit = rng.choice([u for u in range(1, N) if math.gcd(u, N) == 1])
+            g = [rng.randrange(N) for _ in range(rng.randrange(0, 5))] + [unit]
+            q, r = coeffs_divmod(a, g, N)
+            assert len(r) < len(g) and r == _trim(r) and q == _trim(q)
+            back = int_poly_mul(q, g) + [0] * (len(a) + len(g))
+            for i, c in enumerate(r):
+                back[i] += c
+            assert _trim(c % N for c in back) == a
+    for p in (2, 3, 5, 7):
+        for _ in range(100):
+            f = _trim(rng.randrange(p) for _ in range(rng.randrange(0, 7)))
+            g = _trim(rng.randrange(p) for _ in range(rng.randrange(0, 7)))
+            d, u, v = coeffs_xgcd(f, g, p)
+            combo = int_poly_mul(u, f) + [0] * 20
+            for i, c in enumerate(int_poly_mul(v, g)):
+                combo[i] += c
+            assert _trim(c % p for c in combo) == d
+            if d:
+                assert d[-1] == 1
+                assert not coeffs_divmod(f, d, p)[1] and not coeffs_divmod(g, d, p)[1]

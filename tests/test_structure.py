@@ -183,8 +183,14 @@ def test_group_tables_match_definition(invariants):
     assert _group_tables(invariants) == (els, idx)
     assert els[0] == (0,) * len(invariants)
     for j, g in enumerate(els):
-        assert translation(invariants, g) == tuple(row[j] for row in add_rows)
+        assert tuple(translation(invariants, g)) == tuple(row[j] for row in add_rows)
     assert AbelianGroupTable(invariants).translation(list(els[-1])) == translation(invariants, els[-1])
+
+
+def test_translation_rows_past_16_bits():
+    """A row of more than 65,536 entries holds indices past 16 bits."""
+    row = translation((65537,), (1,))
+    assert len(row) == 65537 and row[0] == 1 and row[65535] == 65536 and row[65536] == 0
 
 
 def test_smith_invariants_match_sympy():
