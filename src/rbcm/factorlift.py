@@ -169,11 +169,12 @@ def _lift_coprime_block(gbar, target, p: int, k: int) -> tuple[list[int], list[i
     hbar, rem = coeffs_divmod(target, gbar, p)
     if rem:
         raise ValueError(f"{Poly(gbar, Modulus(p))} does not divide the reduction of the target")
-    gcd, s, t = coeffs_xgcd(gbar, hbar, p)
+    gcd, _, t = coeffs_xgcd(gbar, hbar, p)
     if len(gcd) != 1:
         raise NotSimpleFactor(f"{Poly(gbar, Modulus(p))} is not coprime to its cofactor")
     g, h = list(gbar), hbar
-    # only t mod g enters the updates (s*g vanishes mod g), so keep it reduced
+    # only t mod g enters the updates: the Bezout partner s of g drops out
+    # of s*g + t*h - 1 mod g, so it is never formed and t is kept reduced
     t = coeffs_divmod(t, g, p)[1]
     if k == 1:
         return g, h, t
@@ -185,9 +186,9 @@ def _lift_coprime_block(gbar, target, p: int, k: int) -> tuple[list[int], list[i
         g = coeffs_add(g, coeffs_divmod(coeffs_mul(t, e, N), g, N)[1], N)
         h, r = coeffs_divmod(target, g, N)
         require(all(c % cap == 0 for c in r), "Hensel step: factor does not divide target")
-        b = coeffs_sub(coeffs_add(coeffs_mul(s, g, N), coeffs_mul(t, h, N), N), [1], N)
+        b = coeffs_sub(coeffs_mul(t, h, N), [1], N)
         t = coeffs_divmod(coeffs_sub(t, coeffs_mul(t, b, N), N), g, N)[1]
-        s, r3 = coeffs_divmod(coeffs_sub([1], coeffs_mul(t, h, N), N), g, N)
+        r3 = coeffs_divmod(coeffs_sub([1], coeffs_mul(t, h, N), N), g, N)[1]
         require(all(c % cap == 0 for c in r3), "Hensel step: Bezout pair not updated")
     h, rem = coeffs_divmod(target, g, N)
     require(not rem, "lift failed the exact-division certificate")

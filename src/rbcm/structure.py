@@ -169,17 +169,19 @@ def translation(invariants: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, .
     """Index row of a -> a + g: entry i is the index of element i plus g.
 
     Built one coordinate at a time; the first is the most significant digit.
-    The cache keeps one row per element a run adds, so a row of more than 256
-    entries is kept as an array of 16-bit entries (32-bit past 65,536), not
-    a tuple of pointers to ints; a shorter one stays a tuple, which Python
-    subscripts faster.
+    The cache keeps one row per element a run adds.  Up to 256 entries every
+    index is one of CPython's shared small ints, and the row is a tuple,
+    which Python 3.11 subscripts faster: all-array rows cost about 2% on the
+    order <= 81 sweeps and the CLI commands.  A longer tuple would hold an
+    int object of its own for each index past 256, so a longer row is an
+    array of 16-bit entries (32-bit past 65,536).
     """
     row = [0]
     for x, d in zip(g, invariants):
         row = [t * d + (j + x) % d for t in row for j in range(d)]
     if len(row) <= 256:
         return tuple(row)
-    return array("H" if len(row) <= 1 << 16 else "L", row)
+    return array("H" if len(row) <= 1 << 16 else "I", row)
 
 
 class AbelianGroupTable(Frozen):

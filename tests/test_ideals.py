@@ -216,6 +216,7 @@ def test_crt_split_lifts_once_per_label(p, k, n, monkeypatch):
 
     for name in ("factor_xn_plus1", "bezout_certificate", "lift_level0_factor", "lift_radical_factor"):
         monkeypatch.setattr(factorlift, name, refuse)
+        monkeypatch.setattr(ideals, name, refuse, raising=False)
     lifts = []
     lift = ideals._lift_coprime_block
     monkeypatch.setattr(ideals, "_lift_coprime_block", lambda *a: lifts.append(a) or lift(*a))

@@ -188,9 +188,10 @@ def test_group_tables_match_definition(invariants):
 
 
 def test_translation_rows_past_16_bits():
-    """A row of more than 65,536 entries holds indices past 16 bits."""
+    """A row of more than 65,536 entries holds indices past 16 bits, in 32-bit entries."""
     row = translation((65537,), (1,))
     assert len(row) == 65537 and row[0] == 1 and row[65535] == 65536 and row[65536] == 0
+    assert row.itemsize == 4
 
 
 def test_smith_invariants_match_sympy():
