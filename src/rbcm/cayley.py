@@ -23,7 +23,6 @@ its candidates itself and does not share that cache.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import os
@@ -42,6 +41,7 @@ from .errors import (
 from .factorlift import base_factor
 from .ideals import (
     IdealPresentation,
+    _combined,
     bounded_combinations,
     bounded_ideals_local_tree,
     crt_split,
@@ -718,24 +718,20 @@ def bounded_admissible_candidates(
 
     Each CRT component is a local ring whose ideals of index <= order come
     from the descent (bounded_ideals_local_tree), level by level and each
-    level once per process.  Only the component tuples whose quotient sizes
-    multiply to order (by CRT, the quotient size) are combined.
+    level once per process.  Only the choices whose quotient sizes multiply
+    to order (by CRT, the quotient size) are combined.
     """
     split = crt_split(p, k, n)
     mod = Modulus(p, k)
-    per_component = []
-    for (d, ell), ctx in zip(split.labels, split.contexts):
-        by_size: dict[int, list[IdealPresentation]] = {}
-        for ideal in bounded_ideals_local_tree(ctx, order, base_factor(p, d, ell).reduce_mod(mod)):
-            by_size.setdefault(ideal.quotient_size(), []).append(ideal)
-        per_component.append(by_size)
-    cases = (
-        (None, combo)
-        for sizes in itertools.product(*per_component)
-        if math.prod(sizes) == order
-        for combo in itertools.product(*(by[s] for by, s in zip(per_component, sizes)))
-    )
-    found = [Q for _, Q in bounded_combinations(split, cases)]
+    options = [
+        [(None, q) for q in bounded_ideals_local_tree(ctx, order, base_factor(p, d, ell).reduce_mod(mod))]
+        for (d, ell), ctx in zip(split.labels, split.contexts)
+    ]
+    found = [
+        _combined(p, k, n, rows)
+        for _, rows, size in bounded_combinations(options, order)
+        if size == order
+    ]
     return tuple(sorted(found, key=lambda q: q.rows))
 
 

@@ -32,6 +32,7 @@ from .errors import (
 from .factorlift import base_factor, lambda_index, lift_level0_factor, split_p_part
 from .ideals import (
     IdealPresentation,
+    _combined,
     bounded_combinations,
     canonical_form,
     constant_ideal,
@@ -140,8 +141,8 @@ def _family_maps(cases, n: int, map_type: str, max_order) -> list[FamilyMap]:
     """The maps of the (params, ideal) cases whose ideal builds one.
 
     Each family yields every ideal once, so no map is built twice.  Families
-    built from bounded_combinations pass max_order=None: their cases are
-    already within the bound.
+    that walk their choices with bounded_combinations pass max_order=None
+    here: the walk already keeps only the choices within the bound.
     """
     out = []
     for params, Q in cases:
@@ -219,8 +220,9 @@ def family_elementary_narrow_count(p: int, m: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _two_group_components(k: int, n: int) -> tuple[dict, ...]:
-    """Per CRT label, (j, kk) -> the component ideal (2^j tilde^kk, 2^(j+1)).
+def _two_group_components(k: int, n: int) -> tuple[tuple, ...]:
+    """Per CRT label, ((j, kk), ideal) for each distinct component ideal
+    (2^j tilde^kk, 2^(j+1)), under the least (j, kk) that gives it.
 
     They depend on (k, n) only, so every bound shares them.
     """
@@ -230,43 +232,41 @@ def _two_group_components(k: int, n: int) -> tuple[dict, ...]:
     comps = []
     for (d, ell), ctx in zip(split.labels, split.contexts):
         tilde = lift_level0_factor(d, ell, 2, k).poly
-        gens = {
-            (j, kk): [Poly.constant(2**j, mod) * tilde**kk, Poly.constant(2 ** (j + 1), mod)]
-            for j in range(k)
-            for kk in range(2**r + 1)
-        }
-        comps.append({jk: canonical_form(g, ctx) for jk, g in gens.items()})
+        first = {}
+        for j in range(k):
+            for kk in range(2**r + 1):
+                gens = [Poly.constant(2**j, mod) * tilde**kk, Poly.constant(2 ** (j + 1), mod)]
+                Q = canonical_form(gens, ctx)
+                first.setdefault(Q.rows, ((j, kk), Q))
+        comps.append(tuple(first.values()))
     return tuple(comps)
 
 
 def classify_2group(k: int, n: int, max_order=None) -> list[FamilyMap]:
-    """Maps on abelian 2-groups of exponent 2^k via level/multiplicity functions."""
+    """Maps on abelian 2-groups of exponent 2^k via level/multiplicity functions.
+
+    The (J, K) giving one tuple of component ideals form a product set, so
+    the least of them, which names the ideal, is least in every component.
+    """
     if n < 2:
         raise ValueError("n must exceed 1")
-    r, _ = split_p_part(n, 2)
-    split = crt_split(2, k, n)
-    labels = split.labels
-    comps = _two_group_components(k, n)
-
-    def cases():
-        for J in itertools.product(range(k), repeat=len(labels)):
-            for K in itertools.product(range(2**r + 1), repeat=len(labels)):
-                jk = tuple(zip(labels, J, K))
-                yield _params("two_group", JK=jk), [c[j, kk] for c, j, kk in zip(comps, J, K)]
-
-    return _family_maps(bounded_combinations(split, cases(), max_order), n, "I", None)
+    labels = crt_split(2, k, n).labels
+    choices = sorted(
+        (tuple(zip(*tags)), rows)
+        for tags, rows, _ in bounded_combinations(_two_group_components(k, n), max_order)
+    )
+    cases = (
+        (_params("two_group", JK=tuple(zip(labels, J, K))), _combined(2, k, n, rows))
+        for (J, K), rows in choices
+    )
+    return _family_maps(cases, n, "I", None)
 
 
 def two_group_unfiltered_pairs(k: int, n: int) -> int:
-    """(J, K) pairs satisfying the bare existence clause, before admissibility."""
+    """(J, K) pairs with some label at j = k - 1 and kk != 0, before admissibility."""
     r, n_prime = split_p_part(n, 2)
-    labels = lambda_index(2, n_prime)
-    count = 0
-    for J in itertools.product(range(k), repeat=len(labels)):
-        for K in itertools.product(range(2**r + 1), repeat=len(labels)):
-            if any(j == k - 1 and kk != 0 for j, kk in zip(J, K)):
-                count += 1
-    return count
+    L = len(lambda_index(2, n_prime))
+    return (k * (2**r + 1)) ** L - (k * (2**r + 1) - 2**r) ** L
 
 
 def classify_coprime(p: int, k: int, n: int, max_order=None) -> list[FamilyMap]:
@@ -274,13 +274,12 @@ def classify_coprime(p: int, k: int, n: int, max_order=None) -> list[FamilyMap]:
     if p == 2 or math.gcd(n, p) != 1 or n < 2:
         raise ValueError("requires odd p coprime to n, n > 1")
     split = crt_split(p, k, n)
-    labels = split.labels
-    levels = [[constant_ideal(p**j, ctx) for j in range(k + 1)] for ctx in split.contexts]
+    levels = [[(j, constant_ideal(p**j, ctx)) for j in range(k + 1)] for ctx in split.contexts]
     cases = (
-        (_params("coprime", J=tuple(zip(labels, J))), [lev[j] for lev, j in zip(levels, J)])
-        for J in itertools.product(range(k + 1), repeat=len(labels))
+        (_params("coprime", J=tuple(zip(split.labels, J))), _combined(p, k, n, rows))
+        for J, rows, _ in bounded_combinations(levels, max_order)
     )
-    return _family_maps(bounded_combinations(split, cases, max_order), n, "I", None)
+    return _family_maps(cases, n, "I", None)
 
 
 def _rank2_generator_check(

@@ -15,7 +15,8 @@ under x; canonical_form is its adapter for polynomial generators.  Ideals of
 Z_{p^k}[x]/(x^n+1) are combined from CRT component ideals through embedding
 rows: crt_split stores, per component, the ambient rows of e_i*x^j, and
 combine_components maps each component Howell row through them and takes one
-Howell form of at most n rows.
+Howell form of at most n rows.  bounded_combinations walks the choices of one
+component ideal per label and drops a prefix once its sizes pass the bound.
 
 crt_split runs on integer coefficient lists.  For n = p^r*n', the label
 (d, l) owns the block base_factor^(p^r) mod p, and one Hensel lift of it
@@ -500,26 +501,27 @@ def combine_components(split: CrtSplit, parts) -> IdealPresentation:
     return pres
 
 
-def bounded_combinations(split: CrtSplit, cases, bound=None):
-    """(tag, ideal) for each distinct tuple of component ideals within the bound.
+def bounded_combinations(options, bound=None):
+    """(tags, component rows, size) for each choice of one option per component.
 
-    cases: iterable of (tag, component ideals), one canonical ideal per label
-    of split, each in its component context.  By CRT, ideals are equal exactly
-    when their component rows are, and the quotient size is the product of
-    the component quotient sizes; so a repeated tuple is skipped (the first
-    tag wins) and only tuples within the bound are combined.
+    options: per CRT label, a list of (tag, ideal) whose ideals are distinct.
+    By CRT, the quotient size of a choice is the product of its component
+    sizes, and distinct choices give distinct ideals.  Choices come in
+    itertools.product order, and only those of size <= bound (None: no
+    bound); every size is at least 1, so a prefix past the bound is dropped
+    with all its extensions.  Combine a choice with _combined.
     """
-    seen = set()
-    for tag, parts in cases:
-        key = tuple(q.rows for q in parts)
-        if key in seen:
-            continue
-        seen.add(key)
-        if bound is not None and math.prod(q.quotient_size() for q in parts) > bound:
-            continue
-        if [q.context_monic for q in parts] != list(split.contexts):
-            raise ValueError("parts must be ideals in the split's component contexts, in order")
-        yield tag, _combined(split.p, split.k, split.n, key)
+    walk = [((), (), 1)]
+    for i, opts in enumerate(options):
+        level = [(tag, q.rows, q.quotient_size()) for tag, q in opts]
+        require(len({rows for _, rows, _ in level}) == len(level), f"component {i} repeats an option")
+        walk = [
+            (tags + (tag,), rows + (r,), size * s)
+            for tags, rows, size in walk
+            for tag, r, s in level
+            if bound is None or size * s <= bound
+        ]
+    return walk
 
 
 @lru_cache(maxsize=COMBINE_CACHE_SIZE)

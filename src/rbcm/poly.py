@@ -170,9 +170,6 @@ class Poly(Frozen):
         self._same(other)
         return Poly(coeffs_mul(self.coeffs, other.coeffs, self.modulus.N), self.modulus)
 
-    def scale(self, c: int) -> "Poly":
-        return Poly([c * a for a in self.coeffs], self.modulus)
-
     def shift(self, j: int) -> "Poly":
         """Multiply by x^j."""
         if self.is_zero():

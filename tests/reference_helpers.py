@@ -28,8 +28,8 @@ from rbcm.ideals import (
     _ext_gcd,
     _leading,
     _normalizing_unit,
-    bounded_combinations,
     canonical_form,
+    combine_components,
     constant_ideal,
     crt_split,
     enumerate_ideals_between,
@@ -121,8 +121,10 @@ def reference_bounded_candidates(p: int, k: int, n: int, order: int) -> list[Ide
     split = crt_split(p, k, n)
     per = [reference_floor_ideals(ctx, order, g) for ctx, g in component_radicals(p, k, n)]
     combos = itertools.product(*per)
-    cases = ((None, c) for c in combos if math.prod(q.quotient_size() for q in c) == order)
-    return sorted((Q for _, Q in bounded_combinations(split, cases)), key=lambda Q: Q.rows)
+    found = (
+        combine_components(split, c) for c in combos if math.prod(q.quotient_size() for q in c) == order
+    )
+    return sorted(found, key=lambda Q: Q.rows)
 
 
 def monic_divisors_exhaustive(f: Poly) -> list[Poly]:
@@ -307,6 +309,18 @@ def reference_admissibility(Q, n, type2=False):
     if any(plus_one_in(m) for m in range(1, n)):
         return False, "ii"
     return True, None
+
+
+def reference_two_group_unfiltered_pairs(k: int, n: int) -> int:
+    """two_group_unfiltered_pairs by walking every (J, K) pair."""
+    r, n_prime = split_p_part(n, 2)
+    labels = lambda_index(2, n_prime)
+    count = 0
+    for J in itertools.product(range(k), repeat=len(labels)):
+        for K in itertools.product(range(2**r + 1), repeat=len(labels)):
+            if any(j == k - 1 and kk != 0 for j, kk in zip(J, K)):
+                count += 1
+    return count
 
 
 def reference_combine(split, generator_lists):

@@ -185,6 +185,28 @@ def test_export_map(tmp_path, capsys):
         assert len(targets.split()) == 4
 
 
+FAMILY_ARGS = {
+    "cyclic": (classify.classify_cyclic, (5, 1, 2), ["--p", "5", "--k", "1", "--n", "2"]),
+    "elementary": (classify.classify_elementary, (3, 2, 4), ["--p", "3", "--m", "2", "--n", "4"]),
+    "twogroup": (classify.classify_2group, (2, 4), ["--k", "2", "--n", "4"]),
+    "coprime": (classify.classify_coprime, (3, 2, 4), ["--p", "3", "--k", "2", "--n", "4"]),
+    "rank2": (classify.classify_rank2, (3, 2, 1, 3), ["--p", "3", "--k", "2", "--k2", "1", "--n", "3"]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_ARGS))
+def test_family_bound_at_or_below_zero_is_empty(family, capsys):
+    """A bound of 0 or below lists nothing; it is not read as "no bound"."""
+    fn, args, argv = FAMILY_ARGS[family]
+    assert fn(*args, max_order=None) and fn(*args)
+    for bound in (0, -1):
+        assert fn(*args, max_order=bound) == []
+        assert run_cli(["classify", family, *argv, "--max-order", str(bound)], capsys) == (0, "[]\n", "")
+        code, out, err = run_cli(["export-map", family, *argv, "--max-order", str(bound)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "usage error: --index out of range (family has 0 maps)\n"
+
+
 @pytest.mark.parametrize("spec, invariant_spec", [("4,2", "2,4"), ("9,3", "3,9")])
 def test_equivalent_group_specs(spec, invariant_spec, capsys):
     for command in ("crosscheck", "oracle"):

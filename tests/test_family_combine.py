@@ -10,7 +10,7 @@ left to _try_build.
 import itertools
 
 import pytest
-from reference_helpers import reference_combine
+from reference_helpers import reference_combine, reference_two_group_unfiltered_pairs
 
 from rbcm.classify import (
     FamilyMap,
@@ -18,6 +18,7 @@ from rbcm.classify import (
     _try_build,
     classify_2group,
     classify_coprime,
+    two_group_unfiltered_pairs,
 )
 from rbcm.factorlift import lift_level0_factor, split_p_part
 from rbcm.ideals import crt_split
@@ -93,3 +94,27 @@ def test_coprime_matches_per_case_combine(p):
                     continue
                 want = _listing(reference_coprime(p, k, n, bound))
                 assert _listing(classify_coprime(p, k, n, max_order=bound)) == want, (k, n, bound)
+
+
+@pytest.mark.parametrize("k,n,bound,count", [(2, 7, 1024, 13), (3, 7, 512, 7), (2, 14, 1024, 14)])
+def test_2group_matches_per_case_combine_on_three_components(k, n, bound, count):
+    """x^7 + 1 has three factors mod 2, so three components interleave."""
+    assert len(crt_split(2, k, n).labels) == 3
+    want = _listing(reference_2group(k, n, bound))
+    assert len(want) == count
+    assert _listing(classify_2group(k, n, max_order=bound)) == want
+
+
+@pytest.mark.parametrize("k,count", [(1, 9), (2, 6)])
+def test_coprime_matches_per_case_combine_on_four_components(k, count):
+    """x^6 + 1 has four factors mod 5."""
+    assert len(crt_split(5, k, 6).labels) == 4
+    want = _listing(reference_coprime(5, k, 6, 625))
+    assert len(want) == count
+    assert _listing(classify_coprime(5, k, 6, max_order=625)) == want
+
+
+def test_two_group_unfiltered_pairs_closed_form():
+    for k in range(1, 6):
+        for n in range(2, 19):
+            assert two_group_unfiltered_pairs(k, n) == reference_two_group_unfiltered_pairs(k, n), (k, n)

@@ -1,4 +1,6 @@
 import inspect
+import itertools
+import math
 import random
 import subprocess
 import sys
@@ -22,6 +24,7 @@ from rbcm.errors import ComponentNotAdmissible, DuplicatePrime, InvariantViolati
 from rbcm.factorlift import factor_xn_plus1
 from rbcm.ideals import (
     ENUM_BUDGET,
+    bounded_combinations,
     bounded_ideals_local_tree,
     canonical_form,
     closed_form_ideals,
@@ -409,6 +412,67 @@ def test_descent_certifies_locality_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False context x^3 + 1 is not a power of x + 2 mod p\n"
+
+
+def _level_options(p, k, n):
+    """Per component of crt_split(p, k, n), (j, (p^j)) for j = 0..k."""
+    return [[(j, constant_ideal(p**j, c)) for j in range(k + 1)] for c in crt_split(p, k, n).contexts]
+
+
+def _product_walk(options, bound):
+    out = []
+    for combo in itertools.product(*options):
+        size = math.prod(q.quotient_size() for _, q in combo)
+        if bound is None or size <= bound:
+            out.append((tuple(t for t, _ in combo), tuple(q.rows for _, q in combo), size))
+    return out
+
+
+@pytest.mark.parametrize("bound", [None, -1, 0, 1, 4, 5, 24, 25, 26, 125, 625, 5**8, 5**12])
+def test_bounded_combinations_is_the_filtered_product(bound):
+    """x^6 + 1 has two linear and two quadratic factors mod 5: four components
+    with level sizes 1, 5, 25 and 1, 25, 625."""
+    options = _level_options(5, 2, 6)
+    assert [len(opts) for opts in options] == [3, 3, 3, 3]
+    walk = bounded_combinations(options, bound)
+    assert walk == _product_walk(options, bound)
+    above_unit = [opts[1:] for opts in options]  # every size is at least 5
+    assert bounded_combinations(above_unit, bound) == _product_walk(above_unit, bound)
+    with_empty = options[:2] + [[]] + options[2:]
+    assert bounded_combinations(with_empty, bound) == _product_walk(with_empty, bound) == []
+
+
+def test_bounded_combinations_bound_below_every_size():
+    options = [opts[1:] for opts in _level_options(3, 2, 4)]
+    assert bounded_combinations(options, 2) == []
+    assert len(bounded_combinations(options, None)) == 2 ** len(options)
+
+
+def test_bounded_combinations_refuses_a_repeated_option():
+    options = _level_options(5, 1, 6)
+    options[2].append((2, options[2][0][1]))
+    with pytest.raises(InvariantViolation) as exc:
+        bounded_combinations(options, 625)
+    assert str(exc.value) == "component 2 repeats an option"
+
+
+def test_bounded_combinations_refuses_a_repeated_option_under_optimize():
+    """The distinctness certificate is a require, so python -O keeps it."""
+    child = (
+        "from rbcm.errors import InvariantViolation\n"
+        "from rbcm.ideals import bounded_combinations, constant_ideal, crt_split\n"
+        "ctx = crt_split(5, 1, 6).contexts[0]\n"
+        "try:\n"
+        "    bounded_combinations([[(0, constant_ideal(5, ctx)), (1, constant_ideal(5, ctx))]])\n"
+        "except InvariantViolation as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(ideals.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False component 0 repeats an option\n"
 
 
 def test_enumerate_too_large():
