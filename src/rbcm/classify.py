@@ -33,12 +33,13 @@ from .factorlift import base_factor, lambda_index, lift_level0_factor, split_p_p
 from .ideals import (
     IdealPresentation,
     _combined,
+    box_ideal,
     bounded_combinations,
     canonical_form,
     constant_ideal,
     crt_split,
 )
-from .poly import Poly, poly_mod
+from .poly import Poly, coeffs_mul, poly_mod
 from .structure import AbelianGroupTable, QuotientRing
 from .zring import Frozen, Modulus, divisors, is_prime
 
@@ -183,18 +184,18 @@ def classify_elementary(p: int, m: int, n: int, map_type: str = "I", max_order=N
         raise ValueError("need n >= 1 and m >= 1")
     r, n_prime = split_p_part(n, p)
     labels = lambda_index(p, n_prime)
-    mod = Modulus(p)
-    context = Poly.x_pow_plus_const(n, 1, mod)
+    context = Poly.x_pow_plus_const(n, 1, Modulus(p))
 
     def cases():
         for exps in itertools.product(range(p**r + 1), repeat=len(labels)):
             if sum(e * lab.degree for e, lab in zip(exps, labels)) != m:
                 continue
-            f = Poly.one(mod)
+            f = [1]
             for e, lab in zip(exps, labels):
-                f = f * base_factor(p, lab.d, lab.l) ** e
+                for _ in range(e):
+                    f = coeffs_mul(f, base_factor(p, lab.d, lab.l).coeffs, p)
             K = tuple(((lab.d, lab.l), e) for lab, e in zip(labels, exps))
-            yield _params("elementary" + map_type, K=K), canonical_form([f], context)
+            yield _params("elementary" + map_type, K=K), box_ideal(context, f, 0)
 
     return _family_maps(cases(), n, map_type, max_order)
 
@@ -224,19 +225,22 @@ def _two_group_components(k: int, n: int) -> tuple[tuple, ...]:
     """Per CRT label, ((j, kk), ideal) for each distinct component ideal
     (2^j tilde^kk, 2^(j+1)), under the least (j, kk) that gives it.
 
-    They depend on (k, n) only, so every bound shares them.
+    Only tilde mod 2, the base factor g, matters, so each is the box ideal
+    of g^kk at level j.  They depend on (k, n) only, so every bound shares
+    them.
     """
     r, _ = split_p_part(n, 2)
     split = crt_split(2, k, n)
-    mod = Modulus(2, k)
     comps = []
     for (d, ell), ctx in zip(split.labels, split.contexts):
-        tilde = lift_level0_factor(d, ell, 2, k).poly
+        g = base_factor(2, d, ell).coeffs
+        powers = [[1]]
+        for _ in range(2**r):
+            powers.append(coeffs_mul(powers[-1], g, 2))
         first = {}
         for j in range(k):
-            for kk in range(2**r + 1):
-                gens = [Poly.constant(2**j, mod) * tilde**kk, Poly.constant(2 ** (j + 1), mod)]
-                Q = canonical_form(gens, ctx)
+            for kk, h in enumerate(powers):
+                Q = box_ideal(ctx, h, j)
                 first.setdefault(Q.rows, ((j, kk), Q))
         comps.append(tuple(first.values()))
     return tuple(comps)

@@ -136,7 +136,9 @@ def cmd_factor(args) -> None:
 def _lifted_factor(args):
     """The labeled factor named by --p --k --d --l --level."""
     _check(is_prime(args.p), "--p must be prime")
-    _check(args.k >= 1 and args.d >= 1 and args.l >= 1, "bad label")
+    _check(args.k >= 1, "--k must be >= 1")
+    _check(args.d >= 1, "--d must be >= 1")
+    _check(args.l >= 1, "--l must be >= 1")
     if args.level == 0:
         return lift_level0_factor(args.d, args.l, args.p, args.k)
     return lift_radical_factor(args.d, args.l, args.level, args.p, args.k)

@@ -11,7 +11,13 @@ Equal ideals have identical rows, so uniqueness questions reduce to tuple
 comparison.
 
 The hot loops stay on integer rows.  ideal_of_rows closes generator rows
-under x; canonical_form is its adapter for polynomial generators.  Ideals of
+under x; canonical_form is its adapter for polynomial generators.  Two
+families of ideals need neither: constant_ideal reads (d) off as d times the
+identity, and box_ideal reads (p^j h, p^(j+1)), for a monic h dividing the
+context mod p, off h's remainders mod p.  The 2-group and elementary
+families and closed_form_ideals take their ideals from box_ideal, whose rows
+are certified under -O to be shift-closed, to hold both generators and to
+have index p^(j*D + deg h).  Ideals of
 Z_{p^k}[x]/(x^n+1) are combined from CRT component ideals through embedding
 rows: crt_split stores, per component, the ambient rows of e_i*x^j, and
 combine_components maps each component Howell row through them and takes one
@@ -57,7 +63,6 @@ from .factorlift import (
     base_factor,
     frobenius_power,
     lambda_index,
-    lift_level0_factor,
     split_p_part,
 )
 from .poly import Poly, coeffs_add, coeffs_divmod, coeffs_mul, poly_mod
@@ -313,6 +318,67 @@ def constant_ideal(d: int, context_monic: Poly) -> IdealPresentation:
     D = context_monic.degree
     rows = tuple(tuple(d if c == r else 0 for c in range(D)) for r in range(D)) if d < N else ()
     return IdealPresentation(context_monic, rows)
+
+
+def _box_rows(context_monic: Poly, h, j: int) -> tuple[tuple[int, ...], ...]:
+    """Howell rows of p^j times the preimage of (h mod p), read off in closed form.
+
+    Over F_p, (h) has the basis x^m + ((-x^m) mod h) for deg h <= m < D, each
+    remainder a vector of the columns below deg h; the preimage adds p*e_c
+    for those columns.  Times p^j, the leads are divisors of N, the entries
+    above the p^(j+1) pivots are below them, and every annihilator multiple
+    is zero, so these rows are already the Howell form.
+    """
+    mod = context_monic.modulus
+    p, N, D = mod.p, mod.N, context_monic.degree
+    s = len(h) - 1
+    scale = p**j
+    low = [c % p for c in h[:-1]]
+    neg = low  # -x^m mod h, from m = s: -x^s = h's lower terms
+    rows = []
+    for m in range(s, D):
+        row = [0] * D
+        row[D - 1 - m] = scale
+        row[D - s :] = [scale * v for v in reversed(neg)]
+        rows.append(tuple(row))
+        top = neg[-1] if neg else 0
+        neg = [(a - top * b) % p for a, b in zip([0] + neg[:-1], low)]
+    rows.reverse()
+    if scale * p < N:
+        rows += [tuple(scale * p if i == D - 1 - c else 0 for i in range(D)) for c in reversed(range(s))]
+    return tuple(rows)
+
+
+def box_ideal(context_monic: Poly, h, j: int) -> IdealPresentation:
+    """The ideal (p^j h, p^(j+1)) of Z_{p^k}[x]/(context), without a Howell reduction.
+
+    h: the ascending integer coefficients of a monic polynomial whose
+    reduction mod p divides the context mod p; 0 <= j < k, with p and k read
+    from the context.  As a set the ideal is p^j times the preimage of
+    (h mod p), so its rows come in closed form (_box_rows).  Certified under
+    -O: the rows are shift-closed, they hold p^j*h mod the context and
+    p^(j+1), the index is p^(j*D + deg h), and every non-unit pivot row's
+    annihilator multiple reduces to zero.
+    """
+    mod = context_monic.modulus
+    p, k, N, D = mod.p, mod.k, mod.N, context_monic.degree
+    if not 0 <= j < k:
+        raise ValueError(f"j = {j} is not in 0..{k - 1}")
+    if not h or h[-1] != 1:
+        raise ValueError(f"h = {list(h)} is not monic")
+    if coeffs_divmod(context_monic.coeffs, h, p)[1]:
+        raise ValueError(f"h = {list(h)} does not divide the context {context_monic} mod {p}")
+    pres = IdealPresentation(context_monic, _box_rows(context_monic, h, j))
+    _assert_shift_closed(pres)
+    gen = coeffs_divmod([p**j * c for c in h], context_monic.coeffs, N)[1]
+    gen_row = (0,) * (D - len(gen)) + tuple(reversed(gen))
+    top = (0,) * (D - 1) + (p ** (j + 1) % N,)
+    require(pres.contains_row(gen_row) and pres.contains_row(top), "box rows miss a generator")
+    require(pres.quotient_size() == p ** (j * D + len(h) - 1), "box ideal has the wrong index")
+    for c, (d, tail) in pres.pivots().items():
+        multiple = [0] * c + [(N // d) * v % N for v in tail]
+        require(not any(multiple) or pres.contains_row(multiple), "box rows miss an annihilator multiple")
+    return pres
 
 
 class Admissibility(Frozen):
@@ -757,24 +823,20 @@ def closed_form_ideals(factor_poly: Poly, label: FactorLabel) -> list[IdealPrese
     level 0, k >= 2: an unramified chain ring; ideals are (f, p^u).
     p = 2, level >= 1, k >= 2: ideals (f, 2^u * lift^v, 2^(u+1)) after
     deduplication.  Odd p at level >= 1 with k >= 2 has no closed form.
+    Only lift mod 2, the base factor q, matters, so the first and last
+    forms are the box ideals (p^u q^v, p^(u+1)) for u < k and q^v dividing
+    f mod p.
     """
-    mod = factor_poly.modulus
-    p, k = mod.p, mod.k
+    p, k = factor_poly.modulus.p, factor_poly.modulus.k
     ctx = factor_poly
-    if k == 1:
-        q = base_factor(p, label.d, label.l)
-        e = factor_poly.degree // q.degree
-        out = [canonical_form([q**a], ctx) for a in range(e + 1)]
-    elif label.level == 0:
+    if label.level == 0 and k > 1:
         out = [constant_ideal(p**u, ctx) for u in range(k + 1)]
-    elif p == 2:
-        e = 2 ** (label.level - 1)
-        tilde = lift_level0_factor(label.d, label.l, p, k).poly
-        out = []
-        for u in range(k):
-            for v in range(e + 1):
-                gens = [Poly.constant(2**u, mod) * tilde**v, Poly.constant(2 ** (u + 1), mod)]
-                out.append(canonical_form(gens, ctx))
+    elif k == 1 or p == 2:
+        q = base_factor(p, label.d, label.l).coeffs
+        powers = [[1]]
+        for _ in range(factor_poly.degree // (len(q) - 1)):
+            powers.append(coeffs_mul(powers[-1], q, p))
+        out = [box_ideal(ctx, h, u) for u in range(k) for h in powers]
     else:
         return None
     dedup = {}

@@ -18,6 +18,7 @@ from rbcm.factorlift import (
     base_factor,
     bezout_certificate,
     lambda_index,
+    lift_level0_factor,
     radical_sum,
     split_p_part,
 )
@@ -321,6 +322,53 @@ def reference_two_group_unfiltered_pairs(k: int, n: int) -> int:
             if any(j == k - 1 and kk != 0 for j, kk in zip(J, K)):
                 count += 1
     return count
+
+
+def reference_two_group_components(k: int, n: int) -> tuple[tuple, ...]:
+    """classify._two_group_components from Poly generators: per label, one
+    canonical form of (2^j tilde^kk, 2^(j+1)) per (j, kk), j-major, each
+    distinct ideal under its first (j, kk)."""
+    r, _ = split_p_part(n, 2)
+    split = crt_split(2, k, n)
+    mod = Modulus(2, k)
+    comps = []
+    for (d, ell), ctx in zip(split.labels, split.contexts):
+        tilde = lift_level0_factor(d, ell, 2, k).poly
+        first = {}
+        for j in range(k):
+            for kk in range(2**r + 1):
+                gens = [Poly.constant(2**j, mod) * tilde**kk, Poly.constant(2 ** (j + 1), mod)]
+                Q = canonical_form(gens, ctx)
+                first.setdefault(Q.rows, ((j, kk), Q))
+        comps.append(tuple(first.values()))
+    return tuple(comps)
+
+
+def reference_closed_form_ideals(factor_poly: Poly, label: FactorLabel):
+    """ideals.closed_form_ideals from Poly generators, each ideal by canonical_form."""
+    mod = factor_poly.modulus
+    p, k = mod.p, mod.k
+    ctx = factor_poly
+    if k == 1:
+        q = base_factor(p, label.d, label.l)
+        e = factor_poly.degree // q.degree
+        out = [canonical_form([q**a], ctx) for a in range(e + 1)]
+    elif label.level == 0:
+        out = [constant_ideal(p**u, ctx) for u in range(k + 1)]
+    elif p == 2:
+        e = 2 ** (label.level - 1)
+        tilde = lift_level0_factor(label.d, label.l, p, k).poly
+        out = []
+        for u in range(k):
+            for v in range(e + 1):
+                gens = [Poly.constant(2**u, mod) * tilde**v, Poly.constant(2 ** (u + 1), mod)]
+                out.append(canonical_form(gens, ctx))
+    else:
+        return None
+    dedup = {}
+    for pres in out:
+        dedup.setdefault(pres.rows, pres)
+    return sorted(dedup.values(), key=lambda q: q.rows)
 
 
 def reference_combine(split, generator_lists):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import math
 import subprocess
@@ -10,8 +11,10 @@ import pytest
 from reference_helpers import reference_quadratic_divisors
 
 import rbcm
+from rbcm import classify
 from rbcm.cayley import map_stats, maps_isomorphic
 from rbcm.classify import (
+    _params,
     abelian_p_groups,
     classify_2group,
     classify_coprime,
@@ -26,7 +29,11 @@ from rbcm.classify import (
     standard_form_maps,
     theta_set,
 )
+from rbcm.factorlift import base_factor, lambda_index, split_p_part
+from rbcm.ideals import canonical_form
+from rbcm.poly import Poly
 from rbcm.structure import AbelianGroupTable
+from rbcm.zring import Modulus
 
 
 def test_solve_unit_roots_examples():
@@ -62,6 +69,39 @@ def test_classify_elementary_examples():
     assert K == {(4, 1): 1, (4, 3): 1}
     ms = classify_elementary(2, 2, 2, "II")
     assert len(ms) == 1 and ms[0].record.map_type == "II"
+
+
+def _reference_elementary_cases(p, m, n, map_type):
+    """classify_elementary's (params, ideal rows) from Poly generators, each by canonical_form."""
+    r, n_prime = split_p_part(n, p)
+    labels = lambda_index(p, n_prime)
+    mod = Modulus(p)
+    context = Poly.x_pow_plus_const(n, 1, mod)
+    out = []
+    for exps in itertools.product(range(p**r + 1), repeat=len(labels)):
+        if sum(e * lab.degree for e, lab in zip(exps, labels)) != m:
+            continue
+        f = Poly.one(mod)
+        for e, lab in zip(exps, labels):
+            f = f * base_factor(p, lab.d, lab.l) ** e
+        K = tuple(((lab.d, lab.l), e) for lab, e in zip(labels, exps))
+        out.append((_params("elementary" + map_type, K=K), canonical_form([f], context).rows))
+    return out
+
+
+def test_elementary_box_ideals_match_canonical_form(monkeypatch):
+    """Every case the elementary family hands to its map builder, p <= 7,
+    m <= 4 and n <= 12, has the params and rows canonical_form gives."""
+    monkeypatch.setattr(classify, "_family_maps", lambda cases, *rest: [(c, Q.rows) for c, Q in cases])
+    compared = 0
+    for p in (2, 3, 5, 7):
+        for m in range(1, 5):
+            for n in range(1, 13):
+                for map_type in ("I", "II") if p == 2 else ("I",):
+                    got = classify_elementary(p, m, n, map_type)
+                    assert got == _reference_elementary_cases(p, m, n, map_type), (p, m, n, map_type)
+                    compared += len(got)
+    assert compared == 254
 
 
 def test_elementary_narrow_reading_diverges():
@@ -259,8 +299,6 @@ def test_only_structure_reads_the_p_type_off_the_exponent():
 
 
 def test_cross_check_rejects_a_non_p_group_before_the_oracle(monkeypatch):
-    from rbcm import classify
-
     calls = []
     monkeypatch.setattr(classify, "brute_force_rbcms", lambda *a: calls.append(a) or [])
     with pytest.raises(ValueError, match="not a p-group"):

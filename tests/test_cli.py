@@ -9,8 +9,10 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_helpers import reference_closed_form_ideals
+
 import rbcm
-from rbcm import classify, cli
+from rbcm import classify, cli, ideals
 from rbcm.classify import InstanceReport, cross_check
 
 
@@ -78,6 +80,37 @@ def test_factor_label_must_be_a_label(argv, capsys):
     assert code == 2, err
     assert out == ""
     assert err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("command", ["lift", "ideals"])
+@pytest.mark.parametrize("flag", ["--k", "--d", "--l"])
+def test_label_flags_name_themselves(command, flag, capsys):
+    """--k, --d or --l at 0 is a usage error that names that flag."""
+    argv = {"--p": "2", "--k": "2", "--d": "1", "--l": "1"} | {flag: "0"}
+    code, out, err = run_cli([command, *(t for kv in argv.items() for t in kv)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: {flag} must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*("--p", "2", "--k", "3", "--d", "1", "--l", "1", "--level"), str(level)] for level in range(1, 7)]
+    + [
+        ["--p", "2", "--k", "2", "--d", "3", "--l", "1", "--level", "2"],
+        ["--p", "5", "--k", "1", "--d", "4", "--l", "1", "--level", "1"],
+    ],
+)
+def test_ideals_output_matches_reference_path(argv, capsys, monkeypatch):
+    """rbcm ideals prints, byte for byte, what the Poly-generator closed forms
+    print, in JSON and as a table."""
+    for fmt in ("json", "table"):
+        code, got, _ = run_cli(["--format", fmt, "ideals", *argv], capsys)
+        with monkeypatch.context() as m:
+            m.setattr(ideals, "closed_form_ideals", reference_closed_form_ideals)
+            ref_code, want, _ = run_cli(["--format", fmt, "ideals", *argv], capsys)
+        assert code == ref_code == 0
+        assert got == want
 
 
 def test_ideals_json_valid(capsys):

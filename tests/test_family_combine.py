@@ -10,18 +10,24 @@ left to _try_build.
 import itertools
 
 import pytest
-from reference_helpers import reference_combine, reference_two_group_unfiltered_pairs
+from reference_helpers import (
+    component_radicals,
+    reference_combine,
+    reference_two_group_components,
+    reference_two_group_unfiltered_pairs,
+)
 
 from rbcm.classify import (
     FamilyMap,
     _params,
     _try_build,
+    _two_group_components,
     classify_2group,
     classify_coprime,
     two_group_unfiltered_pairs,
 )
 from rbcm.factorlift import lift_level0_factor, split_p_part
-from rbcm.ideals import crt_split
+from rbcm.ideals import crt_split, descent_level
 from rbcm.poly import Poly
 from rbcm.zring import Modulus
 
@@ -118,3 +124,32 @@ def test_two_group_unfiltered_pairs_closed_form():
     for k in range(1, 6):
         for n in range(2, 19):
             assert two_group_unfiltered_pairs(k, n) == reference_two_group_unfiltered_pairs(k, n), (k, n)
+
+
+def _component_listing(components):
+    return [[(tag, q.rows) for tag, q in comp] for comp in components]
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_two_group_components_match_reference(k):
+    """The box ideals give the Poly-generator canonical forms: the same tags,
+    in the same order, with the same rows, for every 2 <= n <= 18."""
+    for n in range(2, 19):
+        want = _component_listing(reference_two_group_components(k, n))
+        assert _component_listing(_two_group_components(k, n)) == want, (k, n)
+
+
+def test_two_group_components_are_descent_ideals():
+    """Every component ideal is one of the exhaustive descent's ideals at the
+    level its index names: index q^level for q = 2^deg g, level = j*2^r + kk."""
+    checked = 0
+    for k in range(1, 6):
+        for n in range(2, 13):
+            r, _ = split_p_part(n, 2)
+            for (ctx, g), comp in zip(component_radicals(2, k, n), _two_group_components(k, n)):
+                for (j, kk), Q in comp:
+                    level = j * 2**r + kk
+                    assert Q.quotient_size() == (2**g.degree) ** level, (k, n, j, kk)
+                    assert Q.rows in {I.rows for I in descent_level(ctx, g, level)}, (k, n, j, kk)
+                    checked += 1
+    assert checked == 735

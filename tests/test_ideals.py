@@ -14,6 +14,7 @@ from reference_helpers import (
     crt_forward,
     reference_admissibility,
     reference_bounded_candidates,
+    reference_closed_form_ideals,
     reference_crt_split,
     reference_floor_ideals,
 )
@@ -21,10 +22,11 @@ from reference_helpers import (
 from rbcm import factorlift, ideals
 from rbcm.cayley import bounded_admissible_candidates
 from rbcm.errors import ComponentNotAdmissible, DuplicatePrime, InvariantViolation, TooLarge
-from rbcm.factorlift import factor_xn_plus1
+from rbcm.factorlift import base_factor, factor_xn_plus1
 from rbcm.ideals import (
     ENUM_BUDGET,
     bounded_combinations,
+    box_ideal,
     bounded_ideals_local_tree,
     canonical_form,
     closed_form_ideals,
@@ -278,21 +280,26 @@ def test_enumerate_ideals_gaussian_case():
     assert sorted(q.quotient_size() for q in out) == [1, 2, 4, 8, 16]
 
 
+def _distinct_factors(p, ks, ns):
+    """Each distinct lifted factor of x^n + 1 over Z_{p^k}, k in ks and n in ns."""
+    seen = set()
+    for k in ks:
+        for n in ns:
+            for lf in factor_xn_plus1(p, k, n):
+                if (k, lf.label, lf.poly.coeffs) not in seen:
+                    seen.add((k, lf.label, lf.poly.coeffs))
+                    yield lf
+
+
 def _closed_form_factors():
     """Each distinct lifted factor of x^n + 1 (p in {2, 3, 5, 7}, k <= 3,
     2 <= n <= 12) that has a closed-form lattice and fits the enumeration budget."""
-    seen = set()
     for p in (2, 3, 5, 7):
-        for k in (1, 2, 3):
-            for n in range(2, 13):
-                for lf in factor_xn_plus1(p, k, n):
-                    key = (p, k, lf.label, lf.poly.coeffs)
-                    if key in seen or (p**k) ** lf.poly.degree > ENUM_BUDGET:
-                        continue
-                    seen.add(key)
-                    closed = closed_form_ideals(lf.poly, lf.label)
-                    if closed is not None:
-                        yield lf, closed
+        for lf in _distinct_factors(p, (1, 2, 3), range(2, 13)):
+            if lf.poly.modulus.N ** lf.poly.degree <= ENUM_BUDGET:
+                closed = closed_form_ideals(lf.poly, lf.label)
+                if closed is not None:
+                    yield lf, closed
 
 
 def test_closed_form_matches_exhaustive_sweep():
@@ -306,6 +313,37 @@ def test_closed_form_matches_exhaustive_sweep():
             assert q.contains(lf.poly)
         compared += 1
     assert compared == 150
+
+
+@pytest.mark.parametrize("p,closed", [(2, 52), (3, 53), (5, 75), (7, 89)])
+def test_closed_form_ideals_match_reference(p, closed):
+    """The box ideals give the Poly-generator canonical forms on every
+    distinct lifted factor of x^n + 1, k <= 4 and n <= 12, and no closed
+    form exactly where the reference has none."""
+    compared = 0
+    for lf in _distinct_factors(p, range(1, 5), range(1, 13)):
+        got = closed_form_ideals(lf.poly, lf.label)
+        want = reference_closed_form_ideals(lf.poly, lf.label)
+        assert (got is None) == (want is None), lf
+        if got is not None:
+            assert [q.rows for q in got] == [q.rows for q in want], lf
+            compared += 1
+    assert compared == closed
+
+
+def test_closed_form_box_ideals_are_descent_ideals():
+    """Over Z_{2^k}, every closed-form ideal is one of the exhaustive
+    descent's ideals at the level its index names (k <= 5, n <= 12)."""
+    checked = 0
+    for lf in _distinct_factors(2, range(1, 6), range(1, 13)):
+        g = base_factor(2, lf.label.d, lf.label.l).reduce_mod(lf.poly.modulus)
+        q = 2**g.degree
+        for Q in closed_form_ideals(lf.poly, lf.label):
+            level = round(math.log(Q.quotient_size(), q))
+            assert Q.quotient_size() == q**level, lf
+            assert Q.rows in {I.rows for I in descent_level(lf.poly, g, level)}, lf
+            checked += 1
+    assert checked == 500
 
 
 @pytest.mark.parametrize("p,k,n,bound", [(2, 1, 8, 16), (2, 2, 4, 16), (3, 2, 3, 81)])
@@ -603,3 +641,56 @@ def test_enumerate_ideals_non_invertible_x():
     els = list(itertools.product(range(4), repeat=2))
     naive = {closure([g1, g2]) for g1 in els for g2 in els}
     assert len(out) == len(naive) == 7
+
+
+@pytest.mark.parametrize(
+    "h,j,message",
+    [
+        # x^2 + x + 1 does not divide x^4 + 1 = (x + 1)^4 mod 2
+        ([1, 1, 1], 0, "h = [1, 1, 1] does not divide the context x^4 + 1 mod 2"),
+        ([1, 3], 0, "h = [1, 3] is not monic"),
+        ([1, 1], 3, "j = 3 is not in 0..2"),
+        ([1, 1], -1, "j = -1 is not in 0..2"),
+    ],
+)
+def test_box_ideal_refuses_bad_arguments(h, j, message):
+    context = crt_split(2, 3, 4).contexts[0]
+    with pytest.raises(ValueError) as exc:
+        box_ideal(context, h, j)
+    assert str(exc.value) == message
+
+
+_BOX_CHILD = (
+    "from rbcm import ideals\n"
+    "from rbcm.errors import InvariantViolation\n"
+    "context = ideals.crt_split(2, 3, 4).contexts[0]\n"
+    "try:\n"
+    "    ideals.box_ideal(context, [1, 1, 1], 0)\n"
+    "except ValueError as exc:\n"
+    "    print(__debug__, exc)\n"
+    "rows = ideals._box_rows\n"
+    "def flipped(*args):\n"
+    "    out = [list(r) for r in rows(*args)]\n"
+    "    out[0][-1] ^= 2  # a remainder bit of the degree-3 row, at 2^j = 2\n"
+    "    return tuple(map(tuple, out))\n"
+    "ideals._box_rows = flipped\n"
+    "try:\n"
+    "    ideals.box_ideal(context, [1, 1], 1)\n"
+    "except InvariantViolation as exc:\n"
+    "    print(__debug__, exc)\n"
+)
+
+
+def test_box_ideal_refusals_under_optimize():
+    """The precondition is a ValueError and the certificates are requires, so
+    python -O keeps both: a non-divisor h is refused with its message, and a
+    row set with one remainder bit flipped ends in InvariantViolation."""
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(ideals.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BOX_CHILD], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "False h = [1, 1, 1] does not divide the context x^4 + 1 mod 2\n"
+        "False presentation not closed under x\n"
+    )
