@@ -15,6 +15,19 @@ enumeration (realized and validated definitionally, deduplicated by explicit
 isomorphism search).  Sigma mode already yields one record per class, so only
 lattice-mode output is deduplicated.
 
+Every record's one certificate is its rotation walk (is_rbcm): the rotation
+c_i -> c_(i+1) extended from 0 along the cycle's translations.  A total,
+bijective table proves both that the cycle generates G and that the rotation
+extends to an automorphism rho, so the map is regular and balanced
+(Skoviera & Siran, "Regular maps from Cayley graphs, part 1: balanced Cayley
+maps", Discrete Math. 109 (1992); Jajcay & Siran, "Skew-morphisms of regular
+Cayley maps", Discrete Math. 244 (2002)).  The record keeps that verdict, not
+the table, and three walks over G lean on it: validate needs no separate
+generation walk; an isomorphism to a regular map may be composed with a power
+of rho, so maps_isomorphic tries one alignment, not L; and translations with
+rho act transitively on darts, so trace_faces traces one face, not all.
+Records whose regularity is unknown or false keep the full loops.
+
 A standard map depends only on its ideal, n and map type, so build_map
 realizes each (Q, n, map_type) once per process through a bounded cache, and
 validates and certifies each record once.  The lattice-mode oracle realizes
@@ -86,6 +99,7 @@ class CayleyMapRecord:
         self.map_type = map_type
         self.valence = len(self.cycle)
         self._stats = None
+        self._regular = None  # is_rbcm's verdict once its rotation walk has run
         self.certified = False  # set by build_map once validate and is_rbcm pass
 
     @property
@@ -118,7 +132,8 @@ class CayleyMapRecord:
             require(self.map_type == "II", f"unknown map type {self.map_type!r}")
             for w in self.cycle:
                 require(g.element_order(w) == 2, "type II generator of order != 2")
-        require(g.generates(self.cycle), "generators do not span the group")
+        if not self._regular:  # a total rotation walk has already reached every element
+            require(g.generates(self.cycle), "generators do not span the group")
 
     def __repr__(self):
         return f"<{self.map_type} map on {self.group}, valence {self.valence}>"
@@ -171,35 +186,46 @@ def _hom_extend_idx(order: int, pairs):
 
 
 def _is_total_bijection(table, order: int) -> bool:
-    if any(v < 0 for v in table):
-        return False
-    return len(set(table)) == order
+    return -1 not in table and len(set(table)) == order
 
 
 def _rotation_table(record: CayleyMapRecord):
-    """Index table of the automorphism extending the rotation, or None."""
+    """The rotation c_i -> c_(i+1), extended from 0 along the cycle's
+    translations, as an index table; None on a conflict, where no
+    homomorphism extends it.  An entry is -1 where the walk did not reach, so
+    the table is total exactly when the cycle generates G."""
     g = record.group
     L = record.valence
     steps = [g.translation(w) for w in record.cycle]
-    table = _hom_extend_idx(g.order, [(steps[i], steps[(i + 1) % L]) for i in range(L)])
-    if table is None or not _is_total_bijection(table, g.order):
-        return None
-    return table
+    return _hom_extend_idx(g.order, [(steps[i], steps[(i + 1) % L]) for i in range(L)])
 
 
 def is_rbcm(record: CayleyMapRecord):
-    """(flag, witness): does the rotation extend to a group automorphism?
+    """(flag, witness): does the cycle generate G, and does its rotation
+    extend to an automorphism of G?
 
-    The witness maps each cycle element to its image."""
+    One rotation walk decides both: a total, bijective table reached every
+    element, so the cycle generates G, and it is the automorphism.  The
+    verdict is kept on the record (only the flag, not the table); validate
+    then skips its own generation walk, and maps_isomorphic and trace_faces
+    use the regularity it certifies.  The witness maps each cycle element to
+    its image, the next one."""
     table = _rotation_table(record)
-    if table is None:
+    record._regular = table is not None and _is_total_bijection(table, record.group.order)
+    if not record._regular:
         return False, None
-    els, idx = record.group.tables()
-    return True, {w: els[table[idx[w]]] for w in record.cycle}
+    return True, dict(zip(record.cycle, record.cycle[1:] + record.cycle[:1]))
 
 
 def maps_isomorphic(m1: CayleyMapRecord, m2: CayleyMapRecord) -> bool:
-    """Group isomorphism carrying one rotation cycle onto the other."""
+    """Group isomorphism carrying one rotation cycle onto the other.
+
+    An isomorphism phi may send c1[i] to c2[i + s] for any alignment s.  If
+    the rotation rho2 of m2 is an automorphism, rho2^-s o phi sends c1[i] to
+    c2[i], so alignment 0 decides (and likewise phi o rho1^-s for m1).  So a
+    pair with a certified regular record tries one alignment, and every other
+    pair tries all L.
+    """
     if m1.map_type != m2.map_type:
         raise TypeMismatch(f"{m1.map_type} vs {m2.map_type}")
     if m1.group != m2.group or m1.valence != m2.valence:
@@ -208,7 +234,7 @@ def maps_isomorphic(m1: CayleyMapRecord, m2: CayleyMapRecord) -> bool:
     s1 = [m1.group.translation(w) for w in m1.cycle]
     s2 = [m2.group.translation(w) for w in m2.cycle]
     order = m1.group.order
-    for shift in range(L):
+    for shift in range(1) if m1._regular or m2._regular else range(L):
         table = _hom_extend_idx(order, [(s1[i], s2[(i + shift) % L]) for i in range(L)])
         if table is not None and _is_total_bijection(table, order):
             return True
@@ -216,7 +242,13 @@ def maps_isomorphic(m1: CayleyMapRecord, m2: CayleyMapRecord) -> bool:
 
 
 def trace_faces(record: CayleyMapRecord) -> MapStats:
-    """Face census from the next-arc rule (v, w) -> (v + w, rho(-w))."""
+    """Face census from the next-arc rule (v, w) -> (v + w, rho(-w)).
+
+    Translations and the rotation automorphism of a certified regular record
+    act transitively on darts and commute with the rule, so every face has
+    the length l of the face through dart 0, and F = V*L / l.  Other records
+    trace every dart.
+    """
     g = record.group
     L = record.valence
     n = L // 2 if record.map_type == "I" else L
@@ -226,7 +258,7 @@ def trace_faces(record: CayleyMapRecord) -> MapStats:
     E = V * L // 2
     seen = bytearray(V * L)
     lengths = []
-    for start in range(V * L):
+    for start in range(1) if record._regular else range(V * L):
         if seen[start]:
             continue
         length = 0
@@ -238,6 +270,9 @@ def trace_faces(record: CayleyMapRecord) -> MapStats:
             cur = steps[i][v] * L + nxt_pos[i]
         require(cur == start, "face trace failed to close")
         lengths.append(length)
+    if record._regular:
+        require(V * L % lengths[0] == 0, "face length does not divide the dart count")
+        lengths *= V * L // lengths[0]
     F = len(lengths)
     euler = V - E + F
     require(euler % 2 == 0, "odd Euler characteristic")
@@ -255,7 +290,7 @@ def map_stats(record: CayleyMapRecord) -> MapStats:
 def arc_transitive(record: CayleyMapRecord) -> bool:
     """Explicit orbit computation: translations + the rotation automorphism."""
     sigma = _rotation_table(record)
-    if sigma is None:
+    if sigma is None or not _is_total_bijection(sigma, record.group.order):
         return False
     g = record.group
     L = record.valence
@@ -324,8 +359,8 @@ def build_map(
     if group is not None and record.group != group:
         raise TypeMismatch(f"quotient is {record.group}, not {group}")
     if not record.certified:
+        ok, _ = is_rbcm(record)  # first: its rotation walk spares validate a generation walk
         record.validate()
-        ok, _ = is_rbcm(record)
         require(ok, "constructed map is not balanced-regular")
         record.certified = True
     return record
@@ -700,9 +735,12 @@ def _sigma_mode(group: AbelianGroupTable, n: int, map_type: str):
     out = []
     for leaf in sorted(leaves):
         cycle = leaf + tuple(neg[c] for c in leaf) if signed else leaf
-        gens = [els[i] for i in cycle]
-        if group.generates(gens):
-            out.append(CayleyMapRecord(group, gens, map_type))
+        rec = CayleyMapRecord(group, [els[i] for i in cycle], map_type)
+        table = _rotation_table(rec)  # some sigma extends the rotation, so no conflict
+        require(table is not None, "sigma-mode rotation extends to no homomorphism")
+        if _is_total_bijection(table, group.order):  # else the cycle does not generate G
+            rec._regular = True
+            out.append(rec)
     return out
 
 
@@ -746,12 +784,12 @@ def _lattice_mode(group: AbelianGroupTable, n: int, map_type: str):
             continue
         if rec.group != group:
             continue
+        ok, _ = is_rbcm(rec)
+        if not ok:
+            continue
         try:
             rec.validate()
         except InvariantViolation:
-            continue
-        ok, _ = is_rbcm(rec)
-        if not ok:
             continue
         records.setdefault(rec.canonical_key(), rec)
     return list(records.values())

@@ -226,7 +226,10 @@ def _two_group_components(k: int, n: int) -> tuple[tuple, ...]:
     (2^j tilde^kk, 2^(j+1)), under the least (j, kk) that gives it.
 
     Only tilde mod 2, the base factor g, matters, so each is the box ideal
-    of g^kk at level j.  They depend on (k, n) only, so every bound shares
+    of g^kk at level j.  g^(2^r) is the context mod 2, so (j, 2^r) is the
+    ideal (2^(j+1)) of (j + 1, 0), and levels j >= 1 start at kk = 1; the
+    index 2^(deg g * (j * 2^r + kk)), which box_ideal certifies, tells every
+    other pair apart.  They depend on (k, n) only, so every bound shares
     them.
     """
     r, _ = split_p_part(n, 2)
@@ -237,12 +240,13 @@ def _two_group_components(k: int, n: int) -> tuple[tuple, ...]:
         powers = [[1]]
         for _ in range(2**r):
             powers.append(coeffs_mul(powers[-1], g, 2))
-        first = {}
-        for j in range(k):
-            for kk, h in enumerate(powers):
-                Q = box_ideal(ctx, h, j)
-                first.setdefault(Q.rows, ((j, kk), Q))
-        comps.append(tuple(first.values()))
+        comps.append(
+            tuple(
+                ((j, kk), box_ideal(ctx, powers[kk], j))
+                for j in range(k)
+                for kk in range(min(j, 1), 2**r + 1)
+            )
+        )
     return tuple(comps)
 
 

@@ -74,12 +74,17 @@ def rotation_system(record) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, payload, table_rows=None, table_header=None):
+def _emit(args, payload, table_rows=(), table_header=()):
+    """Print the payload as JSON, or the table rows under their header.
+
+    table_rows is any iterable, read only for --format table, so a command
+    may pass a generator and build no rows for JSON output.
+    """
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        rows = table_rows or []
-        header = table_header or []
+        rows = list(table_rows)
+        header = table_header
         widths = [
             max(len(str(r[i])) for r in [header] + rows) if rows or header else 0
             for i in range(len(header))
@@ -158,10 +163,10 @@ def cmd_ideals(args) -> None:
     lf = _lifted_factor(args)
     ideals = enumerate_ideals_containing(lf.poly, label=lf.label)
     payload = [ideal_to_json(q) for q in ideals]
-    rows = [
+    rows = (
         (i, q.quotient_size(), "; ".join(str(f) for f in q.row_polys()) or "0")
         for i, q in enumerate(ideals)
-    ]
+    )
     _emit(args, payload, rows, ("idx", "quotient", "rows"))
 
 
@@ -188,7 +193,7 @@ def cmd_classify(args) -> None:
         | {"ideal": ideal_to_json(m.ideal), "map": map_to_json(m.record)}
         for m in maps
     ]
-    rows = [
+    rows = (
         (
             i,
             repr(m.params),
@@ -196,7 +201,7 @@ def cmd_classify(args) -> None:
             map_stats(m.record).genus,
         )
         for i, m in enumerate(maps)
-    ]
+    )
     _emit(args, payload, rows, ("idx", "params", "group", "genus"))
 
 

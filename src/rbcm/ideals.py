@@ -821,11 +821,13 @@ def closed_form_ideals(factor_poly: Poly, label: FactorLabel) -> list[IdealPrese
 
     k = 1: the quotient is a principal chain (powers of the base factor).
     level 0, k >= 2: an unramified chain ring; ideals are (f, p^u).
-    p = 2, level >= 1, k >= 2: ideals (f, 2^u * lift^v, 2^(u+1)) after
-    deduplication.  Odd p at level >= 1 with k >= 2 has no closed form.
-    Only lift mod 2, the base factor q, matters, so the first and last
-    forms are the box ideals (p^u q^v, p^(u+1)) for u < k and q^v dividing
-    f mod p.
+    p = 2, level >= 1, k >= 2: ideals (f, 2^u * lift^v, 2^(u+1)).  Odd p
+    at level >= 1 with k >= 2 has no closed form.  Only lift mod 2, the base
+    factor q, matters, so the first and last forms are the box ideals
+    (p^u q^v, p^(u+1)) for u < k and q^v dividing f mod p.  The top power
+    q^e is f mod p, so (u, e) is (p^(u+1)), the ideal of (u + 1, 0): levels
+    u >= 1 start at v = 1.  box_ideal certifies each index p^(deg q (u e +
+    v)), and those differ, so each ideal is built once.
     """
     p, k = factor_poly.modulus.p, factor_poly.modulus.k
     ctx = factor_poly
@@ -836,13 +838,10 @@ def closed_form_ideals(factor_poly: Poly, label: FactorLabel) -> list[IdealPrese
         powers = [[1]]
         for _ in range(factor_poly.degree // (len(q) - 1)):
             powers.append(coeffs_mul(powers[-1], q, p))
-        out = [box_ideal(ctx, h, u) for u in range(k) for h in powers]
+        out = [box_ideal(ctx, h, u) for u in range(k) for h in powers[min(u, 1):]]
     else:
         return None
-    dedup = {}
-    for pres in out:
-        dedup.setdefault(pres.rows, pres)
-    return sorted(dedup.values(), key=lambda q: q.rows)
+    return sorted(out, key=lambda q: q.rows)
 
 
 def enumerate_ideals_containing(f: Poly, label: FactorLabel | None = None) -> list[IdealPresentation]:

@@ -6,12 +6,13 @@ from functools import lru_cache, reduce
 
 from rbcm.cayley import (
     CayleyMapRecord,
+    MapStats,
     _rank_mod_p,
     automorphism_permutations,
     bounded_admissible_candidates,
 )
 from rbcm.classify import _try_build, solve_unit_roots
-from rbcm.errors import InvariantViolation, NotSimpleFactor, TooLarge, require
+from rbcm.errors import InvariantViolation, NotSimpleFactor, TooLarge, TypeMismatch, require
 from rbcm.factorlift import (
     FactorLabel,
     LabeledFactor,
@@ -785,3 +786,67 @@ def reference_base_factor(p: int, d: int, ell: int) -> Poly:
     require(conj == root, "Frobenius conjugates did not close up")
     require(all(c.rep.degree <= 0 for c in coeffs), "minimal polynomial outside Z_p")
     return Poly([c.rep[0] for c in coeffs], mod)
+
+
+# ---------------------------------------------------------------------------
+# map isomorphism and face census over every alignment and every dart
+
+
+def _extends_to_automorphism(group: AbelianGroupTable, sources, images) -> bool:
+    """Does sources[i] -> images[i] extend to a bijective homomorphism of the
+    group?  Breadth first from the zero on element tuples, every edge checked."""
+    zero = group.zero()
+    image = {zero: zero}
+    frontier = [zero]
+    while frontier:
+        a = frontier.pop()
+        for s, t in zip(sources, images):
+            b, fb = group.add(a, s), group.add(image[a], t)
+            if b not in image:
+                image[b] = fb
+                frontier.append(b)
+            elif image[b] != fb:
+                return False
+    return len(image) == group.order and len(set(image.values())) == group.order
+
+
+def reference_alignments(m1: CayleyMapRecord, m2: CayleyMapRecord):
+    """Yield each alignment s for which c1[i] -> c2[i + s] extends to an automorphism."""
+    if m1.map_type != m2.map_type:
+        raise TypeMismatch(f"{m1.map_type} vs {m2.map_type}")
+    if m1.group != m2.group or m1.valence != m2.valence:
+        return
+    c2 = m2.cycle
+    for s in range(m1.valence):
+        if _extends_to_automorphism(m1.group, m1.cycle, c2[s:] + c2[:s]):
+            yield s
+
+
+def reference_maps_isomorphic(m1: CayleyMapRecord, m2: CayleyMapRecord) -> bool:
+    """maps_isomorphic over every alignment, whatever either record's regularity."""
+    return next(reference_alignments(m1, m2), None) is not None
+
+
+def reference_trace_faces(record: CayleyMapRecord) -> MapStats:
+    """trace_faces over every dart, on element tuples, whatever the record's
+    regularity: the dart (v, w) is followed by (v + w, rho(-w)), where rho
+    steps one place along the cycle."""
+    g = record.group
+    cycle = record.cycle
+    L = record.valence
+    position = {w: i for i, w in enumerate(cycle)}
+    seen = set()
+    lengths = []
+    for start in itertools.product(g.elements(), range(L)):
+        if start in seen:
+            continue
+        length, cur = 0, start
+        while cur not in seen:
+            seen.add(cur)
+            length += 1
+            v, i = cur
+            cur = (g.add(v, cycle[i]), (position[g.neg(cycle[i])] + 1) % L)
+        require(cur == start, "face trace failed to close")
+        lengths.append(length)
+    V, E, F = g.order, g.order * L // 2, len(lengths)
+    return MapStats(V, E, F, (2 - (V - E + F)) // 2, tuple(sorted(lengths)))

@@ -336,6 +336,30 @@ def test_standard_list_certifies_only_maps_on_its_group(monkeypatch):
     assert all(rec.group == group for rec in certified)
 
 
+def test_crosscheck_9x9_walks_once_per_pair_and_record(monkeypatch):
+    """cross_check((9, 9), 12) walks G at most once per compared pair plus
+    once per record, and no record whose rotation walk succeeded gets a
+    separate generation walk; every alignment of every pair took 832 walks.
+
+    Counted from empty caches, by spies on the walks, not by a clock.
+    """
+    from rbcm import cayley, structure
+
+    _clear_rbcm_caches()
+    walks, pairs, rotated, reached = [], [], [], []
+    extend, isomorphic = cayley._hom_extend_idx, classify.maps_isomorphic
+    rotation_table, reachable = cayley._rotation_table, structure.reachable
+    monkeypatch.setattr(cayley, "_hom_extend_idx", lambda *a: walks.append(a[0]) or extend(*a))
+    monkeypatch.setattr(classify, "maps_isomorphic", lambda a, b: pairs.append(1) or isomorphic(a, b))
+    monkeypatch.setattr(cayley, "_rotation_table", lambda rec: rotated.append(rec) or rotation_table(rec))
+    monkeypatch.setattr(structure, "reachable", lambda *a: reached.append(a) or reachable(*a))
+    assert cross_check((9, 9), 12).ok
+    assert len({id(rec) for rec in rotated}) == len(rotated)  # one rotation walk per record
+    assert all(rec._regular for rec in rotated if rec.certified)
+    assert reached == []
+    assert pairs and len(walks) <= len(pairs) + len(rotated)
+
+
 def _report_bytes(report) -> str:
     return json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
 

@@ -113,6 +113,24 @@ def test_ideals_output_matches_reference_path(argv, capsys, monkeypatch):
         assert got == want
 
 
+def test_ideals_json_builds_no_table_rows(capsys, monkeypatch):
+    """Under --format json, the default, no table row is formed: no Poly is
+    printed to a string.  The table prints every ideal's row polynomials."""
+    from rbcm.poly import Poly
+
+    printed = []
+    to_str = Poly.__str__
+    monkeypatch.setattr(Poly, "__str__", lambda f: printed.append(1) or to_str(f))
+    argv = ["ideals", "--p", "2", "--k", "3", "--d", "1", "--l", "1", "--level", "2"]
+    counts = {}
+    for fmt in ("json", "table"):
+        printed.clear()
+        code, out, _ = run_cli(["--format", fmt, *argv], capsys)
+        assert code == 0 and out
+        counts[fmt] = len(printed)
+    assert counts["json"] == 0 < counts["table"]
+
+
 def test_ideals_json_valid(capsys):
     code, out, _ = run_cli(["ideals", "--p", "3", "--k", "2", "--d", "4", "--l", "1"], capsys)
     assert code == 0

@@ -139,6 +139,22 @@ def test_two_group_components_match_reference(k):
         assert _component_listing(_two_group_components(k, n)) == want, (k, n)
 
 
+def test_two_group_components_build_each_ideal_once(monkeypatch):
+    """Over k <= 5, 2 <= n <= 12, box_ideal runs once per distinct component
+    ideal: (j, 2^r) is (j + 1, 0), so levels j >= 1 skip kk = 0."""
+    from rbcm import classify
+
+    built = []
+    box_ideal = classify.box_ideal
+    monkeypatch.setattr(classify, "box_ideal", lambda *a: built.append(box_ideal(*a)) or built[-1])
+    distinct = 0
+    for k in range(1, 6):
+        for n in range(2, 13):
+            for comp in _two_group_components.__wrapped__(k, n):
+                distinct += len({Q.rows for _, Q in comp})
+    assert len(built) == distinct == 735
+
+
 def test_two_group_components_are_descent_ideals():
     """Every component ideal is one of the exhaustive descent's ideals at the
     level its index names: index q^level for q = 2^deg g, level = j*2^r + kk."""

@@ -331,6 +331,18 @@ def test_closed_form_ideals_match_reference(p, closed):
     assert compared == closed
 
 
+def test_closed_form_builds_each_box_ideal_once(monkeypatch):
+    """Over Z_{2^k}, k <= 5, n <= 12, box_ideal runs once per distinct
+    closed-form ideal: (u, e) for the top power e is (u + 1, 0)."""
+    built = []
+    box_ideal = ideals.box_ideal
+    monkeypatch.setattr(ideals, "box_ideal", lambda *a: built.append(box_ideal(*a)) or built[-1])
+    distinct = 0
+    for lf in _distinct_factors(2, range(1, 6), range(1, 13)):
+        distinct += len({Q.rows for Q in closed_form_ideals(lf.poly, lf.label)})
+    assert len(built) == distinct == 500
+
+
 def test_closed_form_box_ideals_are_descent_ideals():
     """Over Z_{2^k}, every closed-form ideal is one of the exhaustive
     descent's ideals at the level its index names (k <= 5, n <= 12)."""
