@@ -28,10 +28,12 @@ of rho, so maps_isomorphic tries one alignment, not L; and translations with
 rho act transitively on darts, so trace_faces traces one face, not all.
 Records whose regularity is unknown or false keep the full loops.
 
-A standard map depends only on its ideal, n and map type, so build_map
-realizes each (Q, n, map_type) once per process through a bounded cache, and
-validates and certifies each record once.  The lattice-mode oracle realizes
-its candidates itself and does not share that cache.
+A standard map depends only on its ideal, n and map type, so a bounded cache
+keeps one entry per (Q, n, map_type): its admissibility verdict and its
+realized record, each computed on first demand.  build_map reads both; the
+lattice-mode oracle reads only the record, so its checks stay definitional.
+Both paths share each record and certify it (rotation walk, then validate)
+once.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .errors import (
 )
 from .factorlift import base_factor
 from .ideals import (
+    Admissibility,
     IdealPresentation,
     _combined,
     bounded_combinations,
@@ -100,7 +103,7 @@ class CayleyMapRecord:
         self.valence = len(self.cycle)
         self._stats = None
         self._regular = None  # is_rbcm's verdict once its rotation walk has run
-        self.certified = False  # set by build_map once validate and is_rbcm pass
+        self.certified = False  # set by _certify once is_rbcm and validate pass
 
     @property
     def omega(self) -> tuple[tuple[int, ...], ...]:
@@ -321,22 +324,63 @@ def realize_record(Q: IdealPresentation, n: int, map_type: str) -> CayleyMapReco
     return CayleyMapRecord(group, cycle, map_type)
 
 
-@lru_cache(maxsize=BUILD_CACHE_SIZE)
-def _realized(Q: IdealPresentation, n: int, map_type: str) -> CayleyMapRecord | DomainError:
-    """The ideal's realized record, or the exception that stops it.
+class _Realization:
+    """What one (Q, n, map_type) gives: its admissibility verdict and its
+    realized record, or the DegenerateOmega or TooLarge that stops it.  Each
+    is computed on first demand; any other exception propagates and is not
+    kept."""
 
-    The standard map depends on (Q, n, map_type) only, so a sweep builds
-    each one once.  The outcome is NotAdmissible (with the first failing
-    clause), DegenerateOmega or TooLarge; any other exception propagates
-    and is not kept.
+    __slots__ = ("inputs", "_admissibility", "_record")
+
+    def __init__(self, Q: IdealPresentation, n: int, map_type: str):
+        self.inputs = (Q, n, map_type)
+        self._admissibility = None
+        self._record = None
+
+    def admissibility(self) -> Admissibility:
+        if self._admissibility is None:
+            self._admissibility = is_admissible(*self.inputs)
+        return self._admissibility
+
+    def record(self) -> CayleyMapRecord | DegenerateOmega | TooLarge:
+        if self._record is None:
+            try:
+                self._record = realize_record(*self.inputs)
+            except (DegenerateOmega, TooLarge) as exc:
+                self._record = exc.with_traceback(None)  # a kept traceback would keep its frames
+        return self._record
+
+
+@lru_cache(maxsize=BUILD_CACHE_SIZE)
+def _realized(Q: IdealPresentation, n: int, map_type: str) -> _Realization:
+    """The one kept realization of (Q, n, map_type), shared by build_map and
+    the lattice-mode oracle: a sweep asks for each one once."""
+    return _Realization(Q, n, map_type)
+
+
+def _fresh(exc: DomainError) -> DomainError:
+    """A new exception with the class, args and attributes of a kept one."""
+    copy = type(exc)(*exc.args)
+    copy.__dict__.update(vars(exc))
+    return copy
+
+
+def _certify(record: CayleyMapRecord) -> None:
+    """Raise InvariantViolation unless the record is a balanced regular map.
+
+    The rotation walk runs first, unless an earlier is_rbcm left its
+    verdict, and spares validate a generation walk.  A record that passes
+    is flagged certified and never walked or validated again, whichever
+    path (build_map or the lattice-mode oracle) asks next.
     """
-    adm = is_admissible(Q, n, map_type)
-    if not adm:
-        return NotAdmissible(adm.clause or "?", adm.detail or "")
-    try:
-        return realize_record(Q, n, map_type)
-    except (DegenerateOmega, TooLarge) as exc:
-        return exc.with_traceback(None)  # a kept traceback would keep its frames
+    if record.certified:
+        return
+    ok = record._regular
+    if ok is None:
+        ok, _ = is_rbcm(record)
+    record.validate()
+    require(ok, "constructed map is not balanced-regular")
+    record.certified = True
 
 
 def build_map(
@@ -345,24 +389,22 @@ def build_map(
     """Standard map of an admissible ideal (admissibility checked first).
 
     Given a group, a map realized on another group raises TypeMismatch
-    before it is validated and certified.  Equal inputs share one record,
-    validated and certified once; a kept failure is raised again as a fresh
-    copy, with the class and attributes of the first.
+    before it is certified.  Equal inputs share one record, certified once;
+    a kept failure is raised again as a fresh copy, with the class and
+    attributes of the first.
     """
     if map_type == "I" and n < 2:
         raise ValueError("type I maps need n >= 2")
-    record = _realized(Q, n, map_type)
+    entry = _realized(Q, n, map_type)
+    adm = entry.admissibility()
+    if not adm:
+        raise NotAdmissible(adm.clause or "?", adm.detail or "")
+    record = entry.record()
     if isinstance(record, DomainError):
-        fresh = type(record)(*record.args)
-        fresh.__dict__.update(vars(record))
-        raise fresh
+        raise _fresh(record)
     if group is not None and record.group != group:
         raise TypeMismatch(f"quotient is {record.group}, not {group}")
-    if not record.certified:
-        ok, _ = is_rbcm(record)  # first: its rotation walk spares validate a generation walk
-        record.validate()
-        require(ok, "constructed map is not balanced-regular")
-        record.certified = True
+    _certify(record)
     return record
 
 
@@ -774,21 +816,24 @@ def bounded_admissible_candidates(
 
 
 def _lattice_mode(group: AbelianGroupTable, n: int, map_type: str):
-    """Oracle via exhaustive relation-lattice enumeration and definitional checks."""
+    """Oracle via exhaustive relation-lattice enumeration and definitional checks.
+
+    Each candidate's realization comes from the cache build_map reads, but
+    never its admissibility verdict: a record counts once its rotation walk
+    and validate pass, and it is on this group.
+    """
     p, exponents = group.p_type()
     records = {}
     for Q in bounded_admissible_candidates(p, exponents[-1], n, group.order):
-        try:
-            rec = realize_record(Q, n, map_type)
-        except DegenerateOmega:
+        rec = _realized(Q, n, map_type).record()
+        if isinstance(rec, DegenerateOmega):
             continue
+        if isinstance(rec, DomainError):
+            raise _fresh(rec)
         if rec.group != group:
             continue
-        ok, _ = is_rbcm(rec)
-        if not ok:
-            continue
         try:
-            rec.validate()
+            _certify(rec)
         except InvariantViolation:
             continue
         records.setdefault(rec.canonical_key(), rec)

@@ -277,15 +277,25 @@ def two_group_unfiltered_pairs(k: int, n: int) -> int:
     return (k * (2**r + 1)) ** L - (k * (2**r + 1) - 2**r) ** L
 
 
-def classify_coprime(p: int, k: int, n: int, max_order=None) -> list[FamilyMap]:
-    """Odd p coprime to the valence: level functions on the label components."""
+def classify_coprime(p: int, k: int, n: int, max_order=None, *, order=None) -> list[FamilyMap]:
+    """Odd p coprime to the valence: level functions on the label components.
+
+    max_order keeps the maps on groups of order <= max_order.  order keeps
+    only the level functions whose component sizes multiply to exactly
+    order (by CRT, the quotient size), as bounded_admissible_candidates
+    does, so no ideal of another size is combined or built; the listing is
+    the max_order one filtered to that size.  Give at most one of them.
+    """
     if p == 2 or math.gcd(n, p) != 1 or n < 2:
         raise ValueError("requires odd p coprime to n, n > 1")
+    if max_order is not None and order is not None:
+        raise ValueError("give max_order or order, not both")
     split = crt_split(p, k, n)
     levels = [[(j, constant_ideal(p**j, ctx)) for j in range(k + 1)] for ctx in split.contexts]
     cases = (
         (_params("coprime", J=tuple(zip(split.labels, J))), _combined(p, k, n, rows))
-        for J, rows, _ in bounded_combinations(levels, max_order)
+        for J, rows, size in bounded_combinations(levels, max_order if order is None else order)
+        if order is None or size == order
     )
     return _family_maps(cases, n, "I", None)
 
@@ -560,7 +570,13 @@ class InstanceReport:
 def _applicable_families(group: AbelianGroupTable, valence: int) -> tuple[dict, list | None]:
     """Family name -> map list restricted to this group, for every family
     whose hypotheses cover the instance; and the 2-group family's maps on
-    every group of order <= |group| (None when that family does not apply)."""
+    every group of order <= |group| (None when that family does not apply).
+
+    Each family is asked only for its maps of order |group|, so no map on a
+    group of another order is combined, admitted or built.  The exception is
+    the 2-group family: its admissible_count_bounded diagnostic counts its
+    whole list of order <= |group|.
+    """
     p, exponents = group.p_type()
     k = exponents[-1]
     cap = group.order
@@ -582,7 +598,7 @@ def _applicable_families(group: AbelianGroupTable, valence: int) -> tuple[dict, 
             fams["two_group"] = [m for m in two_group_all if m.record.group == group]
         if p != 2 and n % p != 0:
             fams["coprime"] = [
-                m for m in classify_coprime(p, k, n, max_order=cap) if m.record.group == group
+                m for m in classify_coprime(p, k, n, order=cap) if m.record.group == group
             ]
         if p != 2 and group.rank == 2:
             fams["rank2"] = [

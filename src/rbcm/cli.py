@@ -171,6 +171,8 @@ def cmd_ideals(args) -> None:
 
 
 def _run_family(args):
+    if args.family in ("cyclic", "twogroup", "coprime"):
+        _check(args.k >= 1, "--k must be >= 1")
     if args.family == "cyclic":
         _check(args.n > 1, "--n must exceed 1")
         return classify_cyclic(args.p, args.k, args.n, max_order=args.max_order)
@@ -218,7 +220,10 @@ def cmd_oracle(args) -> None:
 
 def cmd_crosscheck(args) -> None:
     if args.sweep:
-        primes = tuple(int(t) for t in args.primes.split(","))
+        try:
+            primes = tuple(int(t) for t in args.primes.split(","))
+        except ValueError:
+            raise ValueError(f"--primes {args.primes}: not a comma-separated list of integers") from None
         report = sweep(primes=primes, max_order=args.max_order, max_n=args.max_n)
         payload, instances = report.to_json(), report.instances
     else:

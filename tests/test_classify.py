@@ -360,6 +360,75 @@ def test_crosscheck_9x9_walks_once_per_pair_and_record(monkeypatch):
     assert pairs and len(walks) <= len(pairs) + len(rotated)
 
 
+def _spy(monkeypatch, module, name):
+    """Replace module.name with a wrapper; return the list of its calls'
+    (args, result)."""
+    calls, fn = [], getattr(module, name)
+
+    def spied(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, spied)
+    return calls
+
+
+def test_crosscheck_combines_coprime_ideals_of_the_group_order_only(monkeypatch):
+    """The coprime family is asked for its maps of order |G| only, so no
+    ideal of another index is combined: 3 combinations for (9, 9) at
+    valence 8, where the family's order <= 81 walk made 6."""
+    from rbcm import ideals
+
+    _clear_rbcm_caches()
+    combined = _spy(monkeypatch, ideals, "combine_components")
+    report = cross_check((9, 9), 8)
+    assert report.ok and report.family_counts["coprime"] == report.oracle_count
+    assert [Q.quotient_size() for _, Q in combined] == [81, 81, 81]
+
+
+def test_crosscheck_realizes_each_input_once(monkeypatch):
+    """The lattice-mode oracle and the standard list share one realization
+    per (ideal, n, map type): 3 for (3, 3, 9) at valence 8, where the oracle
+    realizing its candidates itself made 5."""
+    from rbcm import cayley
+
+    _clear_rbcm_caches()
+    realized = _spy(monkeypatch, cayley, "realize_record")
+    assert cross_check((3, 3, 9), 8).ok
+    inputs = [args for args, _ in realized]
+    assert len(inputs) == len(set(inputs)) == 3
+
+
+def test_crosscheck_walks_each_shared_record_once(monkeypatch):
+    """A record the lattice-mode oracle certified is not walked again when
+    the standard list and the elementary family build it: one rotation walk
+    for (3, 3, 3, 3) at valence 10, where a walk per path made 2."""
+    from rbcm import cayley
+
+    _clear_rbcm_caches()
+    walked = _spy(monkeypatch, cayley, "_rotation_table")
+    report = cross_check((3, 3, 3, 3), 10)
+    assert report.ok and report.oracle_count == report.standard_count == 1
+    assert len(walked) == 1
+
+
+def test_lattice_mode_never_asks_for_admissibility(monkeypatch):
+    """The oracle's checks stay definitional: it reads realizations from the
+    shared cache, never the admissibility verdicts kept beside them, even
+    when build_map has already computed them."""
+    from rbcm import cayley
+
+    group = AbelianGroupTable((3, 3, 3, 3))
+    for warm in (False, True):
+        _clear_rbcm_caches()
+        if warm:
+            assert standard_form_maps(group, 10)
+        asked = _spy(monkeypatch, cayley, "is_admissible")
+        assert len(cayley._lattice_mode(group, 5, "I")) == 1
+        assert asked == []
+        monkeypatch.undo()
+
+
 def _report_bytes(report) -> str:
     return json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
 

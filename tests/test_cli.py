@@ -94,6 +94,27 @@ def test_label_flags_name_themselves(command, flag, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        *(
+            ([command, family, "--p", "3", "--k", "0", "--n", "4"], "--k must be >= 1")
+            for command in ("classify", "export-map")
+            for family in ("twogroup", "coprime", "cyclic")
+        ),
+        (["crosscheck", "--sweep", "--primes", "2,,3"], "--primes 2,,3: not a comma-separated list of integers"),
+        (["crosscheck", "--sweep", "--primes", "3,x"], "--primes 3,x: not a comma-separated list of integers"),
+    ],
+)
+def test_family_and_sweep_flags_name_themselves(argv, message, capsys):
+    """A bad --k of the ring families, or a --primes list that is not one of
+    integers, is a usage error that names its flag."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [[*("--p", "2", "--k", "3", "--d", "1", "--l", "1", "--level"), str(level)] for level in range(1, 7)]
     + [

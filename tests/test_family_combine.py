@@ -102,6 +102,31 @@ def test_coprime_matches_per_case_combine(p):
                 assert _listing(classify_coprime(p, k, n, max_order=bound)) == want, (k, n, bound)
 
 
+@pytest.mark.parametrize("p,count", [(3, 9), (5, 56), (7, 62)])
+def test_coprime_exact_order_is_the_bounded_listing_at_that_size(p, count):
+    """classify_coprime(order=s) lists exactly the maps of the max_order
+    listing whose quotient has s elements: the same params, rows and cycles,
+    in the same order, for every power s of p up to p^(2k), which together
+    cover the whole listing."""
+    listed = compared = 0
+    for k in (1, 2, 3):
+        for n in range(2, 13):
+            if n % p == 0:
+                continue
+            full = classify_coprime(p, k, n, max_order=p ** (2 * k))
+            listed += len(full)
+            for e in range(2 * k + 1):
+                want = _listing(m for m in full if m.ideal.quotient_size() == p**e)
+                assert _listing(classify_coprime(p, k, n, order=p**e)) == want, (k, n, e)
+                compared += len(want)
+    assert compared == listed == count
+
+
+def test_coprime_takes_one_bound():
+    with pytest.raises(ValueError, match="not both"):
+        classify_coprime(3, 1, 2, max_order=9, order=9)
+
+
 @pytest.mark.parametrize("k,n,bound,count", [(2, 7, 1024, 13), (3, 7, 512, 7), (2, 14, 1024, 14)])
 def test_2group_matches_per_case_combine_on_three_components(k, n, bound, count):
     """x^7 + 1 has three factors mod 2, so three components interleave."""
