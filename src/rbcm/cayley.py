@@ -11,29 +11,31 @@ the seed's orbit under the elementary automorphisms (unit scalings and
 transvections), the stabilizer is the closure of its Schreier generators,
 and |orbit| * |Stab| = |Aut(G)|, the closed form, certifies both.
 Otherwise the oracle falls back to exhaustive shift-closed relation-lattice
-enumeration (realized and validated definitionally, deduplicated by explicit
-isomorphism search).  Sigma mode already yields one record per class, so only
+enumeration (realized and validated definitionally, deduplicated by the
+relation ideal).  Sigma mode already yields one record per class, so only
 lattice-mode output is deduplicated.
 
-Every record's one certificate is its rotation walk (is_rbcm): the rotation
-c_i -> c_(i+1) extended from 0 along the cycle's translations.  A total,
-bijective table proves both that the cycle generates G and that the rotation
-extends to an automorphism rho, so the map is regular and balanced
-(Skoviera & Siran, "Regular maps from Cayley graphs, part 1: balanced Cayley
-maps", Discrete Math. 109 (1992); Jajcay & Siran, "Skew-morphisms of regular
-Cayley maps", Discrete Math. 244 (2002)).  The record keeps that verdict, not
-the table, and three walks over G lean on it: validate needs no separate
-generation walk; an isomorphism to a regular map may be composed with a power
-of rho, so maps_isomorphic tries one alignment, not L; and translations with
-rho act transitively on darts, so trace_faces traces one face, not all.
-Records whose regularity is unknown or false keep the full loops.
+Every record's one certificate is its relation ideal (relation_ideal): the
+Howell rows of R = {b in Z_N^n : sum b_i omega_i = 0}, N = exp G, read from
+group coordinates and kept on the record.  For a regular type I map R is an
+ideal of Z_N[x]/(x^n + 1): the paper's correspondence, read back from the
+map and not from the ideal layer, so the oracle's checks stay definitional.  Everything reads R, not walks over G:
+omega generates G exactly when N^n / |R| = |G| (validate); the rotation
+extends to an automorphism, so the balanced map is regular (Skoviera &
+Siran, "Regular maps from Cayley graphs, part 1: balanced Cayley maps",
+Discrete Math. 109 (1992)), exactly when R is also closed under x (is_rbcm);
+and two maps on one group are isomorphic exactly when R1 = x^s R2 for some
+s, which is R1 = R2 once either is an ideal (maps_isomorphic), so regular
+maps are deduplicated and matched by dict lookups on the key.  The face
+census needs no key: the next-arc rule moves along the cycle positions
+whatever the vertex, so each position orbit O, with sum S_O, gives
+V / ord(S_O) faces of length |O| * ord(S_O) (trace_faces).
 
 A standard map depends only on its ideal, n and map type, so a bounded cache
 keeps one entry per (Q, n, map_type): its admissibility verdict and its
 realized record, each computed on first demand.  build_map reads both; the
 lattice-mode oracle reads only the record, so its checks stay definitional.
-Both paths share each record and certify it (rotation walk, then validate)
-once.
+Both paths share each record and certify it (is_rbcm, then validate) once.
 """
 
 from __future__ import annotations
@@ -61,14 +63,13 @@ from .ideals import (
     bounded_combinations,
     bounded_ideals_local_tree,
     crt_split,
+    howell_form,
     is_admissible,
+    shift_closed,
+    x_step,
 )
-from .structure import (
-    AbelianGroupTable,
-    QuotientRing,
-    quotient_isomorphism,
-    reachable,
-)
+from .poly import Poly
+from .structure import AbelianGroupTable, QuotientRing, quotient_isomorphism
 from .zring import Frozen, Modulus, factorize
 
 DEFAULT_ORACLE_BUDGET = 128
@@ -102,7 +103,7 @@ class CayleyMapRecord:
         self.map_type = map_type
         self.valence = len(self.cycle)
         self._stats = None
-        self._regular = None  # is_rbcm's verdict once its rotation walk has run
+        self._relations = None  # relation_ideal, computed on first demand
         self.certified = False  # set by _certify once is_rbcm and validate pass
 
     @property
@@ -135,8 +136,7 @@ class CayleyMapRecord:
             require(self.map_type == "II", f"unknown map type {self.map_type!r}")
             for w in self.cycle:
                 require(g.element_order(w) == 2, "type II generator of order != 2")
-        if not self._regular:  # a total rotation walk has already reached every element
-            require(g.generates(self.cycle), "generators do not span the group")
+        require(relation_ideal(self).quotient_size() == g.order, "generators do not span the group")
 
     def __repr__(self):
         return f"<{self.map_type} map on {self.group}, valence {self.valence}>"
@@ -162,120 +162,122 @@ class MapStats(Frozen):
         )
 
 
-def _hom_extend_idx(order: int, pairs):
-    """Index-based homomorphism extension; returns the image table or None.
+def relation_ideal(record: CayleyMapRecord) -> IdealPresentation:
+    """R = {b in Z_N^n : sum b_i omega_i = 0}, with N = exp G and n = |omega|,
+    kept on the record.
 
-    pairs holds (translation by a source, translation by its image) rows.
-    Breadth-first closure from index 0, the zero of both groups; an edge
-    conflict means no homomorphism exists.  Checking every (element, i) edge
-    certifies path-independence, hence additivity.
+    The rows (omega_i scaled by N/d_j | e_(n-1-i)) span the pairs
+    (sum b_i omega_i, b) over Z_N, the tails written highest degree first.
+    By the Howell property, the rows of their Howell form whose first r
+    entries are zero span R, and their tails are R's own Howell rows, so
+    equal relation modules have equal rows.  R sits in Z_N[x]/(x^n + 1) for
+    type I, whose rotation sends omega_(n-1) to -omega_0, and in
+    Z_N[x]/(x^n - 1) for type II.  Its quotient is <omega>, of order
+    N^n / |R|.
     """
-    table = [-1] * order
-    table[0] = 0
-    frontier = [0]
-    while frontier:
-        a = frontier.pop()
-        fa = table[a]
-        for step, image_step in pairs:
-            b = step[a]
-            fb = image_step[fa]
-            got = table[b]
-            if got < 0:
-                table[b] = fb
-                frontier.append(b)
-            elif got != fb:
-                return None
-    return table
+    if record._relations is None:
+        g = record.group
+        N, r, omega = g.exponent, g.rank, record.omega
+        n = len(omega)
+        scale = [N // d for d in g.invariants]
+        rows = []
+        for i, w in enumerate(omega):
+            row = [s * x for s, x in zip(scale, w)] + [0] * n
+            row[r + n - 1 - i] = 1
+            rows.append(row)
+        tails = tuple(row[r:] for row in howell_form(rows, N, r + n) if not any(row[:r]))
+        context = Poly.x_pow_plus_const(n, 1 if record.map_type == "I" else -1, Modulus.composite(N))
+        record._relations = IdealPresentation(context, tails)
+    return record._relations
 
 
-def _is_total_bijection(table, order: int) -> bool:
-    return -1 not in table and len(set(table)) == order
-
-
-def _rotation_table(record: CayleyMapRecord):
-    """The rotation c_i -> c_(i+1), extended from 0 along the cycle's
-    translations, as an index table; None on a conflict, where no
-    homomorphism extends it.  An entry is -1 where the walk did not reach, so
-    the table is total exactly when the cycle generates G."""
-    g = record.group
-    L = record.valence
-    steps = [g.translation(w) for w in record.cycle]
-    return _hom_extend_idx(g.order, [(steps[i], steps[(i + 1) % L]) for i in range(L)])
+def isomorphism_key(record: CayleyMapRecord) -> tuple:
+    """(map type, relation ideal): two regular maps are isomorphic exactly
+    when their keys are equal (see maps_isomorphic)."""
+    return record.map_type, relation_ideal(record)
 
 
 def is_rbcm(record: CayleyMapRecord):
-    """(flag, witness): does the cycle generate G, and does its rotation
-    extend to an automorphism of G?
+    """(flag, witness): is the map balanced and regular?
 
-    One rotation walk decides both: a total, bijective table reached every
-    element, so the cycle generates G, and it is the automorphism.  The
-    verdict is kept on the record (only the flag, not the table); validate
-    then skips its own generation walk, and maps_isomorphic and trace_faces
-    use the regularity it certifies.  The witness maps each cycle element to
-    its image, the next one."""
-    table = _rotation_table(record)
-    record._regular = table is not None and _is_total_bijection(table, record.group.order)
-    if not record._regular:
+    A balanced map is regular exactly when its rotation c_i -> c_(i+1)
+    extends to an automorphism of G (Skoviera & Siran, "Regular maps from
+    Cayley graphs, part 1: balanced Cayley maps", Discrete Math. 109
+    (1992)).  A type I cycle must be (omega, -omega).  Then the rotation
+    extends to a homomorphism on <omega> exactly when the relation ideal R
+    is closed under x, and that homomorphism is an automorphism of G exactly
+    when omega generates G (N^n / |R| = |G|): its image holds every omega_i,
+    so it is onto.  The witness maps each cycle element to its image, the
+    next one.
+    """
+    g = record.group
+    if record.map_type == "I":
+        n = record.valence // 2
+        if record.cycle[n:] != tuple(map(g.neg, record.cycle[:n])):
+            return False, None
+    R = relation_ideal(record)
+    if R.quotient_size() != g.order or not shift_closed(R):
         return False, None
     return True, dict(zip(record.cycle, record.cycle[1:] + record.cycle[:1]))
 
 
 def maps_isomorphic(m1: CayleyMapRecord, m2: CayleyMapRecord) -> bool:
-    """Group isomorphism carrying one rotation cycle onto the other.
+    """Group automorphism carrying one rotation cycle onto the other.
 
-    An isomorphism phi may send c1[i] to c2[i + s] for any alignment s.  If
-    the rotation rho2 of m2 is an automorphism, rho2^-s o phi sends c1[i] to
-    c2[i], so alignment 0 decides (and likewise phi o rho1^-s for m1).  So a
-    pair with a certified regular record tries one alignment, and every other
-    pair tries all L.
+    An automorphism may send c1[i] to c2[i + s] for any alignment s; for
+    balanced maps, s < n suffices, since negation is an automorphism.  The
+    cycle (c2[s], c2[s+1], ...) has the relation module x^-s R2, so the maps
+    are isomorphic exactly when both cycles generate G and R1 = x^s R2 for
+    some s < n.  An ideal is its own x^s R, so once either module is an
+    ideal, that is R1 = R2.
     """
     if m1.map_type != m2.map_type:
         raise TypeMismatch(f"{m1.map_type} vs {m2.map_type}")
     if m1.group != m2.group or m1.valence != m2.valence:
         return False
-    L = m1.valence
-    s1 = [m1.group.translation(w) for w in m1.cycle]
-    s2 = [m2.group.translation(w) for w in m2.cycle]
+    R1, R2 = relation_ideal(m1), relation_ideal(m2)
     order = m1.group.order
-    for shift in range(1) if m1._regular or m2._regular else range(L):
-        table = _hom_extend_idx(order, [(s1[i], s2[(i + shift) % L]) for i in range(L)])
-        if table is not None and _is_total_bijection(table, order):
+    if R1.quotient_size() != order or R2.quotient_size() != order:
+        return False
+    if R1 == R2:
+        return True
+    if shift_closed(R1) or shift_closed(R2):
+        return False
+    rows = R2.rows
+    for _ in range(1, R2.width):  # |x^s R2| = |R1|, so containment is equality
+        rows = [x_step(row, R2.context_monic) for row in rows]
+        if all(R1.contains_row(row) for row in rows):
             return True
     return False
 
 
 def trace_faces(record: CayleyMapRecord) -> MapStats:
-    """Face census from the next-arc rule (v, w) -> (v + w, rho(-w)).
+    """Face census from the next-arc rule (v, i) -> (v + c_i, pi(i)).
 
-    Translations and the rotation automorphism of a certified regular record
-    act transitively on darts and commute with the rule, so every face has
-    the length l of the face through dart 0, and F = V*L / l.  Other records
-    trace every dart.
+    pi(i) = i + n + 1 for type I and i + 1 for type II (mod L), whatever the
+    vertex.  A face through position i of a pi-orbit O comes back to that
+    position after |O| steps, translated by S_O, the sum of c_j over O, so
+    it closes after |O| * ord(S_O) steps, and the V * |O| darts at positions
+    of O make V / ord(S_O) faces of that length.
     """
     g = record.group
     L = record.valence
-    n = L // 2 if record.map_type == "I" else L
     V = g.order
-    steps = [g.translation(w) for w in record.cycle]
-    nxt_pos = [((i + n) % L + 1) % L if record.map_type == "I" else (i + 1) % L for i in range(L)]
-    E = V * L // 2
-    seen = bytearray(V * L)
+    step = L // 2 + 1 if record.map_type == "I" else 1
     lengths = []
-    for start in range(1) if record._regular else range(V * L):
-        if seen[start]:
+    placed = [False] * L
+    for start in range(L):
+        if placed[start]:
             continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = 1
-            length += 1
-            v, i = divmod(cur, L)
-            cur = steps[i][v] * L + nxt_pos[i]
-        require(cur == start, "face trace failed to close")
-        lengths.append(length)
-    if record._regular:
-        require(V * L % lengths[0] == 0, "face length does not divide the dart count")
-        lengths *= V * L // lengths[0]
+        size, total, i = 0, g.zero(), start
+        while not placed[i]:
+            placed[i] = True
+            size += 1
+            total = g.add(total, record.cycle[i])
+            i = (i + step) % L
+        turns = g.element_order(total)
+        lengths += [size * turns] * (V // turns)
+    E = V * L // 2
     F = len(lengths)
     euler = V - E + F
     require(euler % 2 == 0, "odd Euler characteristic")
@@ -288,19 +290,6 @@ def map_stats(record: CayleyMapRecord) -> MapStats:
     if record._stats is None:
         record._stats = trace_faces(record)
     return record._stats
-
-
-def arc_transitive(record: CayleyMapRecord) -> bool:
-    """Explicit orbit computation: translations + the rotation automorphism."""
-    sigma = _rotation_table(record)
-    if sigma is None or not _is_total_bijection(sigma, record.group.order):
-        return False
-    g = record.group
-    L = record.valence
-    arcs = range(g.order * L)  # arc v*L + i leaves vertex v along cycle[i]
-    steps = [[t[a // L] * L + a % L for a in arcs] for t in map(g.translation, record.cycle)]
-    steps.append([sigma[a // L] * L + (a + 1) % L for a in arcs])
-    return reachable(0, steps, len(arcs)) == len(arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +357,13 @@ def _fresh(exc: DomainError) -> DomainError:
 def _certify(record: CayleyMapRecord) -> None:
     """Raise InvariantViolation unless the record is a balanced regular map.
 
-    The rotation walk runs first, unless an earlier is_rbcm left its
-    verdict, and spares validate a generation walk.  A record that passes
-    is flagged certified and never walked or validated again, whichever
-    path (build_map or the lattice-mode oracle) asks next.
+    Both read the relation ideal, computed once per record.  A record that
+    passes is flagged certified and never checked again, whichever path
+    (build_map or the lattice-mode oracle) asks next.
     """
     if record.certified:
         return
-    ok = record._regular
-    if ok is None:
-        ok, _ = is_rbcm(record)
+    ok, _ = is_rbcm(record)
     record.validate()
     require(ok, "constructed map is not balanced-regular")
     record.certified = True
@@ -778,10 +764,10 @@ def _sigma_mode(group: AbelianGroupTable, n: int, map_type: str):
     for leaf in sorted(leaves):
         cycle = leaf + tuple(neg[c] for c in leaf) if signed else leaf
         rec = CayleyMapRecord(group, [els[i] for i in cycle], map_type)
-        table = _rotation_table(rec)  # some sigma extends the rotation, so no conflict
-        require(table is not None, "sigma-mode rotation extends to no homomorphism")
-        if _is_total_bijection(table, group.order):  # else the cycle does not generate G
-            rec._regular = True
+        R = relation_ideal(rec)
+        # some sigma extends the rotation, so R is an ideal
+        require(shift_closed(R), "sigma-mode rotation extends to no homomorphism")
+        if R.quotient_size() == group.order:  # else the cycle does not generate G
             out.append(rec)
     return out
 
@@ -819,8 +805,8 @@ def _lattice_mode(group: AbelianGroupTable, n: int, map_type: str):
     """Oracle via exhaustive relation-lattice enumeration and definitional checks.
 
     Each candidate's realization comes from the cache build_map reads, but
-    never its admissibility verdict: a record counts once its rotation walk
-    and validate pass, and it is on this group.
+    never its admissibility verdict: a record counts once is_rbcm and
+    validate pass, and it is on this group.
     """
     p, exponents = group.p_type()
     records = {}
@@ -841,22 +827,12 @@ def _lattice_mode(group: AbelianGroupTable, n: int, map_type: str):
 
 
 def _dedup_classes(records):
-    """Quotient a record list by map isomorphism, keeping first representatives."""
-    classes = []
-    buckets = {}
+    """Quotient a list of regular maps by isomorphism, keeping the first
+    record of each isomorphism_key in canonical-key order."""
+    classes = {}
     for rec in sorted(records, key=lambda r: r.canonical_key()):
-        orders = tuple(sorted(rec.group.element_order(w) for w in rec.cycle))
-        st = map_stats(rec)
-        key = (rec.map_type, rec.valence, orders, st.genus, st.face_lengths)
-        hit = False
-        for other in buckets.get(key, []):
-            if maps_isomorphic(rec, other):
-                hit = True
-                break
-        if not hit:
-            buckets.setdefault(key, []).append(rec)
-            classes.append(rec)
-    return classes
+        classes.setdefault(isomorphism_key(rec), rec)
+    return list(classes.values())
 
 
 def map_cases(group: AbelianGroupTable, valence: int) -> list[tuple[int, str]]:

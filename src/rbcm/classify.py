@@ -17,9 +17,9 @@ from .cayley import (
     bounded_admissible_candidates,
     brute_force_rbcms,
     build_map,
+    isomorphism_key,
     map_cases,
     map_stats,
-    maps_isomorphic,
 )
 from .errors import (
     DegenerateOmega,
@@ -133,9 +133,13 @@ def _try_build(Q: IdealPresentation, n: int, map_type: str, max_order=None, grou
 
 
 def _assert_pairwise_distinct(maps: list[FamilyMap]) -> None:
-    for a, b in itertools.combinations(maps, 2):
-        if a.record.group == b.record.group and maps_isomorphic(a.record, b.record):
-            raise InvariantViolation(f"family members {a.params} and {b.params} are isomorphic")
+    """Raise InvariantViolation, naming both members, if two maps share an isomorphism_key."""
+    seen = {}
+    for m in maps:
+        key = isomorphism_key(m.record)
+        if key in seen:
+            raise InvariantViolation(f"family members {seen[key].params} and {m.params} are isomorphic")
+        seen[key] = m
 
 
 def _family_maps(cases, n: int, map_type: str, max_order) -> list[FamilyMap]:
@@ -497,34 +501,21 @@ def standard_form_maps(group: AbelianGroupTable, valence: int) -> list[FamilyMap
     return out
 
 
-def _match_classes(family: list[FamilyMap], oracle: list[CayleyMapRecord], verdicts: dict):
+def _match_classes(family: list[FamilyMap], oracle: list[CayleyMapRecord]):
     """Perfect matching between family records and oracle classes, or None.
 
-    verdicts maps (id of a record, oracle index) to maps_isomorphic's answer.
-    build_map hands the standard list and the families one record per
-    ideal, so one dict per cross_check tests each pair once; the lists hold
-    the records, so their ids stay theirs while it runs.
+    Every record here is a certified regular map, so each is isomorphic to
+    the one oracle class with its isomorphism_key, if any.
     """
-
-    def isomorphic(rec, j) -> bool:
-        key = (id(rec), j)
-        if key not in verdicts:
-            verdicts[key] = maps_isomorphic(rec, oracle[j])
-        return verdicts[key]
-
+    classes = {isomorphism_key(rec): j for j, rec in enumerate(oracle)}
     used = set()
     pairs = []
     for i, fm in enumerate(family):
-        rec = fm.record
-        hits = [
-            j
-            for j, orc in enumerate(oracle)
-            if j not in used and rec.map_type == orc.map_type and isomorphic(rec, j)
-        ]
-        if len(hits) != 1:
+        j = classes.get(isomorphism_key(fm.record))
+        if j is None or j in used:
             return None
-        used.add(hits[0])
-        pairs.append((i, hits[0]))
+        used.add(j)
+        pairs.append((i, j))
     if len(used) != len(oracle):
         return None
     return pairs
@@ -616,13 +607,12 @@ def cross_check(group_spec, valence: int) -> InstanceReport:
     oracle = brute_force_rbcms(group, valence)
     standard = standard_form_maps(group, valence)
     fams, two_group_all = _applicable_families(group, valence)
-    verdicts = {}
-    matching = _match_classes(standard, oracle, verdicts)
+    matching = _match_classes(standard, oracle)
     ok = len(standard) == len(oracle) and matching is not None
     family_counts = {}
     for name, maps in fams.items():
         family_counts[name] = len(maps)
-        if len(maps) != len(oracle) or _match_classes(maps, oracle, verdicts) is None:
+        if len(maps) != len(oracle) or _match_classes(maps, oracle) is None:
             ok = False
     diagnostics = _instance_diagnostics(group, valence, fams, oracle, two_group_all)
     summaries = []

@@ -171,21 +171,29 @@ def cmd_ideals(args) -> None:
 
 
 def _run_family(args):
-    if args.family in ("cyclic", "twogroup", "coprime"):
-        _check(args.k >= 1, "--k must be >= 1")
-    if args.family == "cyclic":
-        _check(args.n > 1, "--n must exceed 1")
-        return classify_cyclic(args.p, args.k, args.n, max_order=args.max_order)
-    if args.family == "elementary":
-        return classify_elementary(
-            args.p, args.m, args.n, args.map_type, max_order=args.max_order
-        )
-    if args.family == "twogroup":
-        return classify_2group(args.k, args.n, max_order=args.max_order)
-    if args.family == "coprime":
-        return classify_coprime(args.p, args.k, args.n, max_order=args.max_order)
-    _check(args.family == "rank2", f"unknown family {args.family}")
-    return classify_rank2(args.p, args.k, args.k2, args.n, max_order=args.max_order)
+    """The family's maps; a bad flag is a usage error that names it."""
+    family, p, n = args.family, args.p, args.n
+    if family != "twogroup":  # the 2-group family reads no --p
+        _check(is_prime(p), f"--p {p}: {p} is not prime")
+    if family in ("coprime", "rank2"):
+        _check(p != 2, f"--p 2: {family} needs an odd prime")
+    if family == "elementary":
+        _check(args.m >= 1, "--m must be >= 1")
+        _check(n >= 1, "--n must be >= 1")
+        _check(args.map_type == "I" or p == 2, "--map-type II needs --p 2")
+        return classify_elementary(p, args.m, n, args.map_type, max_order=args.max_order)
+    _check(args.k >= 1, "--k must be >= 1")
+    _check(n > 1, "--n must exceed 1")
+    if family == "cyclic":
+        return classify_cyclic(p, args.k, n, max_order=args.max_order)
+    if family == "twogroup":
+        return classify_2group(args.k, n, max_order=args.max_order)
+    if family == "coprime":
+        _check(n % p != 0, f"--n {n}: coprime needs n coprime to --p {p}")
+        return classify_coprime(p, args.k, n, max_order=args.max_order)
+    _check(family == "rank2", f"unknown family {family}")
+    _check(1 <= args.k2 <= args.k, "--k2 must be between 1 and --k")
+    return classify_rank2(p, args.k, args.k2, n, max_order=args.max_order)
 
 
 def cmd_classify(args) -> None:
@@ -224,6 +232,8 @@ def cmd_crosscheck(args) -> None:
             primes = tuple(int(t) for t in args.primes.split(","))
         except ValueError:
             raise ValueError(f"--primes {args.primes}: not a comma-separated list of integers") from None
+        for q in primes:
+            _check(is_prime(q), f"--primes {args.primes}: {q} is not prime")
         report = sweep(primes=primes, max_order=args.max_order, max_n=args.max_n)
         payload, instances = report.to_json(), report.instances
     else:

@@ -294,11 +294,14 @@ def canonical_form(generators, context_monic: Poly) -> IdealPresentation:
     return ideal_of_rows(gen_rows, context_monic)
 
 
+def shift_closed(pres: IdealPresentation) -> bool:
+    """Is the row space closed under x, so an ideal?"""
+    return all(pres.contains_row(x_step(r, pres.context_monic)) for r in pres.rows)
+
+
 def _assert_shift_closed(pres: IdealPresentation) -> None:
-    for r in pres.rows:
-        shifted = x_step(r, pres.context_monic)
-        if not pres.contains_row(shifted):
-            raise InvariantViolation("presentation not closed under x")
+    if not shift_closed(pres):
+        raise InvariantViolation("presentation not closed under x")
 
 
 def zero_ideal(context_monic: Poly) -> IdealPresentation:

@@ -4,7 +4,7 @@
 
 Runs ``rbcm crosscheck --sweep --primes 2,3,5,7 --max-order 625 --max-n 8``
 with ``RBCM_ORACLE_BUDGET=625`` in a fresh interpreter (894 instances,
-1.2-1.3 s wall on 2 cores, Python 3.11.7) and compares its stdout with
+about 1.1 s wall on 2 cores, Python 3.11.7) and compares its stdout with
 ``tests/goldens/tier2-report.json``.
 It prints the instances that differ from the golden and every instance whose
 ``ok`` reads false; ``crosscheck`` itself exits 1 when any instance is not

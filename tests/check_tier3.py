@@ -10,8 +10,8 @@ interpreter with ``RBCM_ORACLE_BUDGET`` set to its order bound:
 * ``--max-order 243 --max-n 18`` (1,066 instances, 592 of them with n > 8,
   which no other golden reaches), against ``tests/goldens/tier3-n18-report.json``.
 
-Together they take 7-8 s wall (order <= 2401: 3.7-4.0 s; n <= 18:
-2.4-2.9 s; 2 cores, Python 3.11.7).  For each axis it
+Together they take 6-7.5 s wall (order <= 2401: about 3.2 s; n <= 18:
+about 2.5 s; 2 cores, Python 3.11.7).  For each axis it
 prints the instances that differ from the golden and every instance whose
 ``ok`` reads false, as ``check_tier2.py`` does.  Exit status 0 only when
 both reports are identical to their goldens.

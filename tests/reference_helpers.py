@@ -44,7 +44,7 @@ from rbcm.ideals import (
     zero_ideal,
 )
 from rbcm.poly import FieldElement, Poly, divmod_monic, poly_mod, poly_xgcd_field
-from rbcm.structure import AbelianGroupTable, QuotientRing
+from rbcm.structure import AbelianGroupTable, QuotientRing, reachable
 from rbcm.zring import Modulus, divisors, factorize, multiplicative_order
 
 
@@ -789,7 +789,71 @@ def reference_base_factor(p: int, d: int, ell: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# map isomorphism and face census over every alignment and every dart
+# map certificates, isomorphism and face census by walks over every element,
+# alignment and dart
+
+
+def hom_extend_idx(order: int, pairs):
+    """Index-based homomorphism extension; returns the image table or None.
+
+    pairs holds (translation by a source, translation by its image) rows.
+    Breadth-first closure from index 0, the zero of both groups; an edge
+    conflict means no homomorphism exists.  Checking every (element, i) edge
+    certifies path-independence, hence additivity.
+    """
+    table = [-1] * order
+    table[0] = 0
+    frontier = [0]
+    while frontier:
+        a = frontier.pop()
+        fa = table[a]
+        for step, image_step in pairs:
+            b = step[a]
+            fb = image_step[fa]
+            got = table[b]
+            if got < 0:
+                table[b] = fb
+                frontier.append(b)
+            elif got != fb:
+                return None
+    return table
+
+
+def is_total_bijection(table, order: int) -> bool:
+    return -1 not in table and len(set(table)) == order
+
+
+def rotation_table(record: CayleyMapRecord):
+    """The rotation c_i -> c_(i+1), extended from 0 along the cycle's
+    translations, as an index table; None on a conflict, where no
+    homomorphism extends it.  An entry is -1 where the walk did not reach, so
+    the table is total exactly when the cycle generates G."""
+    g = record.group
+    L = record.valence
+    steps = [g.translation(w) for w in record.cycle]
+    return hom_extend_idx(g.order, [(steps[i], steps[(i + 1) % L]) for i in range(L)])
+
+
+def reference_is_rbcm(record: CayleyMapRecord):
+    """is_rbcm by the rotation walk: a total, bijective rotation table shows
+    both that the cycle generates G and that the rotation is an automorphism."""
+    table = rotation_table(record)
+    if table is None or not is_total_bijection(table, record.group.order):
+        return False, None
+    return True, dict(zip(record.cycle, record.cycle[1:] + record.cycle[:1]))
+
+
+def arc_transitive(record: CayleyMapRecord) -> bool:
+    """Explicit orbit computation: translations + the rotation automorphism."""
+    sigma = rotation_table(record)
+    if sigma is None or not is_total_bijection(sigma, record.group.order):
+        return False
+    g = record.group
+    L = record.valence
+    arcs = range(g.order * L)  # arc v*L + i leaves vertex v along cycle[i]
+    steps = [[t[a // L] * L + a % L for a in arcs] for t in map(g.translation, record.cycle)]
+    steps.append([sigma[a // L] * L + (a + 1) % L for a in arcs])
+    return reachable(0, steps, len(arcs)) == len(arcs)
 
 
 def _extends_to_automorphism(group: AbelianGroupTable, sources, images) -> bool:

@@ -10,10 +10,9 @@ import struct
 import time
 
 import pytest
-from reference_helpers import crt_backward, crt_forward
+from reference_helpers import arc_transitive, crt_backward, crt_forward
 
 from rbcm.cayley import (
-    arc_transitive,
     brute_force_rbcms,
     is_rbcm,
     map_stats,

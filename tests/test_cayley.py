@@ -5,12 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from reference_helpers import candidates_up_to, reference_bounded_candidates, reference_combine
+from reference_helpers import arc_transitive, candidates_up_to, reference_bounded_candidates, reference_combine
 
 import rbcm
 from rbcm.cayley import (
     CayleyMapRecord,
-    arc_transitive,
     brute_force_rbcms,
     build_map,
     bounded_admissible_candidates,

@@ -336,28 +336,46 @@ def test_standard_list_certifies_only_maps_on_its_group(monkeypatch):
     assert all(rec.group == group for rec in certified)
 
 
-def test_crosscheck_9x9_walks_once_per_pair_and_record(monkeypatch):
-    """cross_check((9, 9), 12) walks G at most once per compared pair plus
-    once per record, and no record whose rotation walk succeeded gets a
-    separate generation walk; every alignment of every pair took 832 walks.
+def test_crosscheck_9x9_keys_each_record_once(monkeypatch):
+    """cross_check((9, 9), 12) computes one relation ideal per distinct
+    record, every record it matches has one, and nothing walks G: no
+    structure.reachable call (walks over G once took 92 rotation and
+    alignment walks here, and every alignment of every pair 832).
 
-    Counted from empty caches, by spies on the walks, not by a clock.
+    Counted from empty caches, by spies, not by a clock.
     """
     from rbcm import cayley, structure
 
     _clear_rbcm_caches()
-    walks, pairs, rotated, reached = [], [], [], []
-    extend, isomorphic = cayley._hom_extend_idx, classify.maps_isomorphic
-    rotation_table, reachable = cayley._rotation_table, structure.reachable
-    monkeypatch.setattr(cayley, "_hom_extend_idx", lambda *a: walks.append(a[0]) or extend(*a))
-    monkeypatch.setattr(classify, "maps_isomorphic", lambda a, b: pairs.append(1) or isomorphic(a, b))
-    monkeypatch.setattr(cayley, "_rotation_table", lambda rec: rotated.append(rec) or rotation_table(rec))
+    keyed, matched, reached = [], [], []
+    key, match, reachable = cayley.relation_ideal, classify._match_classes, structure.reachable
+
+    def spy_key(rec):
+        if rec._relations is None:
+            keyed.append(rec)
+        return key(rec)
+
+    monkeypatch.setattr(cayley, "relation_ideal", spy_key)
+    monkeypatch.setattr(
+        classify, "_match_classes", lambda f, o: matched.extend([m.record for m in f] + o) or match(f, o)
+    )
     monkeypatch.setattr(structure, "reachable", lambda *a: reached.append(a) or reachable(*a))
     assert cross_check((9, 9), 12).ok
-    assert len({id(rec) for rec in rotated}) == len(rotated)  # one rotation walk per record
-    assert all(rec._regular for rec in rotated if rec.certified)
+    assert len({id(rec) for rec in keyed}) == len(keyed)  # one relation ideal per record
+    assert {id(rec) for rec in matched} <= {id(rec) for rec in keyed}
     assert reached == []
-    assert pairs and len(walks) <= len(pairs) + len(rotated)
+
+
+def test_match_classes_needs_a_perfect_matching():
+    """Each family record takes its own oracle class by isomorphism key: a
+    repeated record, or a class that no record takes, gives None."""
+    oracle = classify.brute_force_rbcms((5,), 4)
+    fam = classify_cyclic(5, 1, 2)
+    pairs = classify._match_classes(fam, oracle)
+    assert sorted(j for _, j in pairs) == [0, 1]
+    assert all(maps_isomorphic(fam[i].record, oracle[j]) for i, j in pairs)
+    assert classify._match_classes([fam[0], fam[0], fam[1]], oracle) is None
+    assert classify._match_classes(fam[:1], oracle) is None
 
 
 def _spy(monkeypatch, module, name):
@@ -399,17 +417,17 @@ def test_crosscheck_realizes_each_input_once(monkeypatch):
     assert len(inputs) == len(set(inputs)) == 3
 
 
-def test_crosscheck_walks_each_shared_record_once(monkeypatch):
-    """A record the lattice-mode oracle certified is not walked again when
-    the standard list and the elementary family build it: one rotation walk
-    for (3, 3, 3, 3) at valence 10, where a walk per path made 2."""
+def test_crosscheck_keys_each_shared_record_once(monkeypatch):
+    """A record the lattice-mode oracle certified is not keyed again when
+    the standard list and the elementary family build it: one relation
+    ideal for (3, 3, 3, 3) at valence 10, where a check per path made 2."""
     from rbcm import cayley
 
     _clear_rbcm_caches()
-    walked = _spy(monkeypatch, cayley, "_rotation_table")
+    keyed = _spy(monkeypatch, cayley, "howell_form")
     report = cross_check((3, 3, 3, 3), 10)
     assert report.ok and report.oracle_count == report.standard_count == 1
-    assert len(walked) == 1
+    assert len(keyed) == 1
 
 
 def test_lattice_mode_never_asks_for_admissibility(monkeypatch):

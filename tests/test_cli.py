@@ -103,11 +103,35 @@ def test_label_flags_name_themselves(command, flag, capsys):
         ),
         (["crosscheck", "--sweep", "--primes", "2,,3"], "--primes 2,,3: not a comma-separated list of integers"),
         (["crosscheck", "--sweep", "--primes", "3,x"], "--primes 3,x: not a comma-separated list of integers"),
+        (["crosscheck", "--sweep", "--primes", "4"], "--primes 4: 4 is not prime"),
+        (["crosscheck", "--sweep", "--primes", "3,9"], "--primes 3,9: 9 is not prime"),
+        *(
+            ([command, "rank2", "--p", "3", *flags, "--n", n], message)
+            for command in ("classify", "export-map")
+            for flags, n, message in (
+                (("--k", "0"), "4", "--k must be >= 1"),
+                (("--k", "1", "--k2", "2"), "4", "--k2 must be between 1 and --k"),
+                (("--k", "2", "--k2", "0"), "4", "--k2 must be between 1 and --k"),
+                ((), "1", "--n must exceed 1"),
+            )
+        ),
+        *(
+            (["classify", family, "--p", "4", "--n", "4"], "--p 4: 4 is not prime")
+            for family in ("cyclic", "elementary", "rank2", "coprime")
+        ),
+        (["classify", "elementary", "--p", "3", "--m", "0", "--n", "4"], "--m must be >= 1"),
+        (["classify", "elementary", "--p", "3", "--n", "0"], "--n must be >= 1"),
+        (["classify", "elementary", "--p", "3", "--n", "2", "--map-type", "II"], "--map-type II needs --p 2"),
+        (["classify", "coprime", "--p", "3", "--n", "3"], "--n 3: coprime needs n coprime to --p 3"),
+        (["classify", "coprime", "--p", "2", "--n", "3"], "--p 2: coprime needs an odd prime"),
+        (["classify", "rank2", "--p", "2", "--n", "4"], "--p 2: rank2 needs an odd prime"),
+        (["classify", "twogroup", "--n", "1"], "--n must exceed 1"),
+        (["export-map", "cyclic", "--p", "5", "--n", "1"], "--n must exceed 1"),
     ],
 )
 def test_family_and_sweep_flags_name_themselves(argv, message, capsys):
-    """A bad --k of the ring families, or a --primes list that is not one of
-    integers, is a usage error that names its flag."""
+    """A bad flag of a family, or a --primes list that is not one of primes,
+    is a usage error that names its flag."""
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
