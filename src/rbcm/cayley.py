@@ -55,14 +55,13 @@ from .errors import (
     TypeMismatch,
     require,
 )
-from .factorlift import base_factor
 from .ideals import (
     Admissibility,
     IdealPresentation,
     _combined,
     bounded_combinations,
     bounded_ideals_local_tree,
-    crt_split,
+    component_radicals,
     howell_form,
     is_admissible,
     shift_closed,
@@ -787,11 +786,8 @@ def bounded_admissible_candidates(
     level once per process.  Only the choices whose quotient sizes multiply
     to order (by CRT, the quotient size) are combined.
     """
-    split = crt_split(p, k, n)
-    mod = Modulus(p, k)
     options = [
-        [(None, q) for q in bounded_ideals_local_tree(ctx, order, base_factor(p, d, ell).reduce_mod(mod))]
-        for (d, ell), ctx in zip(split.labels, split.contexts)
+        [(None, q) for q in bounded_ideals_local_tree(ctx, order, g)] for ctx, g in component_radicals(p, k, n)
     ]
     found = [
         _combined(p, k, n, rows)

@@ -36,7 +36,8 @@ from .ideals import (
     box_ideal,
     bounded_combinations,
     canonical_form,
-    constant_ideal,
+    chain_levels,
+    component_radicals,
     crt_split,
 )
 from .poly import Poly, coeffs_mul, poly_mod
@@ -229,29 +230,15 @@ def _two_group_components(k: int, n: int) -> tuple[tuple, ...]:
     """Per CRT label, ((j, kk), ideal) for each distinct component ideal
     (2^j tilde^kk, 2^(j+1)), under the least (j, kk) that gives it.
 
-    Only tilde mod 2, the base factor g, matters, so each is the box ideal
-    of g^kk at level j.  g^(2^r) is the context mod 2, so (j, 2^r) is the
-    ideal (2^(j+1)) of (j + 1, 0), and levels j >= 1 start at kk = 1; the
-    index 2^(deg g * (j * 2^r + kk)), which box_ideal certifies, tells every
-    other pair apart.  They depend on (k, n) only, so every bound shares
-    them.
+    Only tilde mod 2, the base factor g, matters, and the component is a
+    chain ring with context g^e mod 2, e = 2^r, whose level L = j*e + kk
+    is this ideal: (0, 0) is level 0, and (j, e) is (j + 1, 0), so levels
+    j >= 1 start at kk = 1.  They depend on (k, n) only, so every bound
+    shares them.
     """
-    r, _ = split_p_part(n, 2)
-    split = crt_split(2, k, n)
-    comps = []
-    for (d, ell), ctx in zip(split.labels, split.contexts):
-        g = base_factor(2, d, ell).coeffs
-        powers = [[1]]
-        for _ in range(2**r):
-            powers.append(coeffs_mul(powers[-1], g, 2))
-        comps.append(
-            tuple(
-                ((j, kk), box_ideal(ctx, powers[kk], j))
-                for j in range(k)
-                for kk in range(min(j, 1), 2**r + 1)
-            )
-        )
-    return tuple(comps)
+    e = 2 ** split_p_part(n, 2)[0]
+    tags = [(0, 0)] + [(j, kk) for j in range(k) for kk in range(1, e + 1)]
+    return tuple(tuple(zip(tags, chain_levels(ctx, g))) for ctx, g in component_radicals(2, k, n))
 
 
 def classify_2group(k: int, n: int, max_order=None) -> list[FamilyMap]:
@@ -295,7 +282,7 @@ def classify_coprime(p: int, k: int, n: int, max_order=None, *, order=None) -> l
     if max_order is not None and order is not None:
         raise ValueError("give max_order or order, not both")
     split = crt_split(p, k, n)
-    levels = [[(j, constant_ideal(p**j, ctx)) for j in range(k + 1)] for ctx in split.contexts]
+    levels = [list(enumerate(chain_levels(ctx, g))) for ctx, g in component_radicals(p, k, n)]
     cases = (
         (_params("coprime", J=tuple(zip(split.labels, J))), _combined(p, k, n, rows))
         for J, rows, size in bounded_combinations(levels, max_order if order is None else order)

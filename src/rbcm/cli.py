@@ -173,6 +173,7 @@ def cmd_ideals(args) -> None:
 def _run_family(args):
     """The family's maps; a bad flag is a usage error that names it."""
     family, p, n = args.family, args.p, args.n
+    _check(args.max_order >= 1, "--max-order must be >= 1")
     if family != "twogroup":  # the 2-group family reads no --p
         _check(is_prime(p), f"--p {p}: {p} is not prime")
     if family in ("coprime", "rank2"):
@@ -234,8 +235,11 @@ def cmd_crosscheck(args) -> None:
             raise ValueError(f"--primes {args.primes}: not a comma-separated list of integers") from None
         for q in primes:
             _check(is_prime(q), f"--primes {args.primes}: {q} is not prime")
+        _check(args.max_order >= 1, "--max-order must be >= 1")
+        _check(args.max_n >= 2, "--max-n must be >= 2")
         report = sweep(primes=primes, max_order=args.max_order, max_n=args.max_n)
         payload, instances = report.to_json(), report.instances
+        _check(instances, f"--primes {args.primes} --max-order {args.max_order}: no instance in the sweep")
     else:
         _check(args.group is not None, "--group required without --sweep")
         group = _parse_group(args.group)

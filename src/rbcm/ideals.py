@@ -14,15 +14,15 @@ The hot loops stay on integer rows.  ideal_of_rows closes generator rows
 under x; canonical_form is its adapter for polynomial generators.  Two
 families of ideals need neither: constant_ideal reads (d) off as d times the
 identity, and box_ideal reads (p^j h, p^(j+1)), for a monic h dividing the
-context mod p, off h's remainders mod p.  The 2-group and elementary
-families and closed_form_ideals take their ideals from box_ideal, whose rows
-are certified under -O to be shift-closed, to hold both generators and to
-have index p^(j*D + deg h).  Ideals of
-Z_{p^k}[x]/(x^n+1) are combined from CRT component ideals through embedding
-rows: crt_split stores, per component, the ambient rows of e_i*x^j, and
-combine_components maps each component Howell row through them and takes one
-Howell form of at most n rows.  bounded_combinations walks the choices of one
-component ideal per label and drops a prefix once its sizes pass the bound.
+context mod p, off h's remainders mod p.  Its rows are certified under -O to
+be shift-closed, to hold both generators and to have index p^(j*D + deg h).
+Ideals of Z_{p^k}[x]/(x^n+1) are combined from CRT component ideals through
+embedding rows: crt_split stores, per component, the ambient rows of
+e_i*x^j, and combine_components maps each component Howell row through them
+and takes one Howell form of at most n rows (a one-label split is the
+identity, so its part is the ideal).  bounded_combinations walks the
+choices of one component ideal per label and drops a prefix once its sizes
+pass the bound.
 
 crt_split runs on integer coefficient lists.  For n = p^r*n', the label
 (d, l) owns the block base_factor^(p^r) mod p, and one Hensel lift of it
@@ -32,22 +32,25 @@ n that is 1 mod g and 0 mod h.  Three certificates hold under -O: the
 contexts multiply to x^n+1, the idempotents sum to 1, and every embedding
 row is its unit column on its own component and zero on the others.
 
-Each CRT component is a local ring R with maximal ideal m = (p, g) and
-residue field F_q, q = p^deg g; its ideals are listed by one exhaustive
-descent.  Level j holds the ideals of index q^j, and level j+1 is the union
-of the maximal subideals of the level-j ideals.  Those of I are the
-hyperplanes of the F_q-space I/m*I: radical_multiple forms m*I on Howell
-rows, I's Howell rows give an F_q-basis of I/m*I, and each hyperplane is
-m*I plus t-1 rows read off that basis (t = dim I/m*I).  When t = 1 the only
-child is m*I, with no search at all.  Three certificates hold under -O: the
-context is a power of g mod p, |I/m*I| is a power q^t, and I has exactly
-(q^t-1)/(q-1) distinct children, each of index q in I.
+Each CRT component is a local ring R with maximal ideal m = (p, g), residue
+field F_q, q = p^deg g, and context g^e mod p; descent_level lists its ideals
+of index q^L.  When m is principal, R is a chain ring (McDonald, Finite
+Rings with Identity, 1974) whose ideals are m^L = (p^a g^b, p^(a+1)),
+L = a*e + b, one per level.  m = (p) when e = 1 (p does not divide n) and
+m = (g) when k = 1 or p = 2: each 2-adic component divides one cyclotomic
+polynomial, so Z_2[x]/(context) is a DVR, and one Howell form certifies
+(g) = (g, 2) under -O.  The families, closed_form_ideals and the lattice
+oracle all read these levels.  Odd p with k >= 2 and p | n is not
+principal, and there level L+1 is the union of the maximal subideals of
+level L, the hyperplanes of the F_q-space I/m*I: radical_multiple forms m*I
+on Howell rows, I's Howell rows give an F_q-basis of I/m*I, and each
+hyperplane is m*I plus t-1 rows read off that basis (t = dim I/m*I).
+Certified under -O: the context is a power of g mod p, |I/m*I| is a power
+q^t, and I has exactly (q^t-1)/(q-1) children, each of index q in I.
 
-Two results are kept per process in bounded caches, because a sweep asks
-for them again and again: each descent level, keyed by (context, g, j) and
-built from the level above it, so a component asked for at several orders
-builds each level once; and each combined ideal, keyed by (p, k, n) and its
-component rows.
+Bounded caches keep, per process, each component's certified shape, each
+level, keyed by (context, g, L), and each combined ideal, keyed by (p, k, n)
+and its component rows: a sweep asks for them again and again.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .factorlift import (
     lambda_index,
     split_p_part,
 )
-from .poly import Poly, coeffs_add, coeffs_divmod, coeffs_mul, poly_mod
+from .poly import Poly, coeffs_add, coeffs_divmod, coeffs_mul, coeffs_powmod, poly_mod
 from .zring import Frozen, Modulus, divisors, inverse_mod
 
 ENUM_BUDGET = 1 << 16
@@ -547,10 +550,12 @@ def combine_components(split: CrtSplit, parts) -> IdealPresentation:
     Each row r of part i goes to the ambient row of e_i*r through the
     embedding rows.  Those images span e_i*Q_i, which is already closed under
     x, and e_i*ctx_i is 0 mod x^n+1; so one Howell form over at most n rows
-    gives the ideal.
+    gives the ideal; a one-label split is the identity (crt_split certifies it).
     """
     if [q.context_monic for q in parts] != list(split.contexts):
         raise ValueError("parts must be ideals in the split's component contexts, in order")
+    if len(parts) == 1:
+        return parts[0]
     ambient = split.ambient
     n = split.n
     rows = []
@@ -717,17 +722,23 @@ def radical_floor(context: Poly, quotient_bound: int, radical_gen: Poly) -> Idea
     return powers[-1]
 
 
-def _certify_local(context: Poly, radical_gen: Poly) -> None:
-    """context = g^e mod p for g = radical_gen, read on rows: deg g divides
-    deg context and g^e lies in (p).  Both are monic, so g^e = context mod p."""
-    D, f = context.degree, radical_gen.degree
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+def _certify_local(context: Poly, radical_gen: Poly) -> int:
+    """The e with context = g^e mod p (g = radical_gen) if m = (p, g) is principal, else 0.
+
+    Certified on rows: context = g^e mod p and, for p = 2 with e, k > 1, (g) = (g, 2)."""
+    mod, D, f = context.modulus, context.degree, radical_gen.degree
     row = (0,) * (D - 1) + (1,)
     for _ in range(D // f):
         row = _times(row, radical_gen.coeffs, context)
-    require(
-        D % f == 0 and not any(v % context.modulus.p for v in row),
-        f"context {context} is not a power of {radical_gen} mod p",
-    )
+    if D % f or any(v % mod.p for v in row):
+        raise InvariantViolation(f"context {context} is not a power of {radical_gen} mod p")
+    e = D // f
+    if mod.p == 2 and min(e, mod.k) > 1:
+        g_row = (0,) * (D - f - 1) + radical_gen.coeffs[::-1]
+        box = box_ideal(context, radical_gen.coeffs, 0)
+        require(ideal_of_rows([g_row], context).rows == box.rows, "the maximal ideal (2, g) is not (g)")
+    return e if e == 1 or mod.k == 1 or mod.p == 2 else 0
 
 
 def maximal_subideals(ideal: IdealPresentation, radical_gen: Poly) -> list[IdealPresentation]:
@@ -786,13 +797,20 @@ def maximal_subideals(ideal: IdealPresentation, radical_gen: Poly) -> list[Ideal
 def descent_level(context: Poly, radical_gen: Poly, j: int) -> tuple[IdealPresentation, ...]:
     """The ideals of index q^j of the local quotient, q = p^deg(radical_gen), sorted by rows.
 
-    Level 0 is the whole ring, after the locality certificate; level j is the
-    union of the maximal subideals of level j-1, every ideal of index q^j
-    being one of some ideal of index q^(j-1).
+    Level 0 is the whole ring, after the locality certificate.  On a chain
+    ring level j = a*e + b is (p^a g^b, p^(a+1)), empty past k*e; box_ideal
+    certifies its index q^j, and there is one ideal per index.  Otherwise
+    level j is the union of the maximal subideals of level j-1.
     """
-    if j == 0:
-        _certify_local(context, radical_gen)
-        return (constant_ideal(1, context),)
+    e = _certify_local(context, radical_gen)
+    if e or j == 0:  # the whole ring, or a chain level
+        p, k = context.modulus.p, context.modulus.k
+        a, b = divmod(j, max(e, 1))
+        if j > k * e:
+            return ()
+        if not b:
+            return (constant_ideal(p**a, context),)
+        return (box_ideal(context, coeffs_powmod(radical_gen.coeffs, b, context.coeffs, p), a),)
     found: dict[tuple, IdealPresentation] = {}
     for ideal in descent_level(context, radical_gen, j - 1):
         for child in maximal_subideals(ideal, radical_gen):
@@ -808,43 +826,41 @@ def bounded_ideals_local_tree(
     """Ideals of index <= bound in a local quotient, sorted by rows.
 
     The local ring's ideals have index q^j, q = p^deg(radical_gen), so these
-    are descent levels 0..s for the largest s with q^s <= bound.
+    are descent levels 0..s for the largest s with q^s <= bound, up to the
+    first empty one.
     """
     q = context.modulus.p ** radical_gen.degree
-    out = []
-    j = 0
-    while q**j <= bound:
-        out += descent_level(context, radical_gen, j)
+    out, j = [], 0
+    while q**j <= bound and (level := descent_level(context, radical_gen, j)):
+        out += level
         j += 1
     return sorted(out, key=lambda x: x.rows)
 
 
-def closed_form_ideals(factor_poly: Poly, label: FactorLabel) -> list[IdealPresentation] | None:
-    """Known ideal lattices above a lifted factor over Z_{p^k}, or None when no form applies.
+def chain_levels(context: Poly, radical_gen: Poly) -> list[IdealPresentation]:
+    """Every ideal m^0, ..., m^(k*e) = 0 of a chain-ring component, by level."""
+    e = _certify_local(context, radical_gen)
+    require(e > 0, "the component is not a chain ring")
+    return [descent_level(context, radical_gen, j)[0] for j in range(context.modulus.k * e + 1)]
 
-    k = 1: the quotient is a principal chain (powers of the base factor).
-    level 0, k >= 2: an unramified chain ring; ideals are (f, p^u).
-    p = 2, level >= 1, k >= 2: ideals (f, 2^u * lift^v, 2^(u+1)).  Odd p
-    at level >= 1 with k >= 2 has no closed form.  Only lift mod 2, the base
-    factor q, matters, so the first and last forms are the box ideals
-    (p^u q^v, p^(u+1)) for u < k and q^v dividing f mod p.  The top power
-    q^e is f mod p, so (u, e) is (p^(u+1)), the ideal of (u + 1, 0): levels
-    u >= 1 start at v = 1.  box_ideal certifies each index p^(deg q (u e +
-    v)), and those differ, so each ideal is built once.
+
+def component_radicals(p: int, k: int, n: int) -> list[tuple[Poly, Poly]]:
+    """Per label of crt_split(p, k, n): its context and its radical generator."""
+    split, mod = crt_split(p, k, n), Modulus(p, k)
+    return [(c, base_factor(p, d, ell).reduce_mod(mod)) for (d, ell), c in zip(split.labels, split.contexts)]
+
+
+def closed_form_ideals(factor_poly: Poly, label: FactorLabel) -> list[IdealPresentation] | None:
+    """The ideal lattice above a lifted factor over Z_{p^k}, sorted by rows, or None.
+
+    Z_{p^k}[x]/(f) is local with m = (p, q) for the base factor q; where m
+    is principal (level 0, k = 1 or p = 2) its ideals are the chain_levels
+    (p^u q^v, p^(u+1)).  Odd p at level >= 1 with k >= 2 gets None.
     """
-    p, k = factor_poly.modulus.p, factor_poly.modulus.k
-    ctx = factor_poly
-    if label.level == 0 and k > 1:
-        out = [constant_ideal(p**u, ctx) for u in range(k + 1)]
-    elif k == 1 or p == 2:
-        q = base_factor(p, label.d, label.l).coeffs
-        powers = [[1]]
-        for _ in range(factor_poly.degree // (len(q) - 1)):
-            powers.append(coeffs_mul(powers[-1], q, p))
-        out = [box_ideal(ctx, h, u) for u in range(k) for h in powers[min(u, 1):]]
-    else:
+    g = base_factor(factor_poly.modulus.p, label.d, label.l).reduce_mod(factor_poly.modulus)
+    if not _certify_local(factor_poly, g):
         return None
-    return sorted(out, key=lambda q: q.rows)
+    return sorted(chain_levels(factor_poly, g), key=lambda q: q.rows)
 
 
 def enumerate_ideals_containing(f: Poly, label: FactorLabel | None = None) -> list[IdealPresentation]:

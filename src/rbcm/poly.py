@@ -329,10 +329,6 @@ class FieldElement(Frozen):
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
-    def lex_key(self) -> tuple[int, ...]:
-        m = self.field_modulus.degree
-        return tuple(self.rep[i] for i in range(m))
-
     def multiplicative_order(self) -> int:
         if self.is_zero():
             raise ValueError("zero has no multiplicative order")

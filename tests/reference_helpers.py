@@ -32,11 +32,13 @@ from rbcm.ideals import (
     _normalizing_unit,
     canonical_form,
     combine_components,
+    component_radicals,
     constant_ideal,
     crt_split,
     enumerate_ideals_between,
     howell_form,
     ideal_of_rows,
+    maximal_subideals,
     radical_floor,
     radical_multiple,
     x_powers,
@@ -64,20 +66,29 @@ def candidates_up_to(p: int, k: int, n: int, bound: int) -> list[IdealPresentati
     order = 1
     while order <= bound:
         for Q in bounded_admissible_candidates(p, k, n, order):
-            assert Q.quotient_size() == order, (p, k, n, order, Q.rows)
+            if Q.quotient_size() != order:
+                raise AssertionError((p, k, n, order, Q.rows))
             out.append(Q)
         order *= p
     return sorted(out, key=lambda Q: Q.rows)
 
 
-def component_radicals(p: int, k: int, n: int) -> list[tuple[Poly, Poly]]:
-    """Per label of crt_split(p, k, n): its context and its radical generator."""
-    split = crt_split(p, k, n)
-    mod = Modulus(p, k)
-    return [
-        (ctx, base_factor(p, d, ell).reduce_mod(mod))
-        for (d, ell), ctx in zip(split.labels, split.contexts)
-    ]
+def reference_descent(context: Poly, bound: int, radical_gen: Poly) -> list[list[IdealPresentation]]:
+    """The levels of index <= bound of a local component by the exhaustive
+    descent, chain ring or not: level 0 is the whole ring, and level j + 1
+    is the union of the maximal subideals of the level-j ideals, sorted by
+    rows.  It stops before the first empty level."""
+    q = context.modulus.p ** radical_gen.degree
+    levels = [[constant_ideal(1, context)]]
+    while q ** len(levels) <= bound:
+        found = {}
+        for ideal in levels[-1]:
+            for child in maximal_subideals(ideal, radical_gen):
+                found.setdefault(child.rows, child)
+        if not found:
+            break
+        levels.append(sorted(found.values(), key=lambda x: x.rows))
+    return levels
 
 
 @lru_cache(maxsize=None)
@@ -772,7 +783,9 @@ def reference_base_factor(p: int, d: int, ell: int) -> Poly:
             w = cand**cofactor
             if w.multiplicative_order() == d:
                 break
-        eta = min((w**s for s in range(1, d + 1) if math.gcd(s, d) == 1), key=FieldElement.lex_key)
+        # least in lex order of the coefficients of its m-term representative
+        powers = (w**s for s in range(1, d + 1) if math.gcd(s, d) == 1)
+        eta = min(powers, key=lambda v: tuple(v.rep[i] for i in range(m)))
     root = eta**ell
     coeffs = [one]
     conj = root

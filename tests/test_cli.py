@@ -127,11 +127,24 @@ def test_label_flags_name_themselves(command, flag, capsys):
         (["classify", "rank2", "--p", "2", "--n", "4"], "--p 2: rank2 needs an odd prime"),
         (["classify", "twogroup", "--n", "1"], "--n must exceed 1"),
         (["export-map", "cyclic", "--p", "5", "--n", "1"], "--n must exceed 1"),
+        (["crosscheck", "--sweep", "--max-order", "0"], "--max-order must be >= 1"),
+        (["crosscheck", "--sweep", "--max-n", "1"], "--max-n must be >= 2"),
+        (["crosscheck", "--sweep", "--max-n", "-1"], "--max-n must be >= 2"),
+        (
+            ["crosscheck", "--sweep", "--primes", "3", "--max-order", "2"],
+            "--primes 3 --max-order 2: no instance in the sweep",
+        ),
+        *(
+            (["classify", family, "--p", "3", "--k", "2", "--n", "4", "--max-order", bound], "--max-order must be >= 1")
+            for family, bound in (("cyclic", "0"), ("rank2", "-5"))
+        ),
+        (["export-map", "twogroup", "--k", "2", "--n", "4", "--max-order", "0"], "--max-order must be >= 1"),
     ],
 )
 def test_family_and_sweep_flags_name_themselves(argv, message, capsys):
-    """A bad flag of a family, or a --primes list that is not one of primes,
-    is a usage error that names its flag."""
+    """A bad flag of a family or a sweep, a --primes list that is not one of
+    primes, or a bound that selects nothing is a usage error that names its
+    flag."""
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
@@ -292,15 +305,17 @@ FAMILY_ARGS = {
 
 @pytest.mark.parametrize("family", sorted(FAMILY_ARGS))
 def test_family_bound_at_or_below_zero_is_empty(family, capsys):
-    """A bound of 0 or below lists nothing; it is not read as "no bound"."""
+    """A bound of 0 or below lists nothing in the library; it is not read as
+    "no bound".  On the command line it can select no map, so it is a usage
+    error that names --max-order."""
     fn, args, argv = FAMILY_ARGS[family]
     assert fn(*args, max_order=None) and fn(*args)
     for bound in (0, -1):
         assert fn(*args, max_order=bound) == []
-        assert run_cli(["classify", family, *argv, "--max-order", str(bound)], capsys) == (0, "[]\n", "")
-        code, out, err = run_cli(["export-map", family, *argv, "--max-order", str(bound)], capsys)
-        assert (code, out) == (2, "")
-        assert err == "usage error: --index out of range (family has 0 maps)\n"
+        for command in ("classify", "export-map"):
+            code, out, err = run_cli([command, family, *argv, "--max-order", str(bound)], capsys)
+            assert (code, out) == (2, "")
+            assert err == "usage error: --max-order must be >= 1\n"
 
 
 @pytest.mark.parametrize("spec, invariant_spec", [("4,2", "2,4"), ("9,3", "3,9")])

@@ -13,6 +13,7 @@ import pytest
 from reference_helpers import (
     component_radicals,
     reference_combine,
+    reference_descent,
     reference_two_group_components,
     reference_two_group_unfiltered_pairs,
 )
@@ -165,19 +166,26 @@ def test_two_group_components_match_reference(k):
 
 
 def test_two_group_components_build_each_ideal_once(monkeypatch):
-    """Over k <= 5, 2 <= n <= 12, box_ideal runs once per distinct component
-    ideal: (j, 2^r) is (j + 1, 0), so levels j >= 1 skip kk = 0."""
+    """Over k <= 5, 2 <= n <= 12, each distinct component ideal is built
+    once, as one descent level: (j, 2^r) is (j + 1, 0), so levels j >= 1
+    skip kk = 0, and a context shared by several n (x + 1 for every odd n)
+    is built for the first.  The family builds no box ideal of its own."""
     from rbcm import classify
 
-    built = []
-    box_ideal = classify.box_ideal
-    monkeypatch.setattr(classify, "box_ideal", lambda *a: built.append(box_ideal(*a)) or built[-1])
-    distinct = 0
+    def refuse(*args):
+        raise AssertionError("the 2-group family builds a box ideal itself")
+
+    monkeypatch.setattr(classify, "box_ideal", refuse)
+    descent_level.cache_clear()
+    listed = 0
+    distinct = set()
     for k in range(1, 6):
         for n in range(2, 13):
             for comp in _two_group_components.__wrapped__(k, n):
-                distinct += len({Q.rows for _, Q in comp})
-    assert len(built) == distinct == 735
+                listed += len({Q.rows for _, Q in comp})
+                distinct |= {(Q.context_monic, Q.rows) for _, Q in comp}
+    assert listed == 735
+    assert descent_level.cache_info().misses == len(distinct) == 500
 
 
 def test_two_group_components_are_descent_ideals():
@@ -188,9 +196,10 @@ def test_two_group_components_are_descent_ideals():
         for n in range(2, 13):
             r, _ = split_p_part(n, 2)
             for (ctx, g), comp in zip(component_radicals(2, k, n), _two_group_components(k, n)):
+                levels = reference_descent(ctx, 2 ** (k * ctx.degree), g)
                 for (j, kk), Q in comp:
                     level = j * 2**r + kk
                     assert Q.quotient_size() == (2**g.degree) ** level, (k, n, j, kk)
-                    assert Q.rows in {I.rows for I in descent_level(ctx, g, level)}, (k, n, j, kk)
+                    assert Q.rows in {I.rows for I in levels[level]}, (k, n, j, kk)
                     checked += 1
     assert checked == 735

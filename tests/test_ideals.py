@@ -16,6 +16,7 @@ from reference_helpers import (
     reference_bounded_candidates,
     reference_closed_form_ideals,
     reference_crt_split,
+    reference_descent,
     reference_floor_ideals,
 )
 
@@ -331,16 +332,15 @@ def test_closed_form_ideals_match_reference(p, closed):
     assert compared == closed
 
 
-def test_closed_form_builds_each_box_ideal_once(monkeypatch):
-    """Over Z_{2^k}, k <= 5, n <= 12, box_ideal runs once per distinct
-    closed-form ideal: (u, e) for the top power e is (u + 1, 0)."""
-    built = []
-    box_ideal = ideals.box_ideal
-    monkeypatch.setattr(ideals, "box_ideal", lambda *a: built.append(box_ideal(*a)) or built[-1])
+def test_closed_form_builds_each_box_ideal_once():
+    """Over Z_{2^k}, k <= 5, n <= 12, each distinct closed-form ideal is
+    built once, as one descent level: (u, e) for the top power e is
+    (u + 1, 0), and no ideal is built outside descent_level."""
+    descent_level.cache_clear()
     distinct = 0
     for lf in _distinct_factors(2, range(1, 6), range(1, 13)):
         distinct += len({Q.rows for Q in closed_form_ideals(lf.poly, lf.label)})
-    assert len(built) == distinct == 500
+    assert descent_level.cache_info().misses == distinct == 500
 
 
 def test_closed_form_box_ideals_are_descent_ideals():
@@ -350,10 +350,11 @@ def test_closed_form_box_ideals_are_descent_ideals():
     for lf in _distinct_factors(2, range(1, 6), range(1, 13)):
         g = base_factor(2, lf.label.d, lf.label.l).reduce_mod(lf.poly.modulus)
         q = 2**g.degree
+        levels = reference_descent(lf.poly, lf.poly.modulus.N**lf.poly.degree, g)
         for Q in closed_form_ideals(lf.poly, lf.label):
             level = round(math.log(Q.quotient_size(), q))
             assert Q.quotient_size() == q**level, lf
-            assert Q.rows in {I.rows for I in descent_level(lf.poly, g, level)}, lf
+            assert Q.rows in {I.rows for I in levels[level]}, lf
             checked += 1
     assert checked == 500
 
@@ -392,6 +393,62 @@ def test_descent_matches_floor_enumeration(p):
         assert got == [q.rows for q in reference_floor_ideals(ctx, bound, g)], (k, n, ctx)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_chain_levels_match_exhaustive_descent(p):
+    """Per component, every level up to its length or index 625 is the
+    exhaustive descent's.  The chain verdict holds exactly when p = 2, k = 1
+    or p does not divide n, and exactly when every such level of the
+    exhaustive descent holds one ideal."""
+    _, components = _descent_grid(p)
+    chains = 0
+    for (ctx, g), (k, n) in components.items():
+        levels = reference_descent(ctx, 625, g)
+        for j, level in enumerate(levels):
+            assert [q.rows for q in descent_level(ctx, g, j)] == [q.rows for q in level], (k, n, j)
+        chain = ideals._certify_local(ctx, g) > 0
+        assert chain == (p == 2 or k == 1 or n % p != 0), (k, n, ctx)
+        assert chain == all(len(level) == 1 for level in levels), (k, n, ctx)
+        chains += chain
+    assert 0 < chains < len(components) or p == 2
+
+
+def test_principal_certificate_failure_raises(monkeypatch):
+    """When (g) is not (g, 2) on a 2-adic component, the chain form refuses:
+    here box_ideal is patched to give the whole ring."""
+    context, g = component_radicals(2, 3, 4)[0]
+    monkeypatch.setattr(ideals, "box_ideal", lambda c, h, j: constant_ideal(1, c))
+    ideals._certify_local.cache_clear()
+    descent_level.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match=r"the maximal ideal \(2, g\) is not \(g\)"):
+            descent_level(context, g, 1)
+    finally:
+        ideals._certify_local.cache_clear()
+        descent_level.cache_clear()
+
+
+def test_principal_certificate_under_optimize():
+    """The principal-ideal certificate is a require, so python -O keeps it."""
+    child = (
+        "from rbcm import ideals\n"
+        "from rbcm.errors import InvariantViolation\n"
+        "from rbcm.factorlift import base_factor\n"
+        "context = ideals.crt_split(2, 3, 4).contexts[0]\n"
+        "g = base_factor(2, 1, 1).reduce_mod(context.modulus)\n"
+        "ideals.box_ideal = lambda c, h, j: ideals.constant_ideal(1, c)\n"
+        "try:\n"
+        "    ideals.descent_level(context, g, 1)\n"
+        "except InvariantViolation as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(ideals.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False the maximal ideal (2, g) is not (g)\n"
+
+
 @pytest.mark.parametrize("p,k,n,order", [(3, 3, 9, 243), (5, 3, 10, 625)])
 def test_descent_candidates_match_floor_path(p, k, n, order):
     got = [Q.rows for Q in bounded_admissible_candidates(p, k, n, order)]
@@ -400,9 +457,10 @@ def test_descent_candidates_match_floor_path(p, k, n, order):
 
 
 def test_descent_builds_each_level_once(monkeypatch):
-    """Order 27 and then order 81 over Z_9[x]/(x^5+1), whose components have
-    residue fields of 3 and 81 elements: each (component, level) is built
-    once, and each ideal's children are found once."""
+    """Order 27 and then order 81 over Z_9[x]/(x^15+1), whose components are
+    not chain rings (3 divides 15) and have residue fields of 3 and 81
+    elements: each (component, level) is built once, and each ideal's
+    children are found once."""
     descent_level.cache_clear()
     bounded_admissible_candidates.cache_clear()
     expanded = []
@@ -414,16 +472,16 @@ def test_descent_builds_each_level_once(monkeypatch):
 
     monkeypatch.setattr(ideals, "maximal_subideals", recording_step)
     try:
-        bounded_admissible_candidates(3, 2, 5, 27)
+        bounded_admissible_candidates(3, 2, 15, 27)
         assert descent_level.cache_info().misses == 4 + 1  # q = 3: j <= 3; q = 81: j = 0
-        bounded_admissible_candidates(3, 2, 5, 81)
+        bounded_admissible_candidates(3, 2, 15, 81)
         assert descent_level.cache_info().misses == 5 + 2
     finally:
         bounded_admissible_candidates.cache_clear()
     assert len(expanded) == len(set(expanded))
     above = {
         (ctx, q.rows)
-        for ctx, g in component_radicals(3, 2, 5)
+        for ctx, g in component_radicals(3, 2, 15)
         for j in range(4 if g.degree == 1 else 1)
         for q in descent_level(ctx, g, j)
     }
